@@ -2,10 +2,12 @@
 
 Phase arguments are always reduced modulo q in exact integer arithmetic
 before any trigonometric call, so a phase like e_q(a*n^nu) never loses
-precision to a huge floating-point argument.  Python integers are
-arbitrary precision, which covers moduli well past 2^62 with no special
-casing.  Accumulated sums go through `fsum_complex`, which is exact
-compensated summation (strictly stronger than a single Kahan accumulator).
+precision to a huge floating-point argument.  The scalar primitives here
+use Python integers, which are arbitrary precision, but the vectorized
+sums reduce residues in int64 arrays, so a sum's modulus must stay below
+2^63 (sums.SumParams refuses larger ones).  Accumulated sums go through
+`fsum_complex`, which is exact compensated summation (strictly stronger
+than a single Kahan accumulator).
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ window [lo, hi], the largest prime factor P(n) and smallest prime factor
 p(n) of each n, plus a streaming enumerator of the y-smooth set
 S(x, y) = {n <= x : P(n) <= y} that never materializes a table of size x.
 
+Both rest on one division-free kernel, the smooth part sp(n) = prod of
+p^v_p(n) over the sieving primes, built by strided multiplies.  sp | n, so
+sp <= hi: it fits uint32 while the segment's largest operand is below 2^32
+(uint64 otherwise).  The cofactor n / sp is <= y exactly when
+sp >= ceil(n / y), one contiguous division by a scalar per segment.
+
 Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 (n <= x means n <= floor(x)).
 """
@@ -115,23 +121,15 @@ def build_sieve(lo: int, hi: int, max_entries: int = MAX_SEGMENT) -> FactorSieve
         raise ResourceLimitError(
             f"segment of {count} entries exceeds the {max_entries}-entry budget"
         )
-    cof = np.arange(lo, hi + 1, dtype=np.int64)
     lpf = np.ones(count, dtype=np.int64)
     spf = np.zeros(count, dtype=np.int64)
     small = primes_upto(math.isqrt(hi))
-    for p in small:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p - lo
-        lpf[start::p] = p
-        t = p
-        while t <= hi:
-            s = ((lo + t - 1) // t) * t - lo
-            cof[s::t] //= p
-            t *= p
-    for p in small[::-1]:
-        p = int(p)
-        start = ((lo + p - 1) // p) * p - lo
-        spf[start::p] = p
+    sp, _ = _smooth_part(lo, hi, small, hi)
+    cof = np.arange(lo, hi + 1, dtype=sp.dtype) // sp
+    for p in small.tolist():
+        lpf[-lo % p :: p] = p
+    for p in small[::-1].tolist():
+        spf[-lo % p :: p] = p
     big = cof > 1
     lpf[big] = cof[big]
     unset = spf == 0
@@ -157,6 +155,34 @@ def _segment_bounds(x_floor: int, segment: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)]
 
 
+def _smooth_part(
+    lo: int,
+    hi: int,
+    primes: np.ndarray,
+    top: int,
+    prime_value: Optional[Callable[[int], complex]] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """sp[n - lo] = prod of p^v_p(n) over `primes`, for n in [lo, hi].
+
+    p goes into every multiple of each power p^k <= hi, so n gets it v_p(n)
+    times and sp stays a divisor of n.  sp is uint32 when `top` (>= hi, the
+    largest value the caller holds beside sp) is below 2^32, else uint64.
+    With prime_value, weights prod prime_value(p)^v_p(n) share the walk.
+    """
+    sp = np.ones(hi - lo + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
+    weights = np.ones(hi - lo + 1, dtype=np.complex128) if prime_value is not None else None
+    for p in primes.tolist():
+        fp = prime_value(p) if weights is not None else None
+        t = p
+        while t <= hi:
+            s = -lo % t
+            sp[s::t] *= p
+            if weights is not None:
+                weights[s::t] *= fp
+            t *= p
+    return sp, weights
+
+
 def _smooth_in_segment(
     lo: int,
     hi: int,
@@ -166,30 +192,26 @@ def _smooth_in_segment(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Smooth members of [lo, hi], optionally with multiplicative weights.
 
-    `primes` must hold every prime <= min(y_floor, isqrt(global x)).  After
-    dividing those out, a surviving cofactor > 1 is either a single prime
-    (division bound isqrt) or a product of primes above y (division bound
-    y), so `cof <= y` is exactly the smoothness test in both regimes.
+    `primes` must hold every prime <= min(y_floor, isqrt(global x)).  The
+    cofactor cof = n / sp(n) is then 1, a single prime (sieving bound
+    isqrt) or a product of primes above y (sieving bound y), so `cof <= y`
+    is exactly the smoothness test.  As sp | n, cof <= n <= hi, so with
+    y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff).  The
+    ceilings share sp's dtype; their largest numerator is hi + y_eff - 1.
     """
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    cof = n.copy()
-    weights = np.ones(hi - lo + 1, dtype=np.complex128) if prime_value is not None else None
-    for p in primes:
-        p = int(p)
-        fp = prime_value(p) if prime_value is not None else None
-        t = p
-        while t <= hi:
-            s = ((lo + t - 1) // t) * t - lo
-            cof[s::t] //= p
-            if weights is not None:
-                weights[s::t] *= fp
-            t *= p
-    mask = cof <= y_floor
-    members = n[mask]
+    y_eff = min(y_floor, hi)
+    if y_eff < 1:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, (None if prime_value is None else empty.astype(np.complex128))
+    sp, weights = _smooth_part(lo, hi, primes, hi + y_eff, prime_value)
+    ceil = np.arange(lo + y_eff - 1, hi + y_eff, dtype=sp.dtype)
+    ceil //= y_eff
+    mask = sp >= ceil
+    members = np.flatnonzero(mask) + lo
     if weights is None:
         return members, None
     w = weights[mask]
-    rest = cof[mask]
+    rest = members // sp[mask].astype(np.int64)
     large = rest > 1
     if np.any(large):
         w[large] *= np.array([prime_value(int(c)) for c in rest[large]])

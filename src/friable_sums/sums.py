@@ -35,6 +35,8 @@ HIST_LIMIT = 1 << 23
 # Vectorized modular powers need q*q below 2^63.
 _VEC_MOD_LIMIT = 1 << 31
 MAX_MOMENT_MODULUS = 1 << 26
+# Residues are reduced in int64 arrays.
+MAX_MODULUS = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class SumParams:
     theta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError(f"modulus must be positive, got q={self.q}")
+        if not 1 <= self.q < MAX_MODULUS:
+            raise ValueError(f"modulus must satisfy 1 <= q < 2^63, got q={self.q}")
         if math.gcd(self.a, self.q) != 1:
             raise ValueError(f"need gcd(a, q) = 1, got a={self.a}, q={self.q}")
         if self.nu == 0:
@@ -178,6 +180,8 @@ def sum_power(
     For nu < 0 the sum silently restricts to n coprime with q, the range
     on which n^nu is defined; `terms` counts the summands actually used.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if p.q <= HIST_LIMIT:
         hist = _residue_histogram(p.x, p.y, p.q, segment, threads)
         return _hist_phase_sum(hist, p.q, p.a, p.nu)

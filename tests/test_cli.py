@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from friable_sums import cli
 from friable_sums.cli import SplitMix64, main, parse_grid, resolve_grid
 
 
@@ -52,6 +57,67 @@ def test_sum_command_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) >= {"x", "abs_S", "psi", "envelope_THM1", "ratio_THM1"}
+
+
+def test_sum_command_refuses_modulus_past_int64(capsys):
+    code, _, err = run(
+        capsys, ["sum", "--x", "1e4", "--y", "50", "--q", "18446744073709551629"]
+    )
+    assert code == 2
+    assert "2^63" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--x", "100", "--y", "5", "--q", "7"],
+        ["sum", "--x", "100", "--y", "5", "--q", "7", "--theta", "0.1"],
+        ["scan", "--x-grid", "100,200", "--y-grid", "5", "--q-grid", "7"],
+    ],
+)
+def test_commands_refuse_thread_counts_below_one(capsys, argv, threads):
+    code, _, err = run(capsys, argv + ["--threads", threads])
+    assert code == 2
+    assert "threads must be at least 1" in err
+
+
+_ARENA_PROBE = """
+import ctypes, sys
+from friable_sums.cli import main
+libc = ctypes.CDLL(None)
+libc.malloc_stats()
+sys.stderr.write("--\\n")
+sys.stderr.flush()
+code = main(["sum", "--x", "1e6", "--y", "100", "--q", "997", "--threads", "2"])
+libc.malloc_stats()
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}), reason="glibc malloc only"
+)
+def test_threaded_sum_adds_no_malloc_arena():
+    # malloc_stats prints one "Arena k:" block per arena to stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _ARENA_PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stderr.split("--\n")
+    assert before.count("Arena ") >= 1
+    assert after.count("Arena ") == before.count("Arena ")
+
+
+def test_stray_overflow_maps_to_usage_exit(capsys, monkeypatch):
+    def overflow(args):
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setattr(cli, "cmd_sum", overflow)
+    code, _, err = run(capsys, ["sum", "--x", "10", "--y", "2", "--q", "3"])
+    assert code == 2
+    assert "too large" in err
 
 
 def test_sum_command_rejects_bad_residue(capsys):
@@ -171,6 +237,13 @@ def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "buchstab", "--x", "3e4", "--y", "12", "--r", "3"])
     assert code == 0
     assert out.startswith("buchstab: PASS")
+
+
+def test_verify_heath_brown_past_13_cubed(capsys):
+    # x = 5000 > 13^3 needs z = 18, the smallest z >= 13 with z^3 >= x
+    code, out, _ = run(capsys, ["verify", "--suite", "heath-brown", "--x", "5000"])
+    assert code == 0
+    assert out.startswith("heath-brown: PASS") and "z=18" in out
 
 
 def test_verify_sabotage_reports_counterexample(capsys):

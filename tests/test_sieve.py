@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friable_sums.sieve import (
     ResourceLimitError,
@@ -11,6 +13,7 @@ from friable_sums.sieve import (
     primes_between,
     primes_upto,
     psi,
+    smooth_in_range,
     smooth_members,
 )
 
@@ -153,3 +156,128 @@ def test_factorize_from_sieve():
     assert fs.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert fs.factorize(97) == [(97, 1)]
     assert fs.factorize(1) == []
+
+
+# ---------------------------------------------------------------------------
+# edge grids for the smooth-part kernel, against trial division
+
+def trial_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def imaginary_prime(p: int) -> complex:
+    # weights become n * i^Omega(n): products of these are exact in floats
+    return complex(0, p)
+
+
+def expected_weight(n: int) -> complex:
+    return n * 1j ** len(trial_factors(n))
+
+
+def oracle_smooth(lo: int, hi: int, y: float) -> list[int]:
+    return [n for n in range(lo, hi + 1) if trial_largest_prime_factor(n) <= y]
+
+
+# x at an integer or just below it; y below 2, at 2, in between, or >= x
+edge_x = st.builds(
+    lambda k, below: math.nextafter(k, 0) if below else float(k),
+    st.integers(1, 400),
+    st.booleans(),
+)
+edge_y = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 1.999, 2.0, 2.5, 3.0]),
+    st.floats(0, 500, allow_nan=False),
+    st.integers(400, 10**6).map(float),
+    st.just(1e30),  # y_floor past uint64
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=edge_x, y=edge_y, segment=st.sampled_from([1, 2, 7, 1 << 22]))
+def test_iter_smooth_edge_grid_matches_oracle(x, y, segment):
+    x_floor = math.floor(x)
+    expected = oracle_smooth(1, x_floor, y)
+    chunks = list(iter_smooth(x, y, segment, prime_value=imaginary_prime))
+    members = [n for m, _ in chunks for n in m.tolist()]
+    weights = [w for _, ws in chunks for w in ws.tolist()]
+    assert members == expected
+    assert weights == [expected_weight(n) for n in expected]
+    if math.floor(y) >= 1:
+        assert len(chunks) == -(-x_floor // segment)
+    assert psi(x, y, segment) == len(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.integers(1, 5000),
+    width=st.integers(0, 300),
+    y=st.integers(-1, 6000),
+    weighted=st.booleans(),
+)
+def test_smooth_in_range_edge_grid_matches_oracle(lo, width, y, weighted):
+    hi = lo + width
+    primes = primes_upto(min(y, math.isqrt(hi)))
+    pv = imaginary_prime if weighted else None
+    members, weights = smooth_in_range(lo, hi, y, primes, pv)
+    expected = oracle_smooth(lo, hi, y)
+    assert members.dtype == np.int64
+    assert members.tolist() == expected
+    if weighted:
+        assert weights.tolist() == [expected_weight(n) for n in expected]
+    else:
+        assert weights is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=st.integers(1, 10**6), width=st.integers(0, 200))
+def test_build_sieve_edge_grid_matches_oracle(lo, width):
+    fs = build_sieve(lo, lo + width)
+    factors = [trial_factors(n) or [1] for n in range(lo, lo + width + 1)]
+    assert fs.lpf.tolist() == [f[-1] for f in factors]
+    assert fs.spf.tolist() == [f[0] for f in factors]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2**32 - 50, 2**32 + 50),  # hi + y >= 2^32: uint64 smooth parts
+        (2**32 - 100, 2**32 - 10),  # hi < 2^32 <= hi + y: ceil(n / y) needs uint64
+        (2**32 - 151, 2**32 - 51),  # hi + y = 2^32 - 1: the last uint32 window
+    ],
+)
+def test_smooth_in_range_around_two_to_the_32(lo, hi):
+    y = 50
+    small = primes_upto(y).tolist()
+
+    def rough_part(n: int) -> int:
+        for p in small:
+            while n % p == 0:
+                n //= p
+        return n
+
+    expected = [n for n in range(lo, hi + 1) if rough_part(n) == 1]
+    members, weights = smooth_in_range(lo, hi, y, primes_upto(y), imaginary_prime)
+    assert members.tolist() == expected
+    assert weights.tolist() == [expected_weight(n) for n in expected]
+
+
+def test_build_sieve_across_two_to_the_32():
+    lo, hi = 2**32 - 50, 2**32 + 50
+    small = primes_upto(math.isqrt(hi)).tolist()
+    fs = build_sieve(lo, hi)
+    for n in range(lo, hi + 1):
+        rest, factors = n, []
+        for p in small:
+            while rest % p == 0:
+                factors.append(p)
+                rest //= p
+        factors += [rest] if rest > 1 else []
+        assert (fs.lpf_of(n), fs.spf_of(n)) == (max(factors), min(factors))

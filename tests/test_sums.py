@@ -52,6 +52,16 @@ def test_params_validation():
         SumParams(x=10, y=2, q=7, a=1, nu=0)
     with pytest.raises(ValueError):
         SumParams(x=10, y=2, q=0, a=1)
+    with pytest.raises(ValueError, match="2\\^63"):
+        SumParams(x=10, y=2, q=2**63, a=1)
+    assert SumParams(x=10, y=2, q=2**63 - 1, a=1).q == 2**63 - 1
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_sum_power_rejects_thread_counts_below_one(threads):
+    for q in (7, (1 << 23) + 9):  # histogram and direct paths
+        with pytest.raises(ValueError, match="threads"):
+            sum_power(SumParams(x=100, y=5, q=q, a=1), threads=threads)
 
 
 def test_sum_linear_trivial_modulus_counts_members():
