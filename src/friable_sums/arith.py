@@ -77,11 +77,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def prime_factors_with_multiplicity(n: int) -> list[int]:
-    """Ascending list of prime factors of n, repeated to multiplicity."""
-    return [p for p, e in factorize(n) for _ in range(e)]
-
-
 def divisor_count(n: int) -> int:
     """tau(n): the number of positive divisors of n >= 1."""
     if n < 1:
@@ -92,12 +87,17 @@ def divisor_count(n: int) -> int:
     return tau
 
 
+def divisors_from(fac: Iterable[tuple[int, int]]) -> list[int]:
+    """All divisors of the integer factored as [(p, e), ...], unsorted."""
+    ds = [1]
+    for p, e in fac:
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return ds
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
+    return sorted(divisors_from(factorize(n)))
 
 
 def is_prime(n: int) -> bool:

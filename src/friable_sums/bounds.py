@@ -109,6 +109,8 @@ def report(
     With theta set the sum is the real-frequency one and the two L-scaled
     envelopes pick up the 1 + x|theta - a/q| penalty; otherwise L = 1.
     """
+    if not (p.x > 0 and p.y > 0):
+        raise ValueError(f"envelopes need x > 0 and y > 0, got x={p.x}, y={p.y}")
     kwargs = {} if segment is None else {"segment": segment}
     if p.theta is not None:
         exact = sum_theta(p, **kwargs)

@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, TextIO
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -30,7 +30,9 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_M_ARENA_MAX = -8  # glibc's mallopt parameter number
+_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
+_M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -108,15 +110,14 @@ def resolve_grid(grid: tuple[str, object], x: float) -> list[float]:
     return list(payload)
 
 
-def _open_out(path: Optional[str]):
+def _emit(lines: Iterable[str], path: Optional[str]) -> None:
+    """Write `lines` to the file at `path`, or to stdout for None or "-"."""
+    text = "".join(line + "\n" for line in lines)
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _emit(lines: Iterable[str], out: TextIO) -> None:
-    for line in lines:
-        out.write(line + "\n")
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as out:
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +161,10 @@ def cmd_sum(args: argparse.Namespace) -> int:
     cols = ["x", "y", "q", "a", "nu", "re_S", "im_S", "abs_S", "psi"]
     cols += [f"envelope_{n}" for n in bounds.ENVELOPE_NAMES]
     cols += [f"ratio_{n}" for n in bounds.ENVELOPE_NAMES]
-    out, close = _open_out(args.output)
-    try:
-        if args.format == "json":
-            _emit([json.dumps({c: row[c] for c in cols})], out)
-        else:
-            _emit([CSV_VERSION_LINE, ",".join(cols), ",".join(row[c] for c in cols)], out)
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        _emit([json.dumps({c: row[c] for c in cols})], args.output)
+    else:
+        _emit([CSV_VERSION_LINE, ",".join(cols), ",".join(row[c] for c in cols)], args.output)
     return EXIT_OK
 
 
@@ -183,19 +179,12 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     for x in resolve_grid(xg, 0.0):
         for y in resolve_grid(yg, x):
             rows.append((x, y, psi(x, y)))
-    out, close = _open_out(args.output)
-    try:
-        if args.format == "json":
-            _emit(
-                [json.dumps([{"x": x, "y": y, "psi": c} for x, y, c in rows])], out
-            )
-        else:
-            lines = [CSV_VERSION_LINE, "x,y,psi"]
-            lines += [f"{_fmt(x)},{_fmt(y)},{c}" for x, y, c in rows]
-            _emit(lines, out)
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        _emit([json.dumps([{"x": x, "y": y, "psi": c} for x, y, c in rows])], args.output)
+    else:
+        lines = [CSV_VERSION_LINE, "x,y,psi"]
+        lines += [f"{_fmt(x)},{_fmt(y)},{c}" for x, y, c in rows]
+        _emit(lines, args.output)
     return EXIT_OK
 
 
@@ -282,23 +271,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.threads > 1 and len(cells) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        _return_freed_memory()
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(run, cells))
     else:
         rows = [run(p) for p in cells]
 
-    out, close = _open_out(args.output)
-    try:
-        if args.format == "json":
-            _emit([json.dumps(rows)], out)
-        else:
-            lines = [CSV_VERSION_LINE, ",".join(SCAN_COLUMNS)]
-            lines += [",".join(r[c] for c in SCAN_COLUMNS) for r in rows]
-            lines += _diag_lines(rows)
-            _emit(lines, out)
-    finally:
-        if close:
-            out.close()
+    if args.format == "json":
+        _emit([json.dumps(rows)], args.output)
+    else:
+        lines = [CSV_VERSION_LINE, ",".join(SCAN_COLUMNS)]
+        lines += [",".join(r[c] for c in SCAN_COLUMNS) for r in rows]
+        lines += _diag_lines(rows)
+        _emit(lines, args.output)
     return EXIT_OK
 
 
@@ -450,12 +435,7 @@ def cmd_regions(args: argparse.Namespace) -> int:
         name: [[_frac_str(a), _frac_str(b)] for a, b in poly]
         for name, poly in regions.polygons.items()
     }
-    out, close = _open_out(args.output)
-    try:
-        _emit([json.dumps(payload, indent=2)], out)
-    finally:
-        if close:
-            out.close()
+    _emit([json.dumps(payload, indent=2)], args.output)
     return EXIT_OK
 
 
@@ -481,11 +461,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _thread_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"threads must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int, name: str) -> Callable[[str], int]:
+    """argparse type for an integer option `name` that must be >= low."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--theta", type=float, default=None)
         sp.add_argument("--eps", type=float, default=0.01)
         sp.add_argument("--delta", type=float, default=0.05)
-        sp.add_argument("--threads", type=_thread_count, default=1)
+        sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--output", default=None)
 
@@ -526,14 +511,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-grid", required=True)
     sp.add_argument("--a", type=int, default=1, help="fixed residue (default)")
     sp.add_argument(
-        "--random-a", type=int, default=0, metavar="K",
+        "--random-a", type=_int_at_least(0, "random-a"), default=0, metavar="K",
         help="draw K seeded random units mod q per cell instead of --a",
     )
     sp.add_argument("--nu", type=int, default=1)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_thread_count, default=1)
+    sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
     sp.add_argument("--budget", type=float, default=1e10,
                     help="refuse scans whose summed term estimate exceeds this")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -563,6 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _mallopt(param: int, value: int) -> None:
+    """glibc's mallopt(param, value); does nothing off glibc."""
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return
+    import ctypes
+
+    ctypes.CDLL(None).mallopt(param, value)
+
+
 def _one_malloc_arena() -> None:
     """Have glibc serve every thread of this process from one malloc arena.
 
@@ -572,13 +566,31 @@ def _one_malloc_arena() -> None:
     with --threads 2, peaked anywhere from 190 to 250 MiB from one process
     to the next; with one arena they peak at 138-145 MiB and take as long
     (2-core Xeon).  The sieve makes a few large allocations per segment, so
-    the shared arena's lock is not contended.  Does nothing off glibc.
+    the shared arena's lock is not contended.
     """
-    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
-        return
-    import ctypes
+    _mallopt(_M_ARENA_MAX, 1)
 
-    ctypes.CDLL(None).mallopt(_M_ARENA_MAX, 1)
+
+def _return_freed_memory() -> None:
+    """Have glibc give freed memory back at once, for the rest of the process:
+    blocks of 8 MiB or more get a mapping of their own that is unmapped at
+    free, and free space past 8 MiB at the top of the heap is trimmed.
+
+    By default glibc raises both limits as large blocks are freed (to 32
+    and 64 MiB), so after the first cell of a scan the sieve's 16 MiB
+    segment buffers come from the shared heap.  When two cells run at once
+    their blocks interleave there, and how much freed heap stays resident
+    depends on thread timing: a process running the pair of scans `--x-grid
+    geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 2 --threads 2`
+    at nu = -1 and 3 three times, plus two sums, peaked at 157-192 MiB over
+    8 runs; with both limits at 8 MiB, at 153-156 MiB.  4 MiB was as steady
+    but faulted in 40 % more pages; 17 and 32 MiB were not steady.
+    One-thread work keeps glibc's default: it reuses its heap in the same
+    order every run, and mapping each segment's buffers afresh cost three
+    `sum`s at x = 1e8 about 10 % in page faults (4 MiB limit, 2-core Xeon).
+    """
+    _mallopt(_M_MMAP_THRESHOLD, 8 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 8 << 20)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -17,14 +17,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import (
-    factorize,
-    floor_int,
-    floor_quotient,
-    fsum_complex,
-    prime_factors_with_multiplicity,
+from .arith import divisors_from, factorize, floor_int, floor_quotient, fsum_complex
+from .sieve import (
+    FactorSieve,
+    build_sieve,
+    next_primes_above,
+    prime_tuples,
+    primes_between,
+    primes_upto,
 )
-from .sieve import FactorSieve, build_sieve, next_primes_above, primes_between, primes_upto
 
 VectorizedMap = Callable[[np.ndarray], np.ndarray]
 
@@ -43,10 +44,18 @@ class WSplit:
     w: float
 
 
+def _factorization(n: int, sieve: Optional[FactorSieve]) -> list[tuple[int, int]]:
+    """n as [(p, e), ...], read off the sieve when it covers [1, n]."""
+    if sieve is not None and sieve.lo == 1 and n <= sieve.hi:
+        return sieve.factorize(n)
+    return factorize(n)
+
+
 def w_split(n: int, w: float, sieve: Optional[FactorSieve] = None) -> WSplit:
     """Split n at threshold w: k is the shortest ascending-prefix product of
     n's prime factorization that reaches w.  Defined for every n >= w except
-    n = 1, whose only candidate k = 1 fails k < w * P(k).
+    n = 1, whose only candidate k = 1 fails k < w * P(k).  The sieve, when it
+    covers [1, n], only speeds up the factorization of n.
     """
     if n < 1 or w < 1:
         raise ValueError(f"need n >= 1 and w >= 1, got n={n}, w={w}")
@@ -54,15 +63,12 @@ def w_split(n: int, w: float, sieve: Optional[FactorSieve] = None) -> WSplit:
         raise ValueError(f"no admissible split: n={n} is below the threshold w={w}")
     if n == 1:
         raise ValueError("no admissible split: n=1 has no factor k with k < w*P(k)")
-    if sieve is not None:
-        factors = [p for p, e in sieve.factorize(n) for _ in range(e)]
-    else:
-        factors = prime_factors_with_multiplicity(n)
     k = 1
-    for p in factors:
-        k *= p
-        if k >= w:
-            return WSplit(n=n, k=k, m=n // k, w=w)
+    for p, e in _factorization(n, sieve):
+        for _ in range(e):
+            k *= p
+            if k >= w:
+                return WSplit(n=n, k=k, m=n // k, w=w)
     raise AssertionError("unreachable: the full product n >= w reaches the threshold")
 
 
@@ -70,37 +76,20 @@ def count_admissible_splits(n: int, w: float, sieve: Optional[FactorSieve] = Non
     """Number of divisors k of n with w <= k < w*P(k) and P(k) <= p(n/k).
 
     Exhaustive over all divisors; the split is canonical exactly when this
-    returns 1.  P(1) = 1 and p(1) = +infinity by convention.
+    returns 1.  P(1) = 1 and p(1) = +infinity by convention.  The sieve
+    serves as in w_split.
     """
-    tables = sieve is not None and sieve.lo == 1 and n <= sieve.hi
-    fac = sieve.factorize(n) if tables else factorize(n)
-    divs = [1]
-    for p, e in fac:
-        divs = [d * p**j for d in divs for j in range(e + 1)]
-    count = 0
-    for k in divs:
-        m = n // k
-        if tables:
-            pk = sieve.lpf_of(k) if k > 1 else 1
-            pm = sieve.spf_of(m) if m > 1 else math.inf
-        else:
-            pk = _largest_prime_factor(k)
-            pm = _smallest_prime_factor(m)
-        if w <= k < w * pk and pk <= pm:
-            count += 1
-    return count
-
-
-def _largest_prime_factor(n: int) -> int:
-    if n == 1:
-        return 1
-    return prime_factors_with_multiplicity(n)[-1]
-
-
-def _smallest_prime_factor(n: int) -> float:
-    if n == 1:
-        return math.inf
-    return prime_factors_with_multiplicity(n)[0]
+    # (k, P(k), p(n/k)) per divisor k, extended one ascending prime p at a
+    # time: p becomes P(k) when k takes it, and p(n/k) when n/k keeps some
+    # of it and no smaller prime.
+    splits: list[tuple[int, int, float]] = [(1, 1, math.inf)]
+    for p, e in _factorization(n, sieve):
+        splits = [
+            (k * p**i, p if i else pk, pm if i == e else min(pm, p))
+            for k, pk, pm in splits
+            for i in range(e + 1)
+        ]
+    return sum(1 for k, pk, pm in splits if w <= k < w * pk and pk <= pm)
 
 
 def split_partition_sums(
@@ -211,8 +200,8 @@ def buchstab_expand(
     x_floor = floor_int(x)
     if x_floor < 1:
         return BuchstabExpansion(x, y, r, ordering, 0j, tuple(0j for _ in range(r)))
-    ps = [int(p) for p in primes_between(y, x)]
-    if ps and not _expansion_depth_ok(x_floor, y, r, ordering):
+    ps = primes_between(y, x)
+    if ps.size and not _expansion_depth_ok(x_floor, y, r, ordering):
         raise ValueError(
             f"incomplete expansion: r={r} corrections cannot terminate at x={x}, y={y}"
         )
@@ -223,20 +212,9 @@ def buchstab_expand(
     main = fsum_complex(main_parts)
 
     level_parts: list[list[complex]] = [[] for _ in range(r)]
-
-    def walk(i0: int, depth: int, prod: int) -> None:
-        for i in range(i0, len(ps)):
-            p = ps[i]
-            pr = prod * p
-            if pr > x_floor:
-                break
-            z = floor_quotient(x, pr)
-            m = np.arange(1, z + 1, dtype=np.int64)
-            level_parts[depth].append(complex(np.sum(f(m * pr))))
-            if depth + 1 < r:
-                walk(i + 1 if ordering == "strict" else i, depth + 1, pr)
-
-    walk(0, 0, 1)
+    for pr, idx in prime_tuples(ps, x_floor, r, ordering == "strict"):
+        m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
+        level_parts[len(idx) - 1].append(complex(np.sum(f(m * pr))))
     corrections = tuple(fsum_complex(parts) for parts in level_parts)
     return BuchstabExpansion(x, y, r, ordering, main, corrections)
 
@@ -255,10 +233,7 @@ class ArithTables:
     von_mangoldt: np.ndarray
 
     def divisors(self, n: int) -> list[int]:
-        ds = [1]
-        for p, e in self.factorize(n):
-            ds = [d * p**j for d in ds for j in range(e + 1)]
-        return ds
+        return divisors_from(self.factorize(n))
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         out = []
@@ -399,7 +374,8 @@ class RegroupWeights:
 
     beta[l] counts primes p > y dividing l (one choice of leading prime
     with cofactor m = l / p); gamma[n] counts ordered (j-1)-tuples of
-    primes > y, repetition allowed, with product exactly n.  Then
+    primes > y, repetition allowed, with product exactly n: by unique
+    factorization, the orderings of the one multiset with product n.  Then
     sum_{l, n: l*n <= x} beta[l] gamma[n] f(l*n) equals the fully relaxed
     tuple sum (all j slots ordered freely, repeats allowed).
     diagonal_terms counts the relaxed (tuple, m) pairs with a repeated
@@ -421,10 +397,10 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
     if j < 2:
         raise ValueError(f"need j >= 2, got {j}")
     x_floor = floor_int(x)
-    ps = [int(p) for p in primes_between(y, x)]
+    ps = primes_between(y, x)
 
     beta: dict[int, int] = {}
-    if ps:
+    if ps.size:
         sieve = build_sieve(1, max(x_floor, 1))
         for ell in range(2, x_floor + 1):
             cnt = sum(1 for p, _ in sieve.factorize(ell) if p > y)
@@ -432,22 +408,12 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
                 beta[ell] = cnt
 
     gamma: dict[int, int] = {}
-
-    def grow(depth: int, prod: int) -> None:
-        if depth == j - 1:
-            gamma[prod] = gamma.get(prod, 0) + 1
-            return
-        for p in ps:
-            pr = prod * p
-            if pr > x_floor:
-                break
-            grow(depth + 1, pr)
-
-    if j - 1 >= 1:
-        grow(0, 1)
-        gamma.pop(1, None)
-
-    diagonal = _diagonal_term_count(j, x, x_floor, ps)
+    diagonal = 0
+    for pr, idx in prime_tuples(ps, x_floor, j, distinct=False):
+        if len(idx) == j - 1:
+            gamma[pr] = _orderings_of(idx)
+        elif len(idx) == j and len(set(idx)) < j:
+            diagonal += _orderings_of(idx) * floor_quotient(x, pr)
     return RegroupWeights(j=j, x=x, y=y, beta=beta, gamma=gamma, diagonal_terms=diagonal)
 
 
@@ -455,23 +421,11 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
     """Direct evaluation of the fully relaxed prime-tuple convolution: all
     ordered j-tuples of primes above y (repeats allowed), inner m free.
     """
-    x_floor = floor_int(x)
-    ps = [int(p) for p in primes_between(y, x)]
     parts: list[complex] = []
-
-    def rec(depth: int, prod: int, start: int, indices: list[int]) -> None:
-        if depth == j:
-            z = floor_quotient(x, prod)
-            m = np.arange(1, z + 1, dtype=np.int64)
-            parts.append(_orderings_of(indices) * complex(np.sum(f(m * prod))))
-            return
-        for i in range(start, len(ps)):
-            pr = prod * ps[i]
-            if pr > x_floor:
-                break
-            rec(depth + 1, pr, i, indices + [i])
-
-    rec(0, 1, 0, [])
+    for pr, idx in prime_tuples(primes_between(y, x), floor_int(x), j, distinct=False):
+        if len(idx) == j:
+            m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
+            parts.append(_orderings_of(idx) * complex(np.sum(f(m * pr))))
     return fsum_complex(parts)
 
 
@@ -490,35 +444,9 @@ def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
     return fsum_complex(parts)
 
 
-def _diagonal_term_count(j: int, x: float, x_floor: int, ps: list[int]) -> int:
-    """Count relaxed (ordered tuple, m) pairs whose tuple repeats a prime.
-
-    Enumerates nondecreasing tuples and scales each by its number of
-    distinct orderings, so the count matches the ordered enumeration.
-    """
-    acc = 0
-
-    def rec(depth: int, prod: int, start: int, indices: list[int]) -> None:
-        nonlocal acc
-        if depth == j:
-            if len(set(indices)) < j:
-                acc += _orderings_of(indices) * floor_quotient(x, prod)
-            return
-        for i in range(start, len(ps)):
-            pr = prod * ps[i]
-            if pr > x_floor:
-                break
-            rec(depth + 1, pr, i, indices + [i])
-
-    rec(0, 1, 0, [])
-    return acc
-
-
-def _orderings_of(indices: list[int]) -> int:
-    counts: dict[int, int] = {}
-    for i in indices:
-        counts[i] = counts.get(i, 0) + 1
+def _orderings_of(indices: tuple[int, ...]) -> int:
+    """Distinct orderings of a nondecreasing index tuple (a multinomial)."""
     total = math.factorial(len(indices))
-    for c in counts.values():
-        total //= math.factorial(c)
+    for i in set(indices):
+        total //= math.factorial(indices.count(i))
     return total

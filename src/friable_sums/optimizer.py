@@ -261,8 +261,8 @@ def figure1_regions(eps_grid: float = 0.01) -> RegionSet:
     """The exact rational relevance-region polygons, cross-checked against a
     saving-exponent classification on an eps_grid lattice.
     """
-    if eps_grid > 0.01:
-        raise ValueError(f"grid resolution must be <= 0.01, got {eps_grid}")
+    if not 0 < eps_grid <= 0.01:
+        raise ValueError(f"grid resolution must lie in (0, 0.01], got {eps_grid}")
     regions = RegionSet(polygons=dict(REGION_VERTICES))
     mismatches = region_grid_mismatches(regions, eps_grid=eps_grid)
     if mismatches:
@@ -271,20 +271,23 @@ def figure1_regions(eps_grid: float = 0.01) -> RegionSet:
     return regions
 
 
-def saving_exponents(alpha: float, beta: float) -> dict[str, float]:
+def saving_exponents(
+    alpha: float | np.ndarray, beta: float | np.ndarray
+) -> dict[str, float | np.ndarray]:
     """Leading exponent (in x) of each envelope's bracketed saving factor;
     negative means a power saving.  The fourth envelope carries a free
     positive power delta, which scales but never flips these signs; it is
     reported here with delta = 1 and eps = 0.
+
+    alpha and beta may be floats or numpy arrays of one shape; the
+    exponents are then numpy floats or arrays of that shape.
     """
-    e1 = max(-(1 - alpha) / 4, -beta / 2, -(1 - beta) / 2)
-    e2 = max(-alpha / 2, beta / 8 - 0.25, -beta / 2, -(1 - beta) / 2)
-    e3 = max(
-        min((beta - 1) / 4, (alpha - 1) / 4 + beta / 8),
-        -beta / 4,
-        (alpha - 1) / 4,
+    e1 = np.maximum.reduce([-(1 - alpha) / 4, -beta / 2, -(1 - beta) / 2])
+    e2 = np.maximum.reduce([-alpha / 2, beta / 8 - 0.25, -beta / 2, -(1 - beta) / 2])
+    e3 = np.maximum.reduce(
+        [np.minimum((beta - 1) / 4, (alpha - 1) / 4 + beta / 8), -beta / 4, (alpha - 1) / 4]
     )
-    e4 = max(-beta / 4, 0.75 * beta - 1)
+    e4 = np.maximum(-beta / 4, 0.75 * beta - 1)
     return {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
 
 
@@ -346,12 +349,7 @@ def region_grid_mismatches(
         near |= _near_edges(poly, a, b, margin)
 
     tol = 1e-12
-    e1 = np.maximum.reduce([-(1 - a) / 4, -b / 2, -(1 - b) / 2])
-    e2 = np.maximum.reduce([-a / 2, b / 8 - 0.25, -b / 2, -(1 - b) / 2])
-    e3 = np.maximum.reduce(
-        [np.minimum((b - 1) / 4, (a - 1) / 4 + b / 8), -b / 4, (a - 1) / 4]
-    )
-    e4 = np.maximum(-b / 4, 0.75 * b - 1)
+    e1, e2, e3, e4 = saving_exponents(a, b).values()
     ok_by_name = {
         "E1": (e1 < tol) & (e1 <= np.minimum(e2, e3) + tol),
         "E2": (e2 < tol) & (e2 <= np.minimum(e1, e3) + tol),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -34,9 +34,17 @@ class ResourceLimitError(RuntimeError):
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (classic sieve of Eratosthenes)."""
+    """All primes <= n as an int64 array (classic sieve of Eratosthenes).
+
+    The sieve holds a bool mask of n + 1 entries, so n is held to the
+    MAX_SEGMENT budget that build_sieve enforces.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
+    if n > MAX_SEGMENT:
+        raise ResourceLimitError(
+            f"prime table up to {n} exceeds the {MAX_SEGMENT}-entry budget"
+        )
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -52,6 +60,34 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     ps = primes_upto(top)
     return ps[ps > lo]
+
+
+def prime_tuples(
+    ps: Iterable[int], x_floor: int, depth: int, distinct: bool = True
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(product, indices) for every tuple of 1 to `depth` primes from the
+    ascending `ps` whose product is <= x_floor.
+
+    Indices increase strictly when `distinct`, weakly otherwise, so each
+    multiset of primes comes once.  Tuples come in lexicographic order of
+    their indices, each one before its extensions.  Products are Python
+    ints, so they never wrap.
+    """
+    ps = [int(p) for p in ps]
+
+    def grow(
+        start: int, prod: int, indices: tuple[int, ...]
+    ) -> Iterator[tuple[int, tuple[int, ...]]]:
+        for i in range(start, len(ps)):
+            pr = prod * ps[i]
+            if pr > x_floor:
+                break
+            ext = indices + (i,)
+            yield pr, ext
+            if len(ext) < depth:
+                yield from grow(i + 1 if distinct else i, pr, ext)
+
+    return grow(0, 1, ())
 
 
 def next_primes_above(y: float, count: int) -> list[int]:

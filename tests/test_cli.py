@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -82,6 +83,67 @@ def test_commands_refuse_thread_counts_below_one(capsys, argv, threads):
     assert "threads must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "--x", "0", "--y", "5", "--q", "7"],
+        ["sum", "--x", "100", "--y", "-1", "--q", "7"],
+        ["scan", "--x-grid", "100", "--y-grid", "0", "--q-grid", "7"],
+        ["scan", "--x-grid=-5,100", "--y-grid", "5", "--q-grid", "7"],
+    ],
+)
+def test_sum_and_scan_refuse_nonpositive_x_or_y(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "x > 0 and y > 0" in err
+    assert "# friable-sums" not in out
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+def test_sum_refuses_nonfinite_theta(capsys, theta):
+    code, out, err = run(capsys, ["sum", "--x", "100", "--y", "5", "--q", "7", f"--theta={theta}"])
+    assert code == 2
+    assert "theta must be finite" in err
+    assert out == ""
+
+
+def test_scan_refuses_negative_random_residue_count(capsys):
+    argv = ["scan", "--x-grid", "100", "--y-grid", "5", "--q-grid", "7", "--random-a", "-2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "random-a must be at least 0" in err
+    assert out == ""
+
+
+def test_regions_refuses_zero_grid_step(capsys):
+    code, out, err = run(capsys, ["regions", "--eps-grid", "0"])
+    assert code == 2
+    assert "grid resolution" in err
+    assert out == ""
+
+
+_PRIMES_PROBE = """
+import resource, sys
+cap = 3 << 29  # 1.5 GiB of address space: the prime mask for 3e9 needs 2.8 GiB
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from friable_sums.cli import main
+sys.exit(main(["verify", "--suite", sys.argv[1], "--x", "3e9"]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="address-space cap needs POSIX rlimits")
+@pytest.mark.parametrize("suite", ["regroup", "buchstab"])
+def test_verify_refuses_prime_tables_past_the_budget(suite):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # one BLAS thread, so numpy's own buffers fit under the cap on many-core hosts
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _PRIMES_PROBE, suite], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "budget refusal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 _ARENA_PROBE = """
 import ctypes, sys
 from friable_sums.cli import main
@@ -108,6 +170,59 @@ def test_threaded_sum_adds_no_malloc_arena():
     before, after = proc.stderr.split("--\n")
     assert before.count("Arena ") >= 1
     assert after.count("Arena ") == before.count("Arena ")
+
+
+_MMAP_PROBE = """
+import ctypes, os, sys
+from friable_sums.cli import main
+
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+
+libc.mallinfo2.restype = MallInfo2
+
+
+def mapped(size):
+    # whether malloc serves `size` bytes by a mapping of their own (hblks counts those)
+    before = libc.mallinfo2().hblks
+    block = libc.malloc(size)
+    out = libc.mallinfo2().hblks > before
+    libc.free(block)
+    return out
+
+
+libc.free(libc.malloc(16 << 20))  # freeing a 16 MiB mapping raises glibc's threshold to it
+print(mapped(12 << 20))
+argv = ["scan", "--x-grid", "1e4,2e4", "--y-grid", "10", "--q-grid", "101",
+        "--output", os.devnull, "--threads"]
+code = main(argv + sys.argv[1:])
+print(mapped(12 << 20))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(
+    "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {})
+    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="glibc 2.33+ malloc only",
+)
+@pytest.mark.parametrize("threads, after", [("2", "True"), ("1", "False")])
+def test_threaded_scan_returns_freed_memory(threads, after):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE, threads], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", after]
 
 
 def test_stray_overflow_maps_to_usage_exit(capsys, monkeypatch):

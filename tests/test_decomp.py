@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friable_sums.arith import fsum_complex
 from friable_sums.decomp import (
@@ -79,6 +81,46 @@ def test_w_split_unique_exhaustive_small():
     for w in (3.0, 10.0, 316.0):
         for n in range(math.ceil(w), 20001):
             assert count_admissible_splits(n, w, fs) == 1
+
+
+def trial_prime_factors(n):
+    """Oracle: ascending prime factors of n with multiplicity, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def brute_admissible_splits(n, w):
+    """Oracle: test every k <= n that divides n, with P and p by trial division."""
+    count = 0
+    for k in range(1, n + 1):
+        if n % k == 0:
+            pk = max(trial_prime_factors(k), default=1)
+            pm = min(trial_prime_factors(n // k), default=math.inf)
+            count += w <= k < w * pk and pk <= pm
+    return count
+
+
+_SPLIT_SIEVE = build_sieve(1, 3000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    w=st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 50.0]) | st.floats(1.0, 400.0),
+)
+def test_admissible_splits_agree_with_and_without_sieve(n, w):
+    expected = brute_admissible_splits(n, w)
+    assert count_admissible_splits(n, w) == expected
+    assert count_admissible_splits(n, w, _SPLIT_SIEVE) == expected
+    short = build_sieve(1, max(1, n // 2))  # short of n >= 2, which is factored without it
+    assert count_admissible_splits(n, w, short) == expected
+    if n >= max(w, 2):
+        assert w_split(n, w) == w_split(n, w, _SPLIT_SIEVE)
 
 
 def test_w_split_range_within_wy():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from friable_sums.sieve import (
     ResourceLimitError,
     build_sieve,
     iter_smooth,
+    prime_tuples,
     primes_between,
     primes_upto,
     psi,
@@ -281,3 +283,24 @@ def test_build_sieve_across_two_to_the_32():
                 rest //= p
         factors += [rest] if rest > 1 else []
         assert (fs.lpf_of(n), fs.spf_of(n)) == (max(factors), min(factors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ps=st.lists(st.sampled_from(primes_upto(60).tolist()), max_size=8, unique=True).map(sorted),
+    x_floor=st.integers(0, 20000),
+    depth=st.integers(1, 5),
+    distinct=st.booleans(),
+)
+def test_prime_tuples_match_itertools_enumeration(ps, x_floor, depth, distinct):
+    pick = itertools.combinations if distinct else itertools.combinations_with_replacement
+    expected = sorted(
+        idx
+        for k in range(1, depth + 1)
+        for idx in pick(range(len(ps)), k)
+        if math.prod(ps[i] for i in idx) <= x_floor
+    )
+    got = list(prime_tuples(np.array(ps, dtype=np.int64), x_floor, depth, distinct))
+    assert [idx for _, idx in got] == expected
+    assert [pr for pr, _ in got] == [math.prod(ps[i] for i in idx) for idx in expected]
+    assert all(type(pr) is int for pr, _ in got)

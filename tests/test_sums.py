@@ -3,11 +3,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friable_sums.arith import eq_phase, fsum_complex
 from friable_sums.sums import (
     SumParams,
     _direct_power_sum,
+    _fsum_products,
     complete_monomial_sum,
     moment_count,
     sum_bilinear,
@@ -46,6 +49,9 @@ def geometric_sum(x, q, a):
 
 
 def test_params_validation():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            SumParams(x=10, y=2, q=3, a=1, theta=theta)
     with pytest.raises(ValueError):
         SumParams(x=10, y=2, q=10, a=4)
     with pytest.raises(ValueError):
@@ -244,6 +250,39 @@ def naive_prime_tuple_sum(j, x, y, q, a, nu, strict):
     return fsum_complex(total), count
 
 
+@st.composite
+def unit_or_composite_cells(draw):
+    """(x, y, q, a, nu) with q = 1 (any nu) or composite q with nu < 0."""
+    q = draw(st.sampled_from([1, 4, 6, 12, 15, 49, 91, 100, 210]))
+    nu = draw(st.sampled_from([-2, -1, 1, 3] if q == 1 else [-3, -2, -1]))
+    a = draw(st.sampled_from([a for a in range(max(q, 2)) if math.gcd(a, q) == 1]))
+    x = draw(st.integers(1, 1500) | st.floats(1.0, 1500.0))
+    return x, draw(st.integers(1, 50)), q, a, nu
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell=unit_or_composite_cells())
+def test_sums_match_naive_loop_at_unit_and_composite_moduli(cell):
+    x, y, q, a, nu = cell
+    members = [n for n in naive_smooth(x, y) if math.gcd(n, q) == 1]
+    brute = fsum_complex(eq_phase(a * pow(n, nu, q), q) for n in members)
+    p = SumParams(x=x, y=y, q=q, a=a, nu=nu)
+    for v in (sum_power(p), sum_twisted(p, lambda prime: 1.0),
+              _direct_power_sum(x, y, q, a, nu, segment=64)):
+        assert v.terms == len(members)
+        assert abs(v.value - brute) < 1e-9 * max(1.0, abs(brute))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cell=unit_or_composite_cells(), j=st.integers(1, 3), strict=st.booleans())
+def test_prime_convolution_matches_naive_loop_at_unit_and_composite_moduli(cell, j, strict):
+    x, y, q, a, nu = cell
+    got = sum_prime_convolution(j, x, y, q, a, nu, strict=strict)
+    want, count = naive_prime_tuple_sum(j, x, y, q, a, nu, strict)
+    assert got.terms == count
+    assert abs(got.value - want) < 1e-9 * max(1.0, abs(want))
+
+
 def test_prime_convolution_empty_range():
     v = sum_prime_convolution(1, 100, 100, 7, 1)
     assert v.value == 0 and v.terms == 0
@@ -420,3 +459,13 @@ def test_threads_do_not_change_results():
     v4 = sum_linear(p, segment=10**4, threads=4)
     assert v1.terms == v4.terms
     assert abs(v1.value - v4.value) < 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 150001])
+def test_chunked_fsum_equals_one_list(n):
+    import numpy as np
+
+    rng = np.random.default_rng(n)
+    u = rng.integers(1, 1000, n).astype(np.float64)
+    v = np.cos(rng.random(n) * 2 * math.pi) * 10.0 ** rng.integers(-12, 12, n)
+    assert _fsum_products(u, v) == math.fsum((u * v).tolist())
