@@ -217,11 +217,14 @@ class ScanSpec:
     def cells(self) -> list[sums.SumParams]:
         """Grid cells in emission order; random residues are drawn from a
         per-cell stream, so the list is independent of any scheduling.
+        Raises ValueError for a cell with x <= 0 or y <= 0, before any sum.
         """
         out: list[sums.SumParams] = []
         index = 0
         for x in resolve_grid(self.x_grid, 0.0):
             for y in resolve_grid(self.y_grid, x):
+                if not (x > 0 and y > 0):
+                    raise ValueError(f"scan cells need x > 0 and y > 0, got x={x}, y={y}")
                 for q_raw in resolve_grid(self.q_grid, x):
                     q = max(1, floor_int(q_raw))
                     if self.random_a:

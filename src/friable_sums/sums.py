@@ -6,25 +6,28 @@ bilinear forms under a hyperbola, complete monomial sums mod a prime,
 and power-congruence moment counts.
 
 Every phase argument is reduced modulo q in integer arithmetic before
-the trig call; residue histograms keep large scans exact until a single
-final floating-point pass, and all partial sums are combined with exact
-compensated summation.
+the trig call.  One core, `_monomial_sum`, runs the planned sieve segments
+for the plain and the twisted sums: for q <= HIST_LIMIT it bins residues
+into exact integer counts, so large scans stay exact until one final
+floating-point pass; for larger q it sums each segment's phases as the
+segment arrives.  One kernel, `_phase_sum`, turns phases into a sum: a
+pairwise numpy sum per chunk of 2^16 terms, and exact compensated
+summation (fsum) across chunks and segments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .arith import TWO_PI, floor_int, floor_quotient, fsum_complex, is_prime
+from .arith import TWO_PI, eq_phase, factorize, floor_int, floor_quotient, fsum_complex, is_prime
 from .sieve import (
     DEFAULT_SEGMENT,
     ResourceLimitError,
-    iter_smooth,
+    next_primes_above,
     prime_tuples,
     primes_between,
     smooth_in_range,
@@ -39,6 +42,8 @@ _VEC_MOD_LIMIT = 1 << 31
 MAX_MOMENT_MODULUS = 1 << 26
 # Residues are reduced in int64 arrays.
 MAX_MODULUS = 1 << 63
+# Terms per chunk of the phase kernel _phase_sum.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class SumValue:
 
 
 def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
-    """base^nu mod q elementwise for nu >= 1, q <= _VEC_MOD_LIMIT."""
+    """base^nu mod q elementwise for nu >= 0, q <= _VEC_MOD_LIMIT."""
     result = np.ones_like(base)
     b = base % q
     e = nu
@@ -93,101 +98,104 @@ def _monomial_residues(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """a * r^nu mod q per residue; second item masks invertible r for nu < 0."""
     a = a % q
-    if nu >= 1 and q <= _VEC_MOD_LIMIT:
-        return a * _pow_vec(r, nu, q) % q, None
-    out = np.empty(r.size, dtype=np.int64)
-    mask = np.ones(r.size, dtype=bool)
-    for i, rv in enumerate(r.tolist()):
-        if nu < 0 and math.gcd(rv, q) != 1:
-            mask[i] = False
-            out[i] = 0
-        else:
-            out[i] = a * pow(rv, nu, q) % q
-    return out, (mask if nu < 0 else None)
+    units = np.gcd(r, q) == 1 if nu < 0 else None
+    if q <= _VEC_MOD_LIMIT:
+        if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1)
+            phi = q
+            for p, _ in factorize(q):
+                phi = phi // p * (p - 1)
+            nu = -nu * (phi - 1)
+        return a * _pow_vec(r, nu, q) % q, units
+    ok = [True] * r.size if units is None else units.tolist()
+    out = [a * pow(rv, nu, q) % q if u else 0 for rv, u in zip(r.tolist(), ok)]
+    return np.array(out, dtype=np.int64), units
 
 
-def _phase_parts(idx: np.ndarray, q: int, weights: np.ndarray) -> complex:
-    """sum of weights * e_q(idx) for one batch, pairwise-summed."""
-    ang = (TWO_PI / q) * idx
-    return complex(float(np.dot(weights, np.cos(ang))), float(np.dot(weights, np.sin(ang))))
+def _phase_sum(turns: np.ndarray, w: Optional[np.ndarray] = None) -> complex:
+    """Sum of w * e(turns), with w = 1 when omitted; turns are in [0, 1].
 
-
-def _residue_histogram(
-    x: float, y: float, q: int, segment: int, threads: int
-) -> np.ndarray:
-    """Exact int64 counts of n mod q over n in S(x, y).
-
-    With threads > 1 the independent segments are sieved and counted in
-    parallel; integer histogram merging is order-free, so the result is
-    identical no matter how work is scheduled.
+    cos and sin are taken _CHUNK terms at a time, each chunk is summed by
+    numpy's pairwise .sum(), and the chunk sums are combined with fsum.
     """
-    hist = np.zeros(q, dtype=np.int64)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds, y_floor, primes = smooth_plan(x, y, segment)
-
-        def one(span: tuple[int, int]) -> np.ndarray:
-            members, _ = smooth_in_range(span[0], span[1], y_floor, primes)
-            return np.bincount(members % q, minlength=q)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for h in pool.map(one, bounds):
-                hist += h
-    else:
-        for members, _ in iter_smooth(x, y, segment):
-            hist += np.bincount(members % q, minlength=q)
-    return hist
-
-
-def _fsum_products(u: np.ndarray, v: np.ndarray) -> float:
-    """math.fsum of u * v, handed over 2^16 terms at a time.
-
-    fsum rounds once, at the end, so the chunking does not change the
-    result; it only keeps the Python floats of one chunk alive instead of
-    a list of all the terms at 32 bytes each.  For the 751,360 occupied
-    residues of x = 1e7, y = 300, q = x^0.9 that list was 23 MiB and made
-    this step, not the sieve, the sum's peak memory.
-    """
-    c = 1 << 16
-    terms = ((u[i : i + c] * v[i : i + c]).tolist() for i in range(0, u.size, c))
-    return math.fsum(chain.from_iterable(terms))
-
-
-def _hist_phase_sum(hist: np.ndarray, q: int, a: int, nu: int) -> SumValue:
-    nz = np.nonzero(hist)[0].astype(np.int64)
-    if nz.size == 0:
-        return SumValue(0j, 0)
-    idx, mask = _monomial_residues(nz, q, a, nu)
-    counts = hist[nz]
-    if mask is not None:
-        idx = idx[mask]
-        counts = counts[mask]
-    terms = int(counts.sum())
-    if idx.size == 0:
-        return SumValue(0j, 0)
-    ang = (TWO_PI / q) * idx
-    w = counts.astype(np.float64)
-    re = _fsum_products(w, np.cos(ang))
-    im = _fsum_products(w, np.sin(ang))
-    return SumValue(complex(re, im), terms)
-
-
-def _direct_power_sum(
-    x: float, y: float, q: int, a: int, nu: int, segment: int
-) -> SumValue:
     parts = []
-    terms = 0
-    for members, _ in iter_smooth(x, y, segment):
-        if members.size == 0:
-            continue
-        idx, mask = _monomial_residues(members % q, q, a, nu)
-        if mask is not None:
-            idx = idx[mask]
-        terms += int(idx.size)
-        if idx.size:
-            parts.append(_phase_parts(idx, q, np.ones(idx.size)))
-    return SumValue(fsum_complex(parts), terms)
+    for i in range(0, turns.size, _CHUNK):
+        ang = TWO_PI * turns[i : i + _CHUNK]
+        c, s = np.cos(ang), np.sin(ang)
+        if w is not None:
+            wr, wi = w[i : i + _CHUNK].real, w[i : i + _CHUNK].imag
+            c, s = wr * c - wi * s, wr * s + wi * c
+        parts.append(complex(c.sum(), s.sum()))
+    return fsum_complex(parts)
+
+
+def _segments(
+    p: SumParams, segment: int, threads: int, part: Callable, prime_value=None
+) -> Iterator:
+    """part(members, weights) of each planned segment of S(x, y), in
+    segment order; the segments run on a pool when threads > 1.
+    """
+    bounds, y_floor, primes = smooth_plan(p.x, p.y, segment)
+
+    def one(span: tuple[int, int]):
+        return part(*smooth_in_range(span[0], span[1], y_floor, primes, prime_value))
+
+    if threads == 1:
+        yield from map(one, bounds)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(one, bounds)
+
+
+def _total(parts: Iterable[SumValue]) -> SumValue:
+    parts = list(parts)
+    return SumValue(fsum_complex(v.value for v in parts), sum(v.terms for v in parts))
+
+
+def _monomial_sum(
+    p: SumParams,
+    segment: int,
+    threads: int,
+    prime_value: Optional[Callable[[int], complex]] = None,
+) -> SumValue:
+    """S over n in S(x, y) of f(n) * e_q(a * n^nu), with f = 1 or the
+    completely multiplicative extension of prime_value.
+
+    Up to HIST_LIMIT residues are binned into exact int64 counts (and
+    complex weight bins), which meet the phases once at the end; beyond
+    it each segment's phases are summed as the segment arrives.
+    """
+    q = p.q
+    if q > HIST_LIMIT:
+
+        def direct(members: np.ndarray, w: Optional[np.ndarray]) -> SumValue:
+            idx, units = _monomial_residues(members % q, q, p.a, p.nu)
+            if units is not None:
+                idx = idx[units]
+                w = None if w is None else w[units]
+            return SumValue(_phase_sum(idx / q, w), int(idx.size))
+
+        return _total(_segments(p, segment, threads, direct, prime_value))
+
+    def bins(members: np.ndarray, w: Optional[np.ndarray]) -> list[np.ndarray]:
+        r = members % q
+        ws = () if w is None else (w.real, w.imag)
+        return [np.bincount(r, weights=v, minlength=q) for v in (None, *ws)]
+
+    acc = None
+    for part in _segments(p, segment, threads, bins, prime_value):
+        acc = part if acc is None else [np.add(t, b, out=t) for t, b in zip(acc, part)]
+        del part  # free this segment's bins before the next one is sieved
+    if acc is None:
+        return SumValue(0j, 0)
+    counts = acc[0]
+    nz = np.flatnonzero(counts)
+    idx, units = _monomial_residues(nz, q, p.a, p.nu)
+    if units is not None:
+        nz, idx = nz[units], idx[units]
+    w = counts[nz].astype(np.float64) if prime_value is None else acc[1][nz] + 1j * acc[2][nz]
+    return SumValue(_phase_sum(idx / q, w), int(counts[nz].sum()))
 
 
 def sum_power(
@@ -197,13 +205,11 @@ def sum_power(
 
     For nu < 0 the sum silently restricts to n coprime with q, the range
     on which n^nu is defined; `terms` counts the summands actually used.
+    Segments run on `threads` threads; the result does not depend on it.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if p.q <= HIST_LIMIT:
-        hist = _residue_histogram(p.x, p.y, p.q, segment, threads)
-        return _hist_phase_sum(hist, p.q, p.a, p.nu)
-    return _direct_power_sum(p.x, p.y, p.q, p.a, p.nu, segment)
+    return _monomial_sum(p, segment, threads)
 
 
 def sum_linear(
@@ -223,16 +229,12 @@ def sum_theta(p: SumParams, *, segment: int = DEFAULT_SEGMENT) -> SumValue:
     if p.theta is None:
         raise ValueError("sum_theta needs params.theta")
     theta_ld = np.longdouble(p.theta)
-    parts = []
-    terms = 0
-    for members, _ in iter_smooth(p.x, p.y, segment):
-        if members.size == 0:
-            continue
-        terms += int(members.size)
+
+    def phases(members: np.ndarray, _: None) -> SumValue:
         frac = np.asarray((theta_ld * members) % np.longdouble(1.0), dtype=np.float64)
-        ang = TWO_PI * frac
-        parts.append(complex(float(np.sum(np.cos(ang))), float(np.sum(np.sin(ang)))))
-    return SumValue(fsum_complex(parts), terms)
+        return SumValue(_phase_sum(frac), int(members.size))
+
+    return _total(_segments(p, segment, 1, phases))
 
 
 def sum_twisted(
@@ -244,47 +246,7 @@ def sum_twisted(
     """S over n in S(x, y) of f(n) * e_q(a * n^nu) for completely
     multiplicative f given by its values on primes (|f| <= 1 caller contract).
     """
-    q = p.q
-    if q <= HIST_LIMIT:
-        w_re = np.zeros(q)
-        w_im = np.zeros(q)
-        counts = np.zeros(q, dtype=np.int64)
-        for members, w in iter_smooth(p.x, p.y, segment, prime_value=prime_value):
-            if members.size == 0:
-                continue
-            r = members % q
-            w_re += np.bincount(r, weights=w.real, minlength=q)
-            w_im += np.bincount(r, weights=w.imag, minlength=q)
-            counts += np.bincount(r, minlength=q)
-        nz = np.nonzero(counts)[0].astype(np.int64)
-        if nz.size == 0:
-            return SumValue(0j, 0)
-        idx, mask = _monomial_residues(nz, q, p.a, p.nu)
-        if mask is not None:
-            nz = nz[mask]
-            idx = idx[mask]
-        terms = int(counts[nz].sum())
-        ang = (TWO_PI / q) * idx
-        c, s = np.cos(ang), np.sin(ang)
-        wr, wi = w_re[nz], w_im[nz]
-        re = math.fsum((wr * c).tolist()) - math.fsum((wi * s).tolist())
-        im = math.fsum((wr * s).tolist()) + math.fsum((wi * c).tolist())
-        return SumValue(complex(re, im), terms)
-    parts = []
-    terms = 0
-    for members, w in iter_smooth(p.x, p.y, segment, prime_value=prime_value):
-        if members.size == 0:
-            continue
-        idx, mask = _monomial_residues(members % q, q, p.a, p.nu)
-        if mask is not None:
-            idx = idx[mask]
-            w = w[mask]
-        terms += int(idx.size)
-        if idx.size:
-            ang = (TWO_PI / q) * idx
-            ph = np.cos(ang) + 1j * np.sin(ang)
-            parts.append(complex(np.sum(w * ph)))
-    return SumValue(fsum_complex(parts), terms)
+    return _monomial_sum(p, segment, 1, prime_value)
 
 
 class _RangePhaseSummer:
@@ -294,19 +256,7 @@ class _RangePhaseSummer:
         self.q = q
         self.nu = nu
         r = np.arange(q, dtype=np.int64)
-        if nu >= 1 and q <= _VEC_MOD_LIMIT:
-            self.pw = _pow_vec(r, nu, q)
-            self.valid = None
-        else:
-            pw = np.zeros(q, dtype=np.int64)
-            valid = np.zeros(q, dtype=bool)
-            for rv in range(q):
-                if nu < 0 and math.gcd(rv, q) != 1:
-                    continue
-                pw[rv] = pow(rv, nu, q)
-                valid[rv] = True
-            self.pw = pw
-            self.valid = valid if nu < 0 else None
+        self.pw, self.valid = _monomial_residues(r, q, 1, nu)
         ang = (TWO_PI / q) * r
         self.cos = np.cos(ang)
         self.sin = np.sin(ang)
@@ -350,7 +300,9 @@ def sum_prime_convolution(
     summer = _RangePhaseSummer(q, a, nu)
     parts: list[complex] = []
     total_terms = 0
-    for pr, idx in prime_tuples(primes_between(y, x), floor_int(x), j, strict):
+    # The largest prime of a j-tuple is at most x / p0^(j-1), p0 the least prime above y.
+    top = floor_int(x) // next_primes_above(y, 1)[0] ** (j - 1)
+    for pr, idx in prime_tuples(primes_between(y, top), floor_int(x), j, strict):
         if len(idx) < j or (nu < 0 and math.gcd(pr, q) != 1):
             continue  # a prefix, or no summand has (m * pr)^nu defined mod q
         c = a % q * pow(pr % q, nu, q) % q
@@ -386,9 +338,7 @@ def sum_bilinear(
         for n, bn in beta.items():
             if bn == 0 or m * n > x:
                 continue
-            idx = a * pow(m * n, nu, q) % q
-            ang = TWO_PI * idx / q
-            parts.append(am * bn * complex(math.cos(ang), math.sin(ang)))
+            parts.append(am * bn * eq_phase(a * pow(m * n, nu, q), q))
     return SumValue(fsum_complex(parts), len(parts))
 
 
@@ -402,10 +352,7 @@ def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
         raise ValueError("nu must be nonzero")
     n = np.arange(1, q, dtype=np.int64)
     idx, _ = _monomial_residues(n, q, a, nu)
-    ang = (TWO_PI / q) * idx
-    re = math.fsum(np.cos(ang).tolist())
-    im = math.fsum(np.sin(ang).tolist())
-    return SumValue(complex(re, im), q - 1)
+    return SumValue(_phase_sum(idx / q), q - 1)
 
 
 def weil_envelope_violation(

@@ -99,6 +99,18 @@ def test_sum_and_scan_refuse_nonpositive_x_or_y(capsys, argv):
     assert "# friable-sums" not in out
 
 
+def test_scan_refuses_a_bad_cell_before_summing_any(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a cell was summed before the grid was validated")
+
+    monkeypatch.setattr(cli.sums, "sum_power", fail)
+    monkeypatch.setattr(cli.bounds, "sum_power", fail)
+    code, out, err = run(capsys, ["scan", "--x-grid", "3e6,0", "--y-grid", "100", "--q-grid", "101"])
+    assert code == 2
+    assert "x > 0 and y > 0" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
 def test_sum_refuses_nonfinite_theta(capsys, theta):
     code, out, err = run(capsys, ["sum", "--x", "100", "--y", "5", "--q", "7", f"--theta={theta}"])

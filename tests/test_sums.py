@@ -1,16 +1,18 @@
 import cmath
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from friable_sums import sums
 from friable_sums.arith import eq_phase, fsum_complex
 from friable_sums.sums import (
     SumParams,
-    _direct_power_sum,
-    _fsum_products,
+    _phase_sum,
     complete_monomial_sum,
     moment_count,
     sum_bilinear,
@@ -134,6 +136,19 @@ def test_sum_power_negative_nu_matches_brute_force():
     assert abs(v.value - brute) < 1e-9
 
 
+@pytest.mark.parametrize("q", [1, 2, 3600, 10007, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11])
+@pytest.mark.parametrize("nu", [-3, -1, 2])
+def test_monomial_residues_equal_python_pow_on_units(q, nu):
+    r = np.random.default_rng(q).integers(0, q, 5000)
+    idx, units = sums._monomial_residues(r, q, 7, nu)
+    want_units = [math.gcd(v, q) == 1 for v in r.tolist()]
+    assert (units is None) == (nu > 0)
+    assert units is None or units.tolist() == want_units
+    for v, got, ok in zip(r.tolist(), idx.tolist(), want_units):
+        if ok or nu > 0:
+            assert got == 7 * pow(v, nu, q) % q
+
+
 def test_sum_power_matches_naive_oracle_randomized():
     rng = random.Random(13)
     for _ in range(50):
@@ -150,7 +165,8 @@ def test_sum_power_matches_naive_oracle_randomized():
 def test_direct_path_matches_histogram_path():
     for q, a, nu in [(101, 7, 1), (97, 3, 2), (13, 5, -1)]:
         hist = sum_power(SumParams(x=3000, y=17, q=q, a=a, nu=nu))
-        direct = _direct_power_sum(3000, 17, q, a, nu, segment=512)
+        with mock.patch.object(sums, "HIST_LIMIT", 0):
+            direct = sum_power(SumParams(x=3000, y=17, q=q, a=a, nu=nu), segment=512)
         assert abs(hist.value - direct.value) < 1e-9
         assert hist.terms == direct.terms
 
@@ -267,8 +283,9 @@ def test_sums_match_naive_loop_at_unit_and_composite_moduli(cell):
     members = [n for n in naive_smooth(x, y) if math.gcd(n, q) == 1]
     brute = fsum_complex(eq_phase(a * pow(n, nu, q), q) for n in members)
     p = SumParams(x=x, y=y, q=q, a=a, nu=nu)
-    for v in (sum_power(p), sum_twisted(p, lambda prime: 1.0),
-              _direct_power_sum(x, y, q, a, nu, segment=64)):
+    with mock.patch.object(sums, "HIST_LIMIT", 0):
+        direct = sum_power(p, segment=64)
+    for v in (sum_power(p), sum_twisted(p, lambda prime: 1.0), direct):
         assert v.terms == len(members)
         assert abs(v.value - brute) < 1e-9 * max(1.0, abs(brute))
 
@@ -461,11 +478,43 @@ def test_threads_do_not_change_results():
     assert abs(v1.value - v4.value) < 1e-10
 
 
+@pytest.mark.parametrize("weights", ["none", "real", "complex"])
 @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 150001])
-def test_chunked_fsum_equals_one_list(n):
-    import numpy as np
-
+def test_phase_sum_matches_per_term_fsum(n, weights):
     rng = np.random.default_rng(n)
-    u = rng.integers(1, 1000, n).astype(np.float64)
-    v = np.cos(rng.random(n) * 2 * math.pi) * 10.0 ** rng.integers(-12, 12, n)
-    assert _fsum_products(u, v) == math.fsum((u * v).tolist())
+    turns = rng.random(n)
+    w = {
+        "none": None,
+        "real": rng.integers(1, 1000, n).astype(np.float64),
+        "complex": rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5),
+    }[weights]
+    terms = np.exp(2j * np.pi * turns) * (1.0 if w is None else w)
+    want = fsum_complex(terms.tolist())
+    scale = max(1.0, float(np.abs(w).sum()) if w is not None else n)
+    assert abs(_phase_sum(turns, w) - want) <= 1e-12 * scale
+
+
+def test_direct_path_is_identical_at_one_and_two_threads():
+    for nu in (-2, -1, 1, 3):
+        p = SumParams(x=60000, y=50, q=(1 << 24) + 43, a=12345, nu=nu)
+        v1 = sum_power(p, segment=4096, threads=1)
+        v2 = sum_power(p, segment=4096, threads=2)
+        assert (v1.value, v1.terms) == (v2.value, v2.terms)
+
+
+@pytest.mark.parametrize("nu", [-1, 2])
+def test_sum_twisted_histogram_and_direct_paths_agree(nu):
+    p = SumParams(x=20000, y=30, q=1001, a=10, nu=nu)
+    pv = lambda prime: cmath.exp(1j * prime)
+    hist = sum_twisted(p, pv, segment=3000)
+    with mock.patch.object(sums, "HIST_LIMIT", 0):
+        direct = sum_twisted(p, pv, segment=3000)
+    assert hist.terms == direct.terms
+    assert abs(hist.value - direct.value) < 1e-12 * max(1, hist.terms)
+
+
+def test_prime_convolution_lists_primes_only_up_to_x_over_least_prime_power():
+    # two primes above 1e4 have a product above 1e8, so no tuple exists, and
+    # no prime table up to x (past the 2^26 budget) is built to find that out
+    v = sum_prime_convolution(2, 1e8, 1e4, 101, 1)
+    assert v.terms == 0 and v.value == 0

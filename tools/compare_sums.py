@@ -1,0 +1,141 @@
+"""Compare the smooth sums of two source trees of friable_sums cell by cell.
+
+    python tools/compare_sums.py BASE_SRC [NEW_SRC]
+
+BASE_SRC and NEW_SRC are `src` directories (NEW_SRC defaults to this
+checkout's).  Each tree is imported in its own process, which evaluates a
+fixed grid: `sum_power` on the histogram path and, with `sums.HIST_LIMIT`
+patched to 0, on the direct path, at q in {1, composite, prime, > 2^23,
+> 2^31}, nu in {-2, -1, 1, 3} and threads 1 and 2; `sum_twisted` on both
+paths; `sum_theta`; `complete_monomial_sum`; `sum_prime_convolution`;
+`sum_bilinear`; and `moment_count`.  The run passes when
+
+* every cell has the same `terms` (and `moment_count` the same count),
+* |value difference| <= 1e-14 * max(1, terms),
+* the convolution and bilinear sums are bit-identical, and
+* in each tree, threads 1 and 2 give bit-identical sums.
+
+Prints one line per failing cell and a summary; exits 1 on any failure.
+"""
+
+from __future__ import annotations
+
+import cmath
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15)
+NU_GRID = (-2, -1, 1, 3)
+XY_GRID = ((20000, 30), (150000, 100))
+SEGMENT = 1 << 14
+TOLERANCE = 1e-14
+
+
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+def evaluate(src: str) -> dict[str, dict]:
+    """Every cell of the grid, computed by the friable_sums under `src`."""
+    sys.path.insert(0, src)
+    from friable_sums import sums
+
+    out: dict[str, dict] = {}
+
+    def put(key: str, value: complex, terms: int, exact: bool = False) -> None:
+        out[key] = {"value": _pair(value), "terms": terms, "exact": exact}
+
+    hist_limit = sums.HIST_LIMIT
+    for path in ("hist", "direct"):
+        sums.HIST_LIMIT = hist_limit if path == "hist" else 0
+        for x, y in XY_GRID:
+            for q in Q_GRID:
+                a = 7 if q % 7 else 11
+                for nu in NU_GRID:
+                    p = sums.SumParams(x=x, y=y, q=q, a=a, nu=nu)
+                    for threads in (1, 2):
+                        v = sums.sum_power(p, segment=SEGMENT, threads=threads)
+                        put(f"power/{path}/x={x}/y={y}/q={q}/nu={nu}/t={threads}",
+                            v.value, v.terms)
+                    v = sums.sum_twisted(p, lambda pr: cmath.exp(1j * pr), segment=SEGMENT)
+                    put(f"twisted/{path}/x={x}/y={y}/q={q}/nu={nu}", v.value, v.terms)
+    sums.HIST_LIMIT = hist_limit
+
+    for x, y in ((1e6, 1e3), (3e5, 50)):
+        for theta in (0.0, 0.5, 1 / 3, 12345 / 1000003, 2**0.5):
+            v = sums.sum_theta(sums.SumParams(x=x, y=y, q=1, a=0, theta=theta), segment=SEGMENT)
+            put(f"theta/x={x}/y={y}/theta={theta!r}", v.value, v.terms)
+    for q in (2, 101, 10007, 65537, 1000003):
+        for nu in NU_GRID:
+            v = sums.complete_monomial_sum(q, 3, nu)
+            put(f"complete/q={q}/nu={nu}", v.value, v.terms)
+    for j, x, y in ((1, 20000, 50), (2, 1e5, 30), (3, 1e5, 10)):
+        for q in (1, 3600, 10007):
+            for nu in NU_GRID:
+                for strict in (True, False):
+                    v = sums.sum_prime_convolution(j, x, y, q, 7, nu, strict=strict)
+                    put(f"conv/j={j}/x={x}/y={y}/q={q}/nu={nu}/strict={strict}",
+                        v.value, v.terms, exact=True)
+    alpha = {m: cmath.exp(0.3j * m) for m in range(1, 120)}
+    beta = {n: (-1) ** n * 0.5 for n in range(1, 90) if n % 4}
+    for q in (1, 3600, 10007):
+        units = [{k: w for k, w in s.items() if math.gcd(k, q) == 1} for s in (alpha, beta)]
+        for nu in NU_GRID:
+            v = sums.sum_bilinear(*units, 5000, q, 7, nu)
+            put(f"bilinear/q={q}/nu={nu}", v.value, v.terms, exact=True)
+    for k, nu, q, m in ((2, -1, 1009, 40), (2, 3, 3600, 60), (3, -2, 997, 20)):
+        put(f"moment/k={k}/nu={nu}/q={q}/M={m}", 0j, sums.moment_count(k, nu, q, m), exact=True)
+    return out
+
+
+def compare(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    bad = []
+    if base.keys() != new.keys():
+        bad.append(f"cell sets differ: {sorted(base.keys() ^ new.keys())[:5]}")
+    for key in sorted(base.keys() & new.keys()):
+        b, n = base[key], new[key]
+        diff = abs(complex(*b["value"]) - complex(*n["value"]))
+        if b["terms"] != n["terms"]:
+            bad.append(f"{key}: terms {b['terms']} -> {n['terms']}")
+        elif b["exact"] and b["value"] != n["value"]:
+            bad.append(f"{key}: not bit-identical ({b['value']} -> {n['value']})")
+        elif diff > TOLERANCE * max(1, b["terms"]):
+            bad.append(f"{key}: |delta| = {diff:.3g} > {TOLERANCE} * max(1, terms)")
+    for tree, cells in (("base", base), ("new", new)):
+        for key, cell in cells.items():
+            if key.endswith("/t=1") and cells[key[:-1] + "2"] != cell:
+                bad.append(f"{tree} {key}: threads 1 and 2 differ")
+    return bad
+
+
+def run(src: str) -> dict[str, dict]:
+    proc = subprocess.run([sys.executable, __file__, "--evaluate", src],
+                          check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--evaluate":
+        print(json.dumps(evaluate(argv[2])))
+        return 0
+    if len(argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 2
+    base = run(str(Path(argv[1]).resolve()))
+    new = run(str(Path(argv[2]).resolve()) if len(argv) == 3 else str(HERE.parent / "src"))
+    bad = compare(base, new)
+    for line in bad:
+        print(line)
+    worst = max(abs(complex(*base[k]["value"]) - complex(*new[k]["value"]))
+                / max(1, base[k]["terms"]) for k in base.keys() & new.keys())
+    print(f"{len(base)} cells, {len(bad)} failures, "
+          f"largest |delta| / max(1, terms) = {worst:.3g}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
