@@ -25,6 +25,7 @@ from .sieve import (
     prime_tuples,
     primes_between,
     primes_upto,
+    tuple_primes,
 )
 
 VectorizedMap = Callable[[np.ndarray], np.ndarray]
@@ -398,14 +399,11 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
         raise ValueError(f"need j >= 2, got {j}")
     x_floor = floor_int(x)
     ps = primes_between(y, x)
-
-    beta: dict[int, int] = {}
-    if ps.size:
-        sieve = build_sieve(1, max(x_floor, 1))
-        for ell in range(2, x_floor + 1):
-            cnt = sum(1 for p, _ in sieve.factorize(ell) if p > y)
-            if cnt:
-                beta[ell] = cnt
+    # distinct primes above y dividing l: at most 8 below the 2^26 prime-table budget
+    counts = np.zeros(max(x_floor, 0) + 1, dtype=np.uint8)
+    for p in ps.tolist():
+        counts[p::p] += 1
+    beta = {ell: int(counts[ell]) for ell in np.flatnonzero(counts).tolist()}
 
     gamma: dict[int, int] = {}
     diagonal = 0
@@ -422,7 +420,7 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
     ordered j-tuples of primes above y (repeats allowed), inner m free.
     """
     parts: list[complex] = []
-    for pr, idx in prime_tuples(primes_between(y, x), floor_int(x), j, distinct=False):
+    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, distinct=False):
         if len(idx) == j:
             m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
             parts.append(_orderings_of(idx) * complex(np.sum(f(m * pr))))
@@ -431,16 +429,13 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
 
 def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
     """sum over l, n with l*n <= x of beta[l] * gamma[n] * f(l*n)."""
-    x = weights.x
+    ells = np.array(list(weights.beta), dtype=np.int64)
+    bs = np.array(list(weights.beta.values()), dtype=np.float64)
     parts: list[complex] = []
     for n, g in weights.gamma.items():
-        ells = np.array(
-            [ell for ell, b in weights.beta.items() if ell * n <= x], dtype=np.int64
-        )
-        if ells.size == 0:
-            continue
-        bs = np.array([weights.beta[int(e)] for e in ells], dtype=np.float64)
-        parts.append(g * complex(np.sum(bs * f(ells * n))))
+        sel = ells * n <= weights.x
+        if sel.any():
+            parts.append(g * complex(np.sum(bs[sel] * f(ells[sel] * n))))
     return fsum_complex(parts)
 
 

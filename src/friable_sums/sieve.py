@@ -90,6 +90,13 @@ def prime_tuples(
     return grow(0, 1, ())
 
 
+def tuple_primes(y: float, x: float, j: int) -> np.ndarray:
+    """The primes above y that a j-tuple with product <= x can hold: the
+    largest is at most floor(x) // p0^(j-1), p0 the least prime above y.
+    """
+    return primes_between(y, floor_int(x) // next_primes_above(y, 1)[0] ** (j - 1))
+
+
 def next_primes_above(y: float, count: int) -> list[int]:
     """The `count` smallest primes strictly above y.
 

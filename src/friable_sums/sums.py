@@ -10,9 +10,15 @@ the trig call.  One core, `_monomial_sum`, runs the planned sieve segments
 for the plain and the twisted sums: for q <= HIST_LIMIT it bins residues
 into exact integer counts, so large scans stay exact until one final
 floating-point pass; for larger q it sums each segment's phases as the
-segment arrives.  One kernel, `_phase_sum`, turns phases into a sum: a
-pairwise numpy sum per chunk of 2^16 terms, and exact compensated
-summation (fsum) across chunks and segments.
+segment arrives.  One tail, `_binned_sum`, turns exact counts per class
+r mod q into the sum of e_q(a * r^nu) over the occupied classes; three
+callers end in it: `_monomial_sum` (its histogram path),
+`sum_prime_convolution` (the m <= x / (p_1...p_j) of each prime tuple,
+counted by class of m * p_1...p_j, O(min(z, q)) work per tuple) and
+`complete_monomial_sum` (one count per r = 1 .. q-1).  One kernel,
+`_phase_sum`, turns phases into a sum: a pairwise numpy sum per chunk of
+2^16 terms, and exact compensated summation (fsum) across chunks and
+segments.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ from .arith import TWO_PI, eq_phase, factorize, floor_int, floor_quotient, fsum_
 from .sieve import (
     DEFAULT_SEGMENT,
     ResourceLimitError,
-    next_primes_above,
     prime_tuples,
-    primes_between,
     smooth_in_range,
     smooth_plan,
+    tuple_primes,
 )
 
 # Residue histograms are used up to this modulus; beyond it sums stream
@@ -39,6 +44,7 @@ from .sieve import (
 HIST_LIMIT = 1 << 23
 # Vectorized modular powers need q*q below 2^63.
 _VEC_MOD_LIMIT = 1 << 31
+# The moment count and the prime convolution hold one int64 bin per residue.
 MAX_MOMENT_MODULUS = 1 << 26
 # Residues are reduced in int64 arrays.
 MAX_MODULUS = 1 << 63
@@ -189,12 +195,25 @@ def _monomial_sum(
         del part  # free this segment's bins before the next one is sieved
     if acc is None:
         return SumValue(0j, 0)
-    counts = acc[0]
+    return _binned_sum(acc[0], q, p.a, p.nu, None if prime_value is None else acc[1:])
+
+
+def _binned_sum(
+    counts: np.ndarray,
+    q: int,
+    a: int,
+    nu: int,
+    weights: Optional[list[np.ndarray]] = None,
+) -> SumValue:
+    """S over classes r mod q with counts[r] > 0 (units only for nu < 0) of
+    w_r * e_q(a * r^nu); w_r = counts[r], or weights[0][r] + i * weights[1][r].
+    `terms` is the sum of the counts kept.
+    """
     nz = np.flatnonzero(counts)
-    idx, units = _monomial_residues(nz, q, p.a, p.nu)
+    idx, units = _monomial_residues(nz, q, a, nu)
     if units is not None:
         nz, idx = nz[units], idx[units]
-    w = counts[nz].astype(np.float64) if prime_value is None else acc[1][nz] + 1j * acc[2][nz]
+    w = counts[nz].astype(np.float64) if weights is None else weights[0][nz] + 1j * weights[1][nz]
     return SumValue(_phase_sum(idx / q, w), int(counts[nz].sum()))
 
 
@@ -249,34 +268,6 @@ def sum_twisted(
     return _monomial_sum(p, segment, 1, prime_value)
 
 
-class _RangePhaseSummer:
-    """Per-(q, a, nu) tables for sums of e_q(c * m^nu) over full ranges m <= Z."""
-
-    def __init__(self, q: int, a: int, nu: int):
-        self.q = q
-        self.nu = nu
-        r = np.arange(q, dtype=np.int64)
-        self.pw, self.valid = _monomial_residues(r, q, 1, nu)
-        ang = (TWO_PI / q) * r
-        self.cos = np.cos(ang)
-        self.sin = np.sin(ang)
-
-    def range_sum(self, z: int, c: int) -> tuple[complex, int]:
-        """(sum over 1 <= m <= z of e_q(c * m^nu), number of summands)."""
-        q = self.q
-        base, rem = divmod(z, q)
-        counts = np.full(q, base, dtype=np.float64)
-        if rem:
-            counts[1 : rem + 1] += 1.0
-        idx = (c % q) * self.pw % q
-        if self.valid is not None:
-            counts = counts * self.valid
-        nterms = z if self.valid is None else int(round(float(np.sum(counts))))
-        re = float(np.dot(counts, self.cos[idx]))
-        im = float(np.dot(counts, self.sin[idx]))
-        return complex(re, im), nterms
-
-
 def sum_prime_convolution(
     j: int,
     x: float,
@@ -297,19 +288,16 @@ def sum_prime_convolution(
         raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got q={q}, a={a}")
     if nu == 0:
         raise ValueError("nu must be nonzero")
-    summer = _RangePhaseSummer(q, a, nu)
-    parts: list[complex] = []
-    total_terms = 0
-    # The largest prime of a j-tuple is at most x / p0^(j-1), p0 the least prime above y.
-    top = floor_int(x) // next_primes_above(y, 1)[0] ** (j - 1)
-    for pr, idx in prime_tuples(primes_between(y, top), floor_int(x), j, strict):
-        if len(idx) < j or (nu < 0 and math.gcd(pr, q) != 1):
-            continue  # a prefix, or no summand has (m * pr)^nu defined mod q
-        c = a % q * pow(pr % q, nu, q) % q
-        val, cnt = summer.range_sum(floor_quotient(x, pr), c)
-        parts.append(val)
-        total_terms += cnt
-    return SumValue(fsum_complex(parts), total_terms)
+    if q > MAX_MOMENT_MODULUS:
+        raise ResourceLimitError(f"convolution bins over q={q} residues exceed the memory budget")
+    counts = np.zeros(q, dtype=np.int64)
+    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, strict):
+        if len(idx) == j:
+            # each m <= min(z, q) stands for the (z - m) // q + 1 values m' <= z, m' = m mod q
+            z = floor_quotient(x, pr)
+            m = np.arange(1, min(z, q) + 1, dtype=np.int64)
+            np.add.at(counts, m * (pr % q) % q, (z - m) // q + 1)
+    return _binned_sum(counts, q, a, nu)
 
 
 def sum_bilinear(
@@ -350,9 +338,9 @@ def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     if nu == 0:
         raise ValueError("nu must be nonzero")
-    n = np.arange(1, q, dtype=np.int64)
-    idx, _ = _monomial_residues(n, q, a, nu)
-    return SumValue(_phase_sum(idx / q), q - 1)
+    counts = np.ones(q, dtype=np.int64)
+    counts[0] = 0
+    return _binned_sum(counts, q, a, nu)
 
 
 def weil_envelope_violation(

@@ -349,6 +349,24 @@ def test_relaxed_equals_strict_plus_diagonal():
     assert round(strict.real) == strict_terms
 
 
+def test_regroup_beta_counts_distinct_primes_above_y():
+    x, y = 3000, 7.0
+    fs = build_sieve(1, x)
+    want = {}
+    for ell in range(2, x + 1):
+        cnt = sum(1 for p, _ in fs.factorize(ell) if p > y)
+        if cnt:
+            want[ell] = cnt
+    w = bilinear_regroup(2, x, y)
+    assert w.beta == want and list(w.beta) == sorted(want)
+
+
+def test_relaxed_tuple_sum_lists_primes_only_up_to_x_over_least_prime_power():
+    # two primes above 1e4 have a product above 1e8, and no prime table up
+    # to x (past the 2^26 budget) is built to find that out
+    assert relaxed_tuple_sum(2, 1e8, 1e4, phase_map(7, 3)) == 0j
+
+
 def test_regroup_rejects_small_j():
     with pytest.raises(ValueError):
         bilinear_regroup(1, 100, 7)

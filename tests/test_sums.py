@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from friable_sums import sums
 from friable_sums.arith import eq_phase, fsum_complex
+from friable_sums.sieve import ResourceLimitError
 from friable_sums.sums import (
     SumParams,
     _phase_sum,
@@ -518,3 +519,11 @@ def test_prime_convolution_lists_primes_only_up_to_x_over_least_prime_power():
     # no prime table up to x (past the 2^26 budget) is built to find that out
     v = sum_prime_convolution(2, 1e8, 1e4, 101, 1)
     assert v.terms == 0 and v.value == 0
+
+
+def test_prime_convolution_refuses_a_modulus_past_its_bin_budget():
+    # one int64 bin per residue would take 8 TiB at q = 2^40 + 15; the
+    # refusal comes before any tuple is walked or any bin allocated
+    with mock.patch.object(sums, "prime_tuples", side_effect=AssertionError("walked")):
+        with pytest.raises(ResourceLimitError):
+            sum_prime_convolution(2, 1e6, 100, (1 << 40) + 15, 1)
