@@ -113,7 +113,7 @@ def report(
         raise ValueError(f"envelopes need x > 0 and y > 0, got x={p.x}, y={p.y}")
     kwargs = {} if segment is None else {"segment": segment}
     if p.theta is not None:
-        exact = sum_theta(p, **kwargs)
+        exact = sum_theta(p, threads=threads, **kwargs)
         lf = l_factor(p.x, p.theta, p.a, p.q).value
     else:
         exact = sum_power(p, threads=threads, **kwargs)

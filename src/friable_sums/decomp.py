@@ -251,15 +251,15 @@ class ArithTables:
 def arith_tables(n_max: int) -> ArithTables:
     sieve = build_sieve(1, n_max)
     spf = np.concatenate([[0], sieve.spf]).astype(np.int64)
-    mobius = np.zeros(n_max + 1, dtype=np.int64)
-    mobius[1] = 1
-    for n in range(2, n_max + 1):
-        p = int(spf[n])
-        m = n // p
-        mobius[n] = 0 if m % p == 0 else -mobius[m]
+    ps = primes_upto(n_max).tolist()
+    # mu flips sign once per prime factor and vanishes on multiples of p^2
+    mobius = np.ones(n_max + 1, dtype=np.int64)
+    mobius[0] = 0
+    for p in ps:
+        mobius[p::p] *= -1
+        mobius[p * p :: p * p] = 0
     von_mangoldt = np.zeros(n_max + 1, dtype=np.float64)
-    for p in primes_upto(n_max):
-        p = int(p)
+    for p in ps:
         pk = p
         while pk <= n_max:
             von_mangoldt[pk] = math.log(p)
@@ -277,33 +277,24 @@ def first_vaughan_counterexample(
     The decomposition, valid for n > v, is
       Lambda(n) =   sum_{b|n, b<=u} mu(b) log(n/b)
                   - sum_{bc|n, b<=u, c<=v} mu(b) Lambda(c)
-                  + sum_{bc|n, b>u, c>v} mu(b) Lambda(c).
+                  + sum_{bc|n, b>u, c>v} mu(b) Lambda(c),
+    that is (mu_{<=u} * log) - (mu_{<=u} * Lambda_{<=v} * 1)
+    + (mu_{>u} * Lambda_{>v} * 1) as Dirichlet convolutions.
     """
     if u < 1 or v < 1:
         raise ValueError(f"need u, v >= 1, got u={u}, v={v}")
     t = arith_tables(n_max)
-    mu = t.mobius
-    lam = t.von_mangoldt
-    for n in range(floor_int(v) + 1, n_max + 1):
-        t1 = 0.0
-        t2 = 0.0
-        t3 = 0.0
-        for b in t.divisors(n):
-            if mu[b] == 0:
-                continue
-            rest = n // b
-            if b <= u:
-                t1 += mu[b] * math.log(n / b)
-                for c in t.divisors(rest):
-                    if c <= v:
-                        t2 += mu[b] * lam[c]
-            else:
-                for c in t.divisors(rest):
-                    if c > v:
-                        t3 += mu[b] * lam[c]
-        if abs(lam[n] - (t1 - t2 + t3)) > tol:
-            return n
-    return None
+    n = np.arange(n_max + 1, dtype=np.float64)
+    mu, lam = t.mobius.astype(np.float64), t.von_mangoldt
+    mu_le, lam_le = np.where(n <= u, mu, 0.0), np.where(n <= v, lam, 0.0)
+    one = np.ones(n_max + 1)
+    one[0] = 0.0
+    # the sparser factor goes first: _dirichlet_convolve walks its support
+    t1 = _dirichlet_convolve(mu_le, np.log(np.maximum(n, 1.0)))
+    t2 = _dirichlet_convolve(_dirichlet_convolve(lam_le, mu_le), one)
+    t3 = _dirichlet_convolve(_dirichlet_convolve(lam - lam_le, mu - mu_le), one)
+    bad = np.flatnonzero((n > v) & (np.abs(lam - (t1 - t2 + t3)) > tol))
+    return int(bad[0]) if bad.size else None
 
 
 def vaughan_lambda_check(n_max: int, u: float, v: float, tol: float = 1e-9) -> bool:

@@ -5,11 +5,16 @@ window [lo, hi], the largest prime factor P(n) and smallest prime factor
 p(n) of each n, plus a streaming enumerator of the y-smooth set
 S(x, y) = {n <= x : P(n) <= y} that never materializes a table of size x.
 
-Both rest on one division-free kernel, the smooth part sp(n) = prod of
-p^v_p(n) over the sieving primes, built by strided multiplies.  sp | n, so
-sp <= hi: it fits uint32 while the segment's largest operand is below 2^32
-(uint64 otherwise).  The cofactor n / sp is <= y exactly when
-sp >= ceil(n / y), one contiguous division by a scalar per segment.
+One driver, `smooth_segments`, runs every smooth scan: it plans the
+segments once and hands each segment's members (and weights) to a caller's
+function, on a thread pool when asked.
+
+Tables and scans rest on one division-free kernel, the smooth part
+sp(n) = prod of p^v_p(n) over the sieving primes, built by strided
+multiplies.  sp | n, so sp <= hi: it fits uint32 while the segment's
+largest operand is below 2^32 (uint64 otherwise).  The cofactor n / sp
+is <= y exactly when sp >= ceil(n / y), one contiguous division by a
+scalar per segment.
 
 Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 (n <= x means n <= floor(x)).
@@ -226,14 +231,30 @@ def _smooth_part(
     return sp, weights
 
 
-def _smooth_in_segment(
+def smooth_plan(
+    x: float, y: float, segment: int = DEFAULT_SEGMENT
+) -> tuple[list[tuple[int, int]], int, np.ndarray]:
+    """(segment bounds, floor(y), dividing primes) for a smooth scan of
+    S(x, y); segments are independent, so callers may process them in any
+    order or in parallel.
+    """
+    x_floor = floor_int(x)
+    y_floor = floor_int(y)
+    if x_floor < 1 or y_floor < 1:
+        return [], y_floor, np.empty(0, dtype=np.int64)
+    bound = min(y_floor, math.isqrt(x_floor))
+    return _segment_bounds(x_floor, segment), y_floor, primes_upto(bound)
+
+
+def smooth_in_range(
     lo: int,
     hi: int,
     y_floor: int,
     primes: np.ndarray,
     prime_value: Optional[Callable[[int], complex]] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Smooth members of [lo, hi], optionally with multiplicative weights.
+    """Smooth members of one planned segment [lo, hi] (see smooth_plan),
+    optionally with multiplicative weights.
 
     `primes` must hold every prime <= min(y_floor, isqrt(global x)).  The
     cofactor cof = n / sp(n) is then 1, a single prime (sieving bound
@@ -261,30 +282,32 @@ def _smooth_in_segment(
     return members, w
 
 
-def smooth_plan(
-    x: float, y: float, segment: int = DEFAULT_SEGMENT
-) -> tuple[list[tuple[int, int]], int, np.ndarray]:
-    """(segment bounds, floor(y), dividing primes) for a smooth scan of
-    S(x, y); segments are independent, so callers may process them in any
-    order or in parallel.
-    """
-    x_floor = floor_int(x)
-    y_floor = floor_int(y)
-    if x_floor < 1 or y_floor < 1:
-        return [], y_floor, np.empty(0, dtype=np.int64)
-    bound = min(y_floor, math.isqrt(x_floor))
-    return _segment_bounds(x_floor, segment), y_floor, primes_upto(bound)
-
-
-def smooth_in_range(
-    lo: int,
-    hi: int,
-    y_floor: int,
-    primes: np.ndarray,
+def smooth_segments(
+    x: float,
+    y: float,
+    part: Callable,
+    segment: int = DEFAULT_SEGMENT,
+    threads: int = 1,
     prime_value: Optional[Callable[[int], complex]] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Smooth members of one planned segment (see smooth_plan)."""
-    return _smooth_in_segment(lo, hi, y_floor, primes, prime_value)
+) -> Iterator:
+    """part(members, weights) of each planned segment of S(x, y), in
+    segment order: the one driver of every smooth scan.  The segments run
+    on a pool of `threads` threads when threads > 1.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    bounds, y_floor, primes = smooth_plan(x, y, segment)
+
+    def one(span: tuple[int, int]):
+        return part(*smooth_in_range(span[0], span[1], y_floor, primes, prime_value))
+
+    if threads == 1:
+        yield from map(one, bounds)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(one, bounds)
 
 
 def iter_smooth(
@@ -298,14 +321,12 @@ def iter_smooth(
     `weights`, present when prime_value is given, carries the completely
     multiplicative extension of prime_value over each member.
     """
-    bounds, y_floor, primes = smooth_plan(x, y, segment)
-    for lo, hi in bounds:
-        yield _smooth_in_segment(lo, hi, y_floor, primes, prime_value)
+    return smooth_segments(x, y, lambda members, w: (members, w), segment, prime_value=prime_value)
 
 
 def smooth_members(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> SmoothSet:
     """Materialize S(x, y) as an ascending array (use psi() for counts only)."""
-    chunks = [members for members, _ in iter_smooth(x, y, segment)]
+    chunks = list(smooth_segments(x, y, lambda members, _: members, segment))
     if chunks:
         members = np.concatenate(chunks)
     else:
@@ -315,4 +336,4 @@ def smooth_members(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> Smooth
 
 def psi(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> int:
     """Psi(x, y) = #S(x, y), streamed without materializing the set."""
-    return sum(int(members.size) for members, _ in iter_smooth(x, y, segment))
+    return sum(smooth_segments(x, y, lambda members, _: int(members.size), segment))

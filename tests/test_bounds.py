@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import pytest
 
+from friable_sums import bounds
 from friable_sums.bounds import (
     ENVELOPE_NAMES,
     envelope_e,
@@ -182,3 +184,12 @@ def test_report_without_theta_has_unit_l():
     rep = report(SumParams(x=10**4, y=30, q=101, a=5))
     assert rep.envelopes["FT_real"] == rep.envelopes["FT_rat"]
     assert rep.envelopes["COR12"] == rep.envelopes["THM1"]
+
+
+def test_report_passes_threads_to_the_theta_sum():
+    p = SumParams(x=3 * 10**4, y=30, q=101, a=5, theta=5 / 101 + 1e-6)
+    with mock.patch.object(bounds, "sum_theta", wraps=bounds.sum_theta) as theta_sum:
+        two = report(p, threads=2, segment=4096)
+    assert theta_sum.call_args.kwargs["threads"] == 2
+    one = report(p, threads=1, segment=4096)
+    assert (two.exact.value, two.exact.terms) == (one.exact.value, one.exact.terms)

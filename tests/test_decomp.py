@@ -1,12 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friable_sums.arith import fsum_complex
+from friable_sums import decomp
+from friable_sums.arith import factorize, fsum_complex
 from friable_sums.decomp import (
     arith_tables,
     bilinear_regroup,
@@ -259,6 +261,86 @@ def test_vaughan_prime_case_reduces_to_log():
 def test_vaughan_various_cutoffs():
     for u, v in [(1, 1), (5, 5), (10, 20), (50, 3)]:
         assert vaughan_lambda_check(800, u, v)
+
+
+def vaughan_oracle(n_max, u, v, tol=1e-9):
+    """The divisor-loop form of the Vaughan check: for each n in (v, n_max],
+    Lambda(n) against its three parts summed over the divisors b, c.
+    Reads its tables through decomp.arith_tables, so a patch reaches both.
+    """
+    t = decomp.arith_tables(n_max)
+    mu, lam = t.mobius, t.von_mangoldt
+    for n in range(math.floor(v) + 1, n_max + 1):
+        t1 = t2 = t3 = 0.0
+        for b in t.divisors(n):
+            if mu[b] == 0:
+                continue
+            rest = n // b
+            if b <= u:
+                t1 += mu[b] * math.log(n / b)
+                t2 += sum(mu[b] * lam[c] for c in t.divisors(rest) if c <= v)
+            else:
+                t3 += sum(mu[b] * lam[c] for c in t.divisors(rest) if c > v)
+        if abs(lam[n] - (t1 - t2 + t3)) > tol:
+            return n
+    return None
+
+
+def perturbed_tables(k, delta):
+    """arith_tables with Lambda(k) moved by delta."""
+    real = decomp.arith_tables
+
+    def tables(n_max):
+        t = real(n_max)
+        t.von_mangoldt[k] += delta
+        return t
+
+    return tables
+
+
+@pytest.mark.parametrize(
+    "u, v, k",
+    [
+        (10, 20, 97),  # k > v: n = k itself breaks
+        (10, 20, 8),  # k <= v: only multiples of k in the short range break
+        (10, 20, 17),
+        (2.5, 7.9, 7),  # non-integer cutoffs
+        (3.7, 3.2, 3),
+        (5.5, 12.25, 11),
+        (1, 1, 2),
+        (50, 3, 2),
+        (1.5, 40.5, 25),  # Lambda(25) = log 5 moved
+        (4, 13, 13),  # k = v: the moved entry stays in the short range
+        (10, 16, 16),
+    ],
+)
+def test_vaughan_matches_divisor_loop_on_a_planted_defect(u, v, k):
+    n_max = 400
+    assert first_vaughan_counterexample(n_max, u, v) is None
+    assert vaughan_oracle(n_max, u, v) is None
+    with mock.patch.object(decomp, "arith_tables", perturbed_tables(k, 0.25)):
+        want = vaughan_oracle(n_max, u, v)
+        got = first_vaughan_counterexample(n_max, u, v)
+    assert want is not None and got == want
+
+
+def test_vaughan_checks_nothing_when_v_reaches_n_max():
+    with mock.patch.object(decomp, "arith_tables", perturbed_tables(97, 0.25)):
+        for v in (400, 400.5, 1e9):
+            assert first_vaughan_counterexample(400, 10, v) is None
+            assert vaughan_oracle(400, 10, v) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(1, 3000))
+def test_mobius_and_von_mangoldt_against_factorize(n_max):
+    t = arith_tables(n_max)
+    assert t.mobius[0] == 0 and t.von_mangoldt[0] == 0.0
+    for n in range(1, n_max + 1):
+        fac = factorize(n)
+        squarefree = all(e == 1 for _, e in fac)
+        assert t.mobius[n] == ((-1) ** len(fac) if squarefree else 0)
+        assert t.von_mangoldt[n] == (math.log(fac[0][0]) if len(fac) == 1 else 0.0)
 
 
 def test_heath_brown_identity_holds():

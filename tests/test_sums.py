@@ -527,3 +527,94 @@ def test_prime_convolution_refuses_a_modulus_past_its_bin_budget():
     with mock.patch.object(sums, "prime_tuples", side_effect=AssertionError("walked")):
         with pytest.raises(ResourceLimitError):
             sum_prime_convolution(2, 1e6, 100, (1 << 40) + 15, 1)
+
+
+def test_complete_sum_refuses_a_modulus_past_its_bin_budget():
+    # one int64 bin per residue would take 8 TiB at q = 2^40 + 15; the
+    # refusal comes before the primality trial division and before any bin
+    q = (1 << 40) + 15
+    with mock.patch.object(sums, "is_prime", side_effect=AssertionError("trial division")):
+        with pytest.raises(ResourceLimitError):
+            complete_monomial_sum(q, 3, 2)
+        with pytest.raises(ResourceLimitError):
+            weil_envelope_violation(q, 3, 2)
+
+
+def test_sum_theta_is_identical_at_one_and_two_threads():
+    p = SumParams(x=60000, y=50, q=1, a=0, theta=2**0.5)
+    v1 = sum_theta(p, segment=4096, threads=1)
+    v2 = sum_theta(p, segment=4096, threads=2)
+    assert v1.terms == len(naive_smooth(60000, 50))
+    assert (v1.value, v1.terms) == (v2.value, v2.terms)
+    with pytest.raises(ValueError, match="threads"):
+        sum_theta(p, threads=0)
+
+
+def naive_bilinear(alpha, beta, x, q, a, nu):
+    """Oracle: the per-pair double loop over nonzero weights with m * n <= x."""
+    parts = [
+        alpha[m] * beta[n] * eq_phase(a * pow(m * n, nu, q), q)
+        for m in alpha
+        for n in beta
+        if alpha[m] and beta[n] and m * n <= x
+    ]
+    return fsum_complex(parts), len(parts)
+
+
+def assert_bilinear_matches_naive(alpha, beta, x, q, a, nu):
+    got = sum_bilinear(alpha, beta, x, q, a, nu)
+    want, count = naive_bilinear(alpha, beta, x, q, a, nu)
+    assert got.terms == count
+    assert abs(got.value - want) <= 1e-13 * max(1, count)
+
+
+def test_bilinear_refuses_a_noninvertible_product_at_negative_nu():
+    alpha = {1: 1.0, 2: 0.5, 3: -1.0}
+    beta = {1: 1.0, 7: 1j}
+    with pytest.raises(ValueError):
+        naive_bilinear(alpha, beta, 30, 10, 3, -1)
+    with pytest.raises(ValueError, match="invertible"):
+        sum_bilinear(alpha, beta, 30, 10, 3, -1)
+    # below x = 2 only m * n = 1 is summed, and 1 is a unit
+    assert_bilinear_matches_naive(alpha, beta, 1.5, 10, 3, -1)
+    # a zero weight leaves its non-invertible pair out
+    assert_bilinear_matches_naive({1: 1.0, 2: 0.0, 3: 1.0}, beta, 30, 10, 3, -2)
+
+
+@pytest.mark.parametrize("nu", [-1, 1, 3])
+def test_bilinear_past_the_vectorized_modulus(nu):
+    q = (1 << 31) + 11  # prime, so every product below q is a unit
+    rng = random.Random(nu)
+    alpha = {m: cmath.exp(1j * rng.random()) for m in rng.sample(range(1, 3000), 40)}
+    beta = {n: rng.choice([-1.0, 0.5, 1j]) for n in rng.sample(range(1, 3000), 40)}
+    assert_bilinear_matches_naive(alpha, beta, 2e6, q, 12345, nu)
+
+
+def test_bilinear_float_x_just_below_a_product():
+    alpha = {m: 1.0 for m in range(1, 20)}
+    beta = {n: -1.0 if n % 3 else 1j for n in range(1, 20)}
+    for mn in (35, 36, 221, 323):
+        below = math.nextafter(mn, 0)
+        assert_bilinear_matches_naive(alpha, beta, below, 101, 5, 2)
+        assert_bilinear_matches_naive(alpha, beta, float(mn), 101, 5, 2)
+        with_edge = sum_bilinear(alpha, beta, float(mn), 101, 5, 2).terms
+        assert sum_bilinear(alpha, beta, below, 101, 5, 2).terms < with_edge
+
+
+def test_bilinear_leaves_zero_weights_out_of_terms():
+    alpha = {1: 0.0, 2: 1.0, 3: 0j, 4: -1.0}
+    beta = {1: 1.0, 2: 0, 5: 0.0j, 6: 1j}
+    assert_bilinear_matches_naive(alpha, beta, 100, 7, 3, 1)
+    assert sum_bilinear(alpha, beta, 100, 7, 3, 1).terms == 4
+
+
+def test_bilinear_drops_keys_above_floor_x():
+    alpha = {1: 1.0, 3: 1j, 10**30: 1.0}
+    beta = {2: -1.0, 5: 1.0, 2**70: 1.0}
+    for x in (0.5, 1, 10, 15.5, 100):
+        assert_bilinear_matches_naive(alpha, beta, x, 11, 2, 3)
+    # an uncapped x is capped at max(alpha) * max(beta) exactly
+    small = {1: 1.0, 3: 1j}
+    assert_bilinear_matches_naive(small, {2: -1.0, 5: 1.0}, math.inf, 11, 2, 3)
+    with pytest.raises(ValueError, match="2\\^63"):
+        sum_bilinear(alpha, beta, 1e40, 11, 2, 3)
