@@ -110,6 +110,25 @@ def resolve_grid(grid: tuple[str, object], x: float) -> list[float]:
     return list(payload)
 
 
+def grid_cells(
+    x_grid: tuple[str, object], y_grid: tuple[str, object]
+) -> list[tuple[float, float]]:
+    """The (x, y) cells of two parsed grids, x-major.  Raises ValueError for
+    an x-linked x grid or a cell with x <= 0 or y <= 0, before any work.
+    """
+    if x_grid[0] == "powx":
+        raise ValueError("the x grid cannot be x-linked")
+    cells = []
+    for x in resolve_grid(x_grid, 0.0):
+        if not x > 0:  # checked before an x-linked y grid raises x to a power
+            raise ValueError(f"grid cells need x > 0 and y > 0, got x={x}")
+        for y in resolve_grid(y_grid, x):
+            if not y > 0:
+                raise ValueError(f"grid cells need x > 0 and y > 0, got x={x}, y={y}")
+            cells.append((x, y))
+    return cells
+
+
 def _emit(lines: Iterable[str], path: Optional[str]) -> None:
     """Write `lines` to the file at `path`, or to stdout for None or "-"."""
     text = "".join(line + "\n" for line in lines)
@@ -158,9 +177,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
     row = _report_row(rep)
     row["re_S"] = _fmt(rep.exact.value.real)
     row["im_S"] = _fmt(rep.exact.value.imag)
-    cols = ["x", "y", "q", "a", "nu", "re_S", "im_S", "abs_S", "psi"]
-    cols += [f"envelope_{n}" for n in bounds.ENVELOPE_NAMES]
-    cols += [f"ratio_{n}" for n in bounds.ENVELOPE_NAMES]
+    i = SCAN_COLUMNS.index("abs_S")
+    cols = SCAN_COLUMNS[:i] + ["re_S", "im_S"] + SCAN_COLUMNS[i:]
     if args.format == "json":
         _emit([json.dumps({c: row[c] for c in cols})], args.output)
     else:
@@ -170,15 +188,11 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 def cmd_sieve(args: argparse.Namespace) -> int:
     try:
-        xg = parse_grid(args.x_grid)
-        yg = parse_grid(args.y_grid)
+        cells = grid_cells(parse_grid(args.x_grid), parse_grid(args.y_grid))
     except ValueError as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for x in resolve_grid(xg, 0.0):
-        for y in resolve_grid(yg, x):
-            rows.append((x, y, psi(x, y)))
+    rows = [(x, y, psi(x, y)) for x, y in cells]
     if args.format == "json":
         _emit([json.dumps([{"x": x, "y": y, "psi": c} for x, y, c in rows])], args.output)
     else:
@@ -217,27 +231,24 @@ class ScanSpec:
     def cells(self) -> list[sums.SumParams]:
         """Grid cells in emission order; random residues are drawn from a
         per-cell stream, so the list is independent of any scheduling.
-        Raises ValueError for a cell with x <= 0 or y <= 0, before any sum.
+        Raises ValueError for a bad (x, y) grid (see grid_cells), before any sum.
         """
         out: list[sums.SumParams] = []
         index = 0
-        for x in resolve_grid(self.x_grid, 0.0):
-            for y in resolve_grid(self.y_grid, x):
-                if not (x > 0 and y > 0):
-                    raise ValueError(f"scan cells need x > 0 and y > 0, got x={x}, y={y}")
-                for q_raw in resolve_grid(self.q_grid, x):
-                    q = max(1, floor_int(q_raw))
-                    if self.random_a:
-                        rng = cell_rng(self.seed, index)
-                        a_values = [rng.unit_mod(q) for _ in range(self.random_a)]
-                    else:
-                        if math.gcd(self.fixed_a, q) != 1:
-                            index += 1
-                            continue  # q values are coprime-filtered against a
-                        a_values = [self.fixed_a]
-                    index += 1
-                    for a in a_values:
-                        out.append(sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
+        for x, y in grid_cells(self.x_grid, self.y_grid):
+            for q_raw in resolve_grid(self.q_grid, x):
+                q = max(1, floor_int(q_raw))
+                if self.random_a:
+                    rng = cell_rng(self.seed, index)
+                    a_values = [rng.unit_mod(q) for _ in range(self.random_a)]
+                else:
+                    if math.gcd(self.fixed_a, q) != 1:
+                        index += 1
+                        continue  # q values are coprime-filtered against a
+                    a_values = [self.fixed_a]
+                index += 1
+                for a in a_values:
+                    out.append(sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
         return out
 
 

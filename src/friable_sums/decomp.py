@@ -25,6 +25,7 @@ from .sieve import (
     prime_tuples,
     primes_between,
     primes_upto,
+    spf_factorization,
     tuple_primes,
 )
 
@@ -237,15 +238,7 @@ class ArithTables:
         return divisors_from(self.factorize(n))
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
-        out = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
+        return spf_factorization(self.spf, 0, n)
 
 
 def arith_tables(n_max: int) -> ArithTables:

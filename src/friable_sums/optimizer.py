@@ -41,19 +41,21 @@ def _eta_breakpoints(beta: float) -> tuple[float, float, float]:
     return (0.5 - beta / 4.0, 0.5, 0.5 + beta / 4.0)
 
 
-def kappa(omega: float, alpha: float, beta: float) -> float:
-    """min of eta over the window [omega, omega + alpha], clamped to [0, 1].
-
-    eta is piecewise linear, so the minimum sits at a window endpoint or an
-    interior breakpoint; no grid is needed.
+def _window_points(omega: float, alpha: float, beta: float) -> list[float]:
+    """The ends of the window [omega, omega + alpha], clamped to [0, 1], and
+    the breakpoints of eta inside it: eta is piecewise linear, so its
+    minimum over the window sits at one of them.
     """
     lo = min(max(omega, 0.0), 1.0)
     hi = min(max(omega + alpha, lo), 1.0)
-    candidates = [lo, hi]
-    for b in _eta_breakpoints(beta):
-        if lo < b < hi:
-            candidates.append(b)
-    return min(eta(mu, beta) for mu in candidates)
+    return [lo, hi] + [b for b in _eta_breakpoints(beta) if lo < b < hi]
+
+
+def kappa(omega: float, alpha: float, beta: float) -> float:
+    """min of eta over the window [omega, omega + alpha], clamped to [0, 1];
+    no grid is needed.
+    """
+    return min(eta(mu, beta) for mu in _window_points(omega, alpha, beta))
 
 
 def optimal_omega(alpha: float, beta: float) -> tuple[float, float]:
@@ -102,10 +104,7 @@ class ExponentPoint:
 def optimal_point(alpha: float, beta: float) -> ExponentPoint:
     """Bundle optimal_omega's placement with a witness mu attaining kappa."""
     omega, kap = optimal_omega(alpha, beta)
-    lo = min(max(omega, 0.0), 1.0)
-    hi = min(max(omega + alpha, lo), 1.0)
-    candidates = [lo, hi] + [b for b in _eta_breakpoints(beta) if lo < b < hi]
-    mu = min(candidates, key=lambda m: eta(m, beta))
+    mu = min(_window_points(omega, alpha, beta), key=lambda m: eta(m, beta))
     return ExponentPoint(alpha=alpha, beta=beta, omega=omega, mu=mu, kappa=kap)
 
 

@@ -145,19 +145,26 @@ class FactorSieve:
         if self.lo != 1:
             raise ValueError("factorize requires a sieve anchored at lo=1")
         self._check(n)
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n - 1])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
+        return spf_factorization(self.spf, 1, n)
 
     def _check(self, n: int) -> None:
         if not (self.lo <= n <= self.hi):
             raise ValueError(f"n={n} outside sieve segment [{self.lo}, {self.hi}]")
+
+
+def spf_factorization(spf: np.ndarray, offset: int, n: int) -> list[tuple[int, int]]:
+    """n >= 1 as [(p, e), ...] with ascending p, by repeated division by
+    its least prime factor spf[n - offset].
+    """
+    out: list[tuple[int, int]] = []
+    while n > 1:
+        p = int(spf[n - offset])
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def build_sieve(lo: int, hi: int, max_entries: int = MAX_SEGMENT) -> FactorSieve:

@@ -6,10 +6,12 @@ bilinear forms under a hyperbola, complete monomial sums mod a prime,
 and power-congruence moment counts.
 
 Every phase argument is reduced modulo q in integer arithmetic before
-the trig call.  One core, `_monomial_sum`, runs the sieve's segment
-driver for the plain and the twisted sums: for q <= HIST_LIMIT it bins
-residues into exact integer counts, so large scans stay exact until one
-final floating-point pass; for larger q it sums each segment's phases as
+the trig call; a real frequency theta is a double, so exactly m / 2^k,
+and its phases are residues modulo 2^k.  One core, `_monomial_sum`, runs
+the sieve's segment driver for the plain, the twisted and the
+real-frequency sums: for q <= HIST_LIMIT it bins residues into exact
+integer counts, so large scans stay exact until one final
+floating-point pass; for larger q it sums each segment's phases as
 the segment arrives, through `_term_sum`, the one per-term tail, which
 `sum_bilinear` shares for its pairs m * n <= x.  One tail, `_binned_sum`,
 turns exact counts per class r mod q into the sum of e_q(a * r^nu) over
@@ -36,7 +38,8 @@ from .sieve import DEFAULT_SEGMENT, ResourceLimitError, prime_tuples, smooth_seg
 # Residue histograms are used up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables.
 HIST_LIMIT = 1 << 23
-# Vectorized modular powers need q*q below 2^63.
+# Vectorized modular powers need q*q below 2^63, or a power-of-two q,
+# which uint64 products reduce exactly as they wrap modulo 2^64.
 _VEC_MOD_LIMIT = 1 << 31
 # The moment count, the prime convolution and the complete sum hold one
 # int64 bin per residue.
@@ -67,6 +70,8 @@ class SumParams:
             raise ValueError("nu must be nonzero")
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.theta is not None and self.nu != 1:
+            raise ValueError(f"the theta sum e(theta * n) needs nu = 1, got nu={self.nu}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +87,15 @@ class SumValue:
 
 
 def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
-    """base^nu mod q elementwise for nu >= 0, q <= _VEC_MOD_LIMIT."""
-    result = np.ones_like(base)
-    b = base % q
-    e = nu
-    while e:
-        if e & 1:
-            result = result * b % q
+    """base^nu mod q elementwise in uint64, for nu >= 0 and q as in _VEC_MOD_LIMIT."""
+    b = base.astype(np.uint64) % q
+    result = b if nu & 1 else np.ones_like(b)
+    nu >>= 1
+    while nu:
         b = b * b % q
-        e >>= 1
+        if nu & 1:
+            result = result * b % q
+        nu >>= 1
     return result
 
 
@@ -100,13 +105,13 @@ def _monomial_residues(
     """a * r^nu mod q per residue; second item masks invertible r for nu < 0."""
     a = a % q
     units = np.gcd(r, q) == 1 if nu < 0 else None
-    if q <= _VEC_MOD_LIMIT:
+    if q <= _VEC_MOD_LIMIT or q & (q - 1) == 0:
         if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1)
             phi = q
             for p, _ in factorize(q):
                 phi = phi // p * (p - 1)
             nu = -nu * (phi - 1)
-        return a * _pow_vec(r, nu, q) % q, units
+        return (a * _pow_vec(r, nu, q) % q).astype(np.int64), units
     ok = [True] * r.size if units is None else units.tolist()
     out = [a * pow(rv, nu, q) % q if u else 0 for rv, u in zip(r.tolist(), ok)]
     return np.array(out, dtype=np.int64), units
@@ -224,21 +229,24 @@ def sum_theta(
 ) -> SumValue:
     """S over n in S(x, y) of e(theta * n), for a real frequency theta.
 
-    theta * n is reduced mod 1 in np.longdouble.  Against a Fraction oracle
-    (100 random theta x 200 random n < 10^9, x86-64 80-bit longdouble) the
-    worst phase error is 2.9e-11 turns for theta < 1 and 3.0e-8 for
-    theta < 10^3; where longdouble is double it is 2^11 times worse.  An
-    exact reduction is ROADMAP item 3.  Segments run on `threads` threads.
+    A finite double theta is exactly m / 2^k, so e(theta * n) is
+    e_{2^k}(m * n) and every phase is an exact residue: for k <= 62 this is
+    the linear sum at q = 2^k, and for k > 62 theta = a / 2^62 + t with
+    0 <= t < 2^-62, summed mod 2^62 with e(t * n) as a per-term weight.
+    Segments run on `threads` threads.
     """
     if p.theta is None:
         raise ValueError("sum_theta needs params.theta")
-    theta_ld = np.longdouble(p.theta)
+    m, d = p.theta.as_integer_ratio()
+    if d < 1 << 63:
+        return _monomial_sum(SumParams(x=p.x, y=p.y, q=d, a=m % d), segment, threads)
+    shift = d.bit_length() - 63
+    a, t = m >> shift, (m & ((1 << shift) - 1)) / d
 
-    def phases(members: np.ndarray, _: None) -> SumValue:
-        frac = np.asarray((theta_ld * members) % np.longdouble(1.0), dtype=np.float64)
-        return SumValue(_phase_sum(frac), int(members.size))
+    def tail(members: np.ndarray, _: None) -> SumValue:
+        return _term_sum(members, 1 << 62, a, 1, np.exp(1j * (TWO_PI * t * members)))
 
-    return _total(smooth_segments(p.x, p.y, phases, segment, threads))
+    return _total(smooth_segments(p.x, p.y, tail, segment, threads))
 
 
 def sum_twisted(
@@ -365,11 +373,9 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
             f"moment histogram over q={q} residues exceeds the memory budget"
         )
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
-    if nu < 0:
-        bad = [int(v) for v in m.tolist() if math.gcd(v, q) != 1]
-        if bad:
-            raise ValueError(f"m={bad[0]} is not invertible modulo {q}")
-    idx, _ = _monomial_residues(m, q, 1, nu)
+    idx, units = _monomial_residues(m, q, 1, nu)
+    if units is not None and not units.all():
+        raise ValueError(f"m={int(m[~units][0])} is not invertible modulo {q}")
     h = np.bincount(idx, minlength=q)
     if (M + 1) ** k < 2**62:
         acc = h.copy()

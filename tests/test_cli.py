@@ -111,6 +111,47 @@ def test_scan_refuses_a_bad_cell_before_summing_any(capsys, monkeypatch):
     assert out == ""
 
 
+def test_sum_refuses_theta_with_nu_other_than_one(capsys):
+    argv = ["sum", "--x", "1000", "--y", "10", "--q", "7", "--theta", "0.3", "--nu", "3"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "needs nu = 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["sieve", "--x-grid", "x^2", "--y-grid", "10"], "x-linked"),
+        (["sieve", "--x-grid", "1e3", "--y-grid", "0"], "y > 0"),
+        (["sieve", "--x-grid", "1e3,-1", "--y-grid", "10"], "x > 0"),
+        (["sieve", "--x-grid", "0,10", "--y-grid", "x^-1"], "x > 0"),  # before 0^-1
+        (["scan", "--x-grid", "x^2", "--y-grid", "10", "--q-grid", "7"], "x-linked"),
+    ],
+)
+def test_grids_are_refused_before_any_work(capsys, monkeypatch, argv, why):
+    def fail(*args, **kwargs):
+        raise AssertionError("work began before the grid was validated")
+
+    monkeypatch.setattr(cli, "psi", fail)
+    monkeypatch.setattr(cli.bounds, "sum_power", fail)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert why in err
+    assert out == ""
+
+
+def test_sum_columns_are_the_scan_columns_with_re_and_im_before_abs(capsys):
+    code, out, _ = run(capsys, ["sum", "--x", "100", "--y", "5", "--q", "7"])
+    assert code == 0
+    envelopes = ["FT_rat", "FT_real", "THM1", "E1", "E2", "E3", "E4", "COR12"]
+    assert out.splitlines()[1].split(",") == (
+        ["x", "y", "q", "a", "nu", "re_S", "im_S", "abs_S", "psi"]
+        + [f"envelope_{n}" for n in envelopes]
+        + [f"ratio_{n}" for n in envelopes]
+    )
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
 def test_sum_refuses_nonfinite_theta(capsys, theta):
     code, out, err = run(capsys, ["sum", "--x", "100", "--y", "5", "--q", "7", f"--theta={theta}"])

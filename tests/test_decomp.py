@@ -331,6 +331,12 @@ def test_vaughan_checks_nothing_when_v_reaches_n_max():
             assert vaughan_oracle(400, 10, v) is None
 
 
+def test_table_factorizations_match_trial_division():
+    t, fs = arith_tables(3000), build_sieve(1, 3000)
+    for n in range(1, 3001):
+        assert t.factorize(n) == fs.factorize(n) == factorize(n)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_max=st.integers(1, 3000))
 def test_mobius_and_von_mangoldt_against_factorize(n_max):

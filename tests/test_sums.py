@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -64,6 +65,8 @@ def test_params_validation():
     with pytest.raises(ValueError, match="2\\^63"):
         SumParams(x=10, y=2, q=2**63, a=1)
     assert SumParams(x=10, y=2, q=2**63 - 1, a=1).q == 2**63 - 1
+    with pytest.raises(ValueError, match="needs nu = 1, got nu=3"):
+        SumParams(x=1000, y=10, q=7, a=1, nu=3, theta=0.3)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -137,7 +140,10 @@ def test_sum_power_negative_nu_matches_brute_force():
     assert abs(v.value - brute) < 1e-9
 
 
-@pytest.mark.parametrize("q", [1, 2, 3600, 10007, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11])
+@pytest.mark.parametrize(
+    "q",
+    [1, 2, 3600, 10007, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11, 1 << 32, 1 << 40, 1 << 62],
+)
 @pytest.mark.parametrize("nu", [-3, -1, 2])
 def test_monomial_residues_equal_python_pow_on_units(q, nu):
     r = np.random.default_rng(q).integers(0, q, 5000)
@@ -187,6 +193,48 @@ def test_sum_theta_at_rational_matches_sum_linear():
     vt = sum_theta(p)
     vl = sum_linear(p)
     assert abs(vt.value - vl.value) < 1e-6 * max(1.0, abs(vl.value))
+
+
+def _dyadic(k, sign=1):
+    """An odd multiple of 2^-k that is a double: its denominator is 2^k."""
+    m = 0x16A09E667F3BCD & ((1 << min(k, 53)) - 1) | 1 if k <= 1000 else 3
+    theta = sign * math.ldexp(m, -k)
+    assert Fraction(theta).denominator == 1 << k
+    return theta
+
+
+THETA_GRID = (
+    [_dyadic(k, s) for k in (0, 1, 23, 24, 52, 62, 63, 64, 65, 80, 1074) for s in (1, -1)]
+    + [1e6 + 0.1, -(1e6 + 0.1), 999999.7, 12345.678, 1e-5, -3e-13, 3 * 2**-70, -(2**0.5)]
+)
+THETA_N = [1, 2, 3, 97, 2**32 - 1, 2**32, 2**32 + 1, 2**53 - 1, 2**53, 2**53 + 1,
+           10**10 - 1, 10**10, 10**10 + 1, 2**62 + 12345]
+
+
+@pytest.mark.parametrize("theta", THETA_GRID)
+def test_sum_theta_matches_a_fraction_oracle_per_term(theta):
+    """Each n goes alone through the segment seam sum_theta sums over, so
+    every term e(theta * n) is held against theta * n mod 1 in Fractions.
+    """
+    t = Fraction(theta)
+    for n in THETA_N:
+        def one_segment(x, y, fn, segment, threads, prime_value=None):
+            return [fn(np.array([n], dtype=np.int64), None)]
+
+        with mock.patch.object(sums, "smooth_segments", one_segment):
+            v = sum_theta(SumParams(x=10, y=2, q=1, a=0, theta=theta))
+        turns = t * n % 1
+        want = cmath.exp(2j * math.pi * (turns.numerator / turns.denominator))
+        assert v.terms == 1
+        assert abs(v.value - want) <= 1e-14, (theta, n)
+
+
+@pytest.mark.parametrize("k", [1, 23, 24, 40, 62])
+def test_sum_theta_at_a_dyadic_theta_is_sum_linear_bit_for_bit(k):
+    a = (0x9E3779B97F4A7C15 & ((1 << min(k, 53)) - 1)) | 1
+    vt = sum_theta(SumParams(x=2 * 10**5, y=60, q=1, a=0, theta=a / 2**k))
+    vl = sum_linear(SumParams(x=2 * 10**5, y=60, q=1 << k, a=a))
+    assert (vt.value, vt.terms) == (vl.value, vl.terms)
 
 
 def test_sum_theta_requires_theta():
@@ -432,6 +480,8 @@ def test_moment_count_negative_exponent():
     assert moment_count(1, -1, 7, 2) == 3
     with pytest.raises(ValueError, match="invertible"):
         moment_count(1, -1, 6, 2)  # m = 2 shares a factor with q
+    with pytest.raises(ValueError, match="^m=4 is not invertible modulo 10$"):
+        moment_count(2, -1, 10, 3)  # m = 3 is a unit, m = 4 the first non-unit
 
 
 def test_moment_count_pigeonhole_bound():

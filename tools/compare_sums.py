@@ -6,9 +6,12 @@ BASE_SRC and NEW_SRC are `src` directories (NEW_SRC defaults to this
 checkout's).  Each tree is imported in its own process, which evaluates a
 fixed grid: `sum_power` on the histogram path and, with `sums.HIST_LIMIT`
 patched to 0, on the direct path, at q in {1, composite, prime, > 2^23,
-> 2^31}, nu in {-2, -1, 1, 3} and threads 1 and 2; `sum_twisted` on both
-paths; `sum_theta`; `complete_monomial_sum`; `sum_prime_convolution`;
-`sum_bilinear`; and `moment_count`.  The run passes when
+> 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2; `sum_twisted` on
+both paths; `sum_theta` at theta of either sign, with denominators 2^k
+from k = 0 to past 62, all at |theta| < 2 (a large theta is held against
+an exact oracle in tests/test_sums.py instead); `complete_monomial_sum`;
+`sum_prime_convolution`; `sum_bilinear`; and `moment_count`.  The run
+passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms),
@@ -28,7 +31,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15)
+Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
 NU_GRID = (-2, -1, 1, 3)
 XY_GRID = ((20000, 30), (150000, 100))
 SEGMENT = 1 << 14
@@ -66,7 +69,8 @@ def evaluate(src: str) -> dict[str, dict]:
     sums.HIST_LIMIT = hist_limit
 
     for x, y in ((1e6, 1e3), (3e5, 50)):
-        for theta in (0.0, 0.5, 1 / 3, 12345 / 1000003, 2**0.5):
+        for theta in (0.0, 0.5, 1 / 3, 12345 / 1000003, 2**0.5, 1e-5, -3e-13, 3 * 2**-70,
+                      -0.7, -(2**0.5), 1.3 * 2**-10):
             v = sums.sum_theta(sums.SumParams(x=x, y=y, q=1, a=0, theta=theta), segment=SEGMENT)
             put(f"theta/x={x}/y={y}/theta={theta!r}", v.value, v.terms)
     for q in (2, 101, 10007, 65537, 1000003):
