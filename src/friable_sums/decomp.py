@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import divisors_from, factorize, floor_int, floor_quotient, fsum_complex
+from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     FactorSieve,
     build_sieve,
@@ -233,9 +233,6 @@ class ArithTables:
     spf: np.ndarray
     mobius: np.ndarray
     von_mangoldt: np.ndarray
-
-    def divisors(self, n: int) -> list[int]:
-        return divisors_from(self.factorize(n))
 
     def factorize(self, n: int) -> list[tuple[int, int]]:
         return spf_factorization(self.spf, 0, n)

@@ -9,7 +9,23 @@ One driver, `smooth_segments`, runs every smooth scan: it plans the
 segments once and hands each segment's members (and weights) to a caller's
 function, on a thread pool when asked.
 
-Tables and scans rest on one division-free kernel, the smooth part
+S(x, y) is listed in one of two ways, chosen once per (x, y) by a cost
+rule (`_generates`):
+
+* the segment sieve, which costs about 13 ns per integer up to x however
+  few of them are smooth;
+* a generator that multiplies each prime p <= y, with its powers, into
+  the products built so far, which costs about 2.6 ns per member per
+  prime, so O(Psi(x, y) * pi(y)) whatever x is.
+
+Psi is not known in advance, so the rule takes Rankin's upper bound for
+it, min over sigma of x^sigma * prod_{p <= y} (1 - p^-sigma)^-1.  The
+generator is taken only when x exceeds one default segment, y <= sqrt(x),
+the bound is at most MAX_SEGMENT entries (so its memory is certified) and
+bound * pi(y) * 2.6 ns is at most x * 13 ns.  The plan is then the single
+segment [1, floor(x)]; `segment` sizes sieve segments only.
+
+Tables and the sieve rest on one division-free kernel, the smooth part
 sp(n) = prod of p^v_p(n) over the sieving primes, built by strided
 multiplies.  sp | n, so sp <= hi: it fits uint32 while the segment's
 largest operand is below 2^32 (uint64 otherwise).  The cofactor n / sp
@@ -32,6 +48,10 @@ from .arith import floor_int, is_prime
 
 DEFAULT_SEGMENT = 1 << 22
 MAX_SEGMENT = 1 << 26
+# The listing cost model (2-core Xeon, numpy 2.4): nanoseconds per integer
+# swept by the sieve, and per member per prime built by the generator.
+_SIEVE_NS = 13.0
+_GENERATE_NS = 2.6
 
 
 class ResourceLimitError(RuntimeError):
@@ -238,19 +258,98 @@ def _smooth_part(
     return sp, weights
 
 
+def _rankin_bound(x_floor: int, primes: np.ndarray) -> float:
+    """Rankin's upper bound on #{n <= x_floor : every prime factor of n is
+    in `primes`}: x^sigma * prod_p (1 - p^-sigma)^-1 for the least value
+    over sigma > 0 that a golden-section search finds.
+
+    Every sigma > 0 gives a bound (sum (x / n)^sigma over the products n
+    counts each n <= x at least once), and the log of the bound is convex
+    in sigma, so the search only tightens it.
+    """
+    log_x, log_p = math.log(x_floor), np.log(primes.astype(np.float64))
+
+    def log_bound(sigma: float) -> float:
+        return sigma * log_x - float(np.log1p(-np.exp(-sigma * log_p)).sum())
+
+    lo, hi = 1e-3, 1.0
+    for _ in range(40):
+        m1, m2 = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+        if log_bound(m1) <= log_bound(m2):
+            hi = m2
+        else:
+            lo = m1
+    return math.exp(min(log_bound(lo), log_bound(hi)))
+
+
+def _generates(x_floor: int, y_floor: int, primes: np.ndarray) -> bool:
+    """Whether S(x_floor, y_floor) is listed by the generator, not sieved.
+
+    Only for x_floor beyond one default segment and y_floor <= isqrt(x_floor),
+    where `primes` (every prime <= min(y_floor, isqrt(x))) are all the
+    primes <= y_floor; then when Rankin's bound certifies both the memory
+    (at most MAX_SEGMENT entries) and the lower cost.
+    """
+    if x_floor <= DEFAULT_SEGMENT or y_floor * y_floor > x_floor:
+        return False
+    bound = _rankin_bound(x_floor, primes)
+    return bound <= MAX_SEGMENT and bound * primes.size * _GENERATE_NS <= x_floor * _SIEVE_NS
+
+
+def _generate(
+    hi: int, primes: np.ndarray, prime_value: Optional[Callable[[int], complex]] = None
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Every n <= hi whose prime factors all lie in `primes`, ascending
+    int64, with weights prod prime_value(p)^v_p(n) when given.
+
+    Each prime p, with its powers, is multiplied into the products built
+    so far: m * p^k is kept when m * p^(k-1) <= hi // p, so nothing wraps.
+    The products are uint32 while hi < 2^32 and sorted in place; weights
+    multiply in the sieve's order (ascending p, one factor per power).
+    """
+    n = np.ones(1, dtype=np.uint32 if hi < 1 << 32 else np.int64)
+    w = None if prime_value is None else np.ones(1, dtype=np.complex128)
+    for p in primes.tolist():
+        fp = None if w is None else prime_value(p)
+        parts, wparts, cur, cw = [n], [w], n, w
+        while cur.size:
+            keep = cur <= hi // p
+            cur = cur[keep]
+            cur *= p
+            parts.append(cur)
+            if w is not None:
+                cw = cw[keep]
+                cw *= fp
+                wparts.append(cw)
+        n = np.concatenate(parts)
+        w = None if w is None else np.concatenate(wparts)
+    if w is None:
+        n.sort()
+        return n.astype(np.int64, copy=False), None
+    order = np.argsort(n)
+    return n[order].astype(np.int64), w[order]
+
+
 def smooth_plan(
     x: float, y: float, segment: int = DEFAULT_SEGMENT
 ) -> tuple[list[tuple[int, int]], int, np.ndarray]:
     """(segment bounds, floor(y), dividing primes) for a smooth scan of
     S(x, y); segments are independent, so callers may process them in any
     order or in parallel.
+
+    The bounds tile [1, floor(x)]: sieve segments of `segment` entries, or
+    the single segment [1, floor(x)] where the cost rule (see the module
+    docstring) lists S(x, y) by the generator.  The primes are those
+    <= min(y, isqrt(x)) either way.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
     if x_floor < 1 or y_floor < 1:
         return [], y_floor, np.empty(0, dtype=np.int64)
-    bound = min(y_floor, math.isqrt(x_floor))
-    return _segment_bounds(x_floor, segment), y_floor, primes_upto(bound)
+    primes = primes_upto(min(y_floor, math.isqrt(x_floor)))
+    if _generates(x_floor, y_floor, primes):
+        return [(1, x_floor)], y_floor, primes
+    return _segment_bounds(x_floor, segment), y_floor, primes
 
 
 def smooth_in_range(
@@ -263,13 +362,17 @@ def smooth_in_range(
     """Smooth members of one planned segment [lo, hi] (see smooth_plan),
     optionally with multiplicative weights.
 
-    `primes` must hold every prime <= min(y_floor, isqrt(global x)).  The
-    cofactor cof = n / sp(n) is then 1, a single prime (sieving bound
-    isqrt) or a product of primes above y (sieving bound y), so `cof <= y`
-    is exactly the smoothness test.  As sp | n, cof <= n <= hi, so with
-    y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff).  The
-    ceilings share sp's dtype; their largest numerator is hi + y_eff - 1.
+    `primes` must hold every prime <= min(y_floor, isqrt(global x)).  A
+    segment [1, hi] for which smooth_plan's cost rule picks the generator
+    is generated.  Otherwise it is sieved: the cofactor cof = n / sp(n) is
+    then 1, a single prime (sieving bound isqrt) or a product of primes
+    above y (sieving bound y), so `cof <= y` is exactly the smoothness
+    test.  As sp | n, cof <= n <= hi, so with y_eff = min(y_floor, hi) that
+    test is sp >= ceil(n / y_eff).  The ceilings share sp's dtype; their
+    largest numerator is hi + y_eff - 1.
     """
+    if lo == 1 and _generates(hi, y_floor, primes):
+        return _generate(hi, primes, prime_value)
     y_eff = min(y_floor, hi)
     if y_eff < 1:
         empty = np.empty(0, dtype=np.int64)
@@ -342,5 +445,5 @@ def smooth_members(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> Smooth
 
 
 def psi(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> int:
-    """Psi(x, y) = #S(x, y), streamed without materializing the set."""
+    """Psi(x, y) = #S(x, y), counted one planned segment at a time."""
     return sum(smooth_segments(x, y, lambda members, _: int(members.size), segment))

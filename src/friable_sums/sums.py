@@ -87,8 +87,10 @@ class SumValue:
 
 
 def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
-    """base^nu mod q elementwise in uint64, for nu >= 0 and q as in _VEC_MOD_LIMIT."""
-    b = base.astype(np.uint64) % q
+    """base^nu mod q elementwise in uint64, for base in [0, q), nu >= 0 and
+    q as in _VEC_MOD_LIMIT.
+    """
+    b = base.astype(np.uint64)
     result = b if nu & 1 else np.ones_like(b)
     nu >>= 1
     while nu:
@@ -102,10 +104,14 @@ def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
 def _monomial_residues(
     r: np.ndarray, q: int, a: int, nu: int
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """a * r^nu mod q per residue; second item masks invertible r for nu < 0."""
+    """a * r^nu mod q per int64 residue r in [0, q); second item masks
+    invertible r for nu < 0.
+    """
     a = a % q
     units = np.gcd(r, q) == 1 if nu < 0 else None
     if q <= _VEC_MOD_LIMIT or q & (q - 1) == 0:
+        if nu == 1:  # a * r < 2^62, or wraps modulo 2^64, which a power-of-two q divides
+            return a * r % q, units
         if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1)
             phi = q
             for p, _ in factorize(q):
@@ -373,7 +379,7 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
             f"moment histogram over q={q} residues exceeds the memory budget"
         )
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
-    idx, units = _monomial_residues(m, q, 1, nu)
+    idx, units = _monomial_residues(m % q, q, 1, nu)
     if units is not None and not units.all():
         raise ValueError(f"m={int(m[~units][0])} is not invertible modulo {q}")
     h = np.bincount(idx, minlength=q)

@@ -493,6 +493,16 @@ def test_sum_command_midscale_contract(capsys):
     assert len(data) == 2  # header + exactly one row
 
 
+def test_sum_command_lists_a_sparse_set_far_past_sieve_range(capsys):
+    # Psi(1e13, 10) = 19,674: generated from its factorisations, where a
+    # sieve would sweep 10^13 integers
+    code, out, _ = run(capsys, ["sum", "--x", "1e13", "--y", "10", "--q", "101", "--a", "1"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    assert row["psi"] == "19674"
+
+
 def test_sum_command_with_theta_scales_l_envelopes(capsys):
     code, out, _ = run(
         capsys,

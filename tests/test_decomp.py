@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friable_sums import decomp
-from friable_sums.arith import factorize, fsum_complex
+from friable_sums.arith import divisors_from, factorize, fsum_complex
 from friable_sums.decomp import (
     arith_tables,
     bilinear_regroup,
@@ -272,15 +272,15 @@ def vaughan_oracle(n_max, u, v, tol=1e-9):
     mu, lam = t.mobius, t.von_mangoldt
     for n in range(math.floor(v) + 1, n_max + 1):
         t1 = t2 = t3 = 0.0
-        for b in t.divisors(n):
+        for b in divisors_from(t.factorize(n)):
             if mu[b] == 0:
                 continue
             rest = n // b
             if b <= u:
                 t1 += mu[b] * math.log(n / b)
-                t2 += sum(mu[b] * lam[c] for c in t.divisors(rest) if c <= v)
+                t2 += sum(mu[b] * lam[c] for c in divisors_from(t.factorize(rest)) if c <= v)
             else:
-                t3 += sum(mu[b] * lam[c] for c in t.divisors(rest) if c > v)
+                t3 += sum(mu[b] * lam[c] for c in divisors_from(t.factorize(rest)) if c > v)
         if abs(lam[n] - (t1 - t2 + t3)) > tol:
             return n
     return None

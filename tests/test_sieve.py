@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from friable_sums import sieve
 from friable_sums.sieve import (
+    DEFAULT_SEGMENT,
     ResourceLimitError,
     build_sieve,
     iter_smooth,
@@ -17,6 +20,8 @@ from friable_sums.sieve import (
     psi,
     smooth_in_range,
     smooth_members,
+    smooth_plan,
+    smooth_segments,
 )
 
 
@@ -304,3 +309,80 @@ def test_prime_tuples_match_itertools_enumeration(ps, x_floor, depth, distinct):
     assert [idx for _, idx in got] == expected
     assert [pr for pr, _ in got] == [math.prod(ps[i] for i in idx) for idx in expected]
     assert all(type(pr) is int for pr, _ in got)
+
+
+# ---------------------------------------------------------------------------
+# the generator beside the sieve, and the cost rule that picks between them
+
+@settings(max_examples=150, deadline=None)
+@given(hi=st.integers(1, 6000), y=st.integers(1, 200), weighted=st.booleans())
+def test_generator_equals_sieve_on_edge_grid(hi, y, weighted):
+    pv = imaginary_prime if weighted else None
+    got, got_w = sieve._generate(hi, primes_upto(y), pv)
+    want, want_w = smooth_in_range(1, hi, y, primes_upto(min(y, math.isqrt(hi))), pv)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert (got_w is None) == (not weighted)
+    if weighted:
+        assert got_w.tolist() == want_w.tolist()
+
+
+@settings(max_examples=20, deadline=None)
+@given(offset=st.integers(-300, 300), y=st.integers(2, 23), weighted=st.booleans())
+@example(offset=-1, y=2, weighted=False)  # the largest hi in uint32
+@example(offset=0, y=2, weighted=True)  # 2^32 itself is a member
+def test_generator_across_two_to_the_32(offset, y, weighted):
+    # products are uint32 below 2^32 and int64 from it: both sides must
+    # agree with each other and, on the top window, with the sieve
+    hi = (1 << 32) + offset
+    pv = imaginary_prime if weighted else None
+    got, got_w = sieve._generate(hi, primes_upto(y), pv)
+    below, _ = sieve._generate((1 << 32) - 301, primes_upto(y))
+    assert got.dtype == np.int64
+    assert np.all(np.diff(got) > 0)
+    assert got[: below.size].tolist() == below.tolist()
+    lo = hi - 300
+    window, window_w = smooth_in_range(lo, hi, y, primes_upto(y), pv)
+    tail = got >= lo
+    assert got[tail].tolist() == window.tolist()
+    if weighted:
+        assert got_w[tail].tolist() == window_w.tolist()
+
+
+@pytest.mark.parametrize("x, y, count", [(1e8, 30, 88_415), (1e8, 100, 924_573), (3e8, 100, 1_620_536)])
+def test_psi_in_the_generator_regime(x, y, count):
+    assert len(smooth_plan(x, y)[0]) == 1
+    assert psi(x, y) == count
+
+
+def test_psi_never_exceeds_rankin_bound():
+    for x in (2, 10, 100, 1000, 10**4, 10**5, 10**6):
+        for y in (2, 3, 5, 10, 30, 100, 1000):
+            assert psi(x, y) <= sieve._rankin_bound(x, primes_upto(y))
+
+
+@pytest.mark.parametrize(
+    "x, y, segment, generated",
+    [(1e8, 30, DEFAULT_SEGMENT, True), (5e6, 1000, 1 << 20, False)],
+)
+def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated):
+    # perfbench/spans.py reads these: the bounds tile [1, floor(x)] and the
+    # driver calls smooth_in_range exactly once per planned bound
+    bounds, y_floor, primes = smooth_plan(x, y, segment)
+    assert (len(bounds) == 1) == generated
+    assert bounds[0][0] == 1 and bounds[-1][1] == math.floor(x)
+    assert all(b[1] + 1 == c[0] for b, c in zip(bounds, bounds[1:]))
+    assert y_floor == math.floor(y)
+    assert primes.tolist() == primes_upto(min(y_floor, math.isqrt(math.floor(x)))).tolist()
+    results = []
+
+    def counted(*args):
+        out = smooth_in_range(*args)
+        results.append(out)
+        return out
+
+    with mock.patch.object(sieve, "smooth_in_range", counted):
+        total = sum(smooth_segments(x, y, lambda members, w: members.size, segment))
+    assert len(results) == len(bounds)
+    assert all(isinstance(r, tuple) and len(r) == 2 and r[1] is None for r in results)
+    assert total == sum(r[0].size for r in results)

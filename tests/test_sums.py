@@ -144,7 +144,7 @@ def test_sum_power_negative_nu_matches_brute_force():
     "q",
     [1, 2, 3600, 10007, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11, 1 << 32, 1 << 40, 1 << 62],
 )
-@pytest.mark.parametrize("nu", [-3, -1, 2])
+@pytest.mark.parametrize("nu", [-3, -1, 1, 2])
 def test_monomial_residues_equal_python_pow_on_units(q, nu):
     r = np.random.default_rng(q).integers(0, q, 5000)
     idx, units = sums._monomial_residues(r, q, 7, nu)

@@ -5,13 +5,14 @@
 BASE_SRC and NEW_SRC are `src` directories (NEW_SRC defaults to this
 checkout's).  Each tree is imported in its own process, which evaluates a
 fixed grid: `sum_power` on the histogram path and, with `sums.HIST_LIMIT`
-patched to 0, on the direct path, at q in {1, composite, prime, > 2^23,
-> 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2; `sum_twisted` on
-both paths; `sum_theta` at theta of either sign, with denominators 2^k
-from k = 0 to past 62, all at |theta| < 2 (a large theta is held against
-an exact oracle in tests/test_sums.py instead); `complete_monomial_sum`;
-`sum_prime_convolution`; `sum_bilinear`; and `moment_count`.  The run
-passes when
+patched to 0, on the direct path, at (x, y) cells that the segment sieve
+lists and one, (5e6, 11), that the generator lists, at q in {1, composite,
+prime, > 2^23, > 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2;
+`sum_twisted` on both paths; `sum_theta` at theta of either sign, with
+denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
+is held against an exact oracle in tests/test_sums.py instead);
+`complete_monomial_sum`; `sum_prime_convolution`; `sum_bilinear`; and
+`moment_count`.  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms),
@@ -33,7 +34,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
 NU_GRID = (-2, -1, 1, 3)
-XY_GRID = ((20000, 30), (150000, 100))
+XY_GRID = ((20000, 30), (150000, 100), (5_000_000, 11))
 SEGMENT = 1 << 14
 TOLERANCE = 1e-14
 
