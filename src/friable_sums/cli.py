@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, decomp, optimizer, sums
 from .arith import floor_int, is_prime
-from .sieve import ResourceLimitError, build_sieve, psi
+from .sieve import ResourceLimitError, build_sieve, psi, usable_cpus
 
 CSV_VERSION_LINE = "# friable-sums v1"
 EXIT_OK = 0
@@ -286,7 +286,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         from concurrent.futures import ThreadPoolExecutor
 
         _return_freed_memory()
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        workers = min(args.threads, usable_cpus())
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run, cells))
     else:
         rows = [run(p) for p in cells]
@@ -591,14 +592,19 @@ def _return_freed_memory() -> None:
     free, and free space past 8 MiB at the top of the heap is trimmed.
 
     By default glibc raises both limits as large blocks are freed (to 32
-    and 64 MiB), so after the first cell of a scan the sieve's 16 MiB
-    segment buffers come from the shared heap.  When two cells run at once
-    their blocks interleave there, and how much freed heap stays resident
-    depends on thread timing: a process running the pair of scans `--x-grid
-    geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 2 --threads 2`
-    at nu = -1 and 3 three times, plus two sums, peaked at 157-192 MiB over
-    8 runs; with both limits at 8 MiB, at 153-156 MiB.  4 MiB was as steady
-    but faulted in 40 % more pages; 17 and 32 MiB were not steady.
+    and 64 MiB), so after the first cell of a scan each segment's 16 MiB
+    smooth-part array (uint32 at 2^22 entries; the sieve's ceilings take
+    1 MiB per block) comes from the shared heap.  When two cells run at
+    once their blocks interleave there, and how much freed heap stays
+    resident depends on thread timing: a process running the pair of scans
+    `--x-grid geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 2
+    --threads 2` at nu = -1 and 3 three times, plus two sums, peaked at
+    157-192 MiB over 8 runs; with both limits at 8 MiB, at 153-156 MiB.
+    4 MiB was as steady but faulted in 40 % more pages; 17 and 32 MiB were
+    not steady.  Those runs predate the blocked sieve kernel, when each
+    segment also held a 16 MiB array of ceilings; with it, three passes of
+    perfbench's `phases` workload fault in 150-300k pages (370-390k before)
+    and peak at 133-142 MiB (145-149 MiB before) over 5 runs.
     One-thread work keeps glibc's default: it reuses its heap in the same
     order every run, and mapping each segment's buffers afresh cost three
     `sum`s at x = 1e8 about 10 % in page faults (4 MiB limit, 2-core Xeon).

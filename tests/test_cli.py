@@ -1,3 +1,4 @@
+import concurrent.futures
 import ctypes
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from friable_sums import cli
+from friable_sums import cli, sieve
 from friable_sums.cli import SplitMix64, main, parse_grid, resolve_grid
 
 
@@ -276,6 +277,40 @@ def test_threaded_scan_returns_freed_memory(threads, after):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", after]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_thread_pools_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, cpus):
+    # the stand-in pool records its size and maps in the calling thread, so
+    # asking for 64 threads starts none
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sieve.usable_cpus() == cpus
+    counts = list(sieve.smooth_segments(1e5, 30, lambda m, w: m.size, segment=1 << 14, threads=64))
+    assert counts == list(sieve.smooth_segments(1e5, 30, lambda m, w: m.size, segment=1 << 14))
+    assert sizes == ([] if cpus == 1 else [cpus])
+    sizes.clear()
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--x-grid", "1e3,2e3", "--y-grid", "10", "--q-grid", "101",
+            "--output", str(out), "--threads", "64"]
+    assert main(argv) == 0
+    assert sizes == [cpus]
 
 
 def test_stray_overflow_maps_to_usage_exit(capsys, monkeypatch):

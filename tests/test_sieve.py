@@ -386,3 +386,97 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated):
     assert len(results) == len(bounds)
     assert all(isinstance(r, tuple) and len(r) == 2 and r[1] is None for r in results)
     assert total == sum(r[0].size for r in results)
+
+
+@pytest.mark.parametrize(
+    "x, y, generated",
+    [
+        (1e8, 30, True), (1e8, 100, True), (3e8, 100, True), (1e7, 30, True),
+        (1e8, 1e3, False), (1e8, 1e4, False), (3e7, 1e3, False),
+    ],
+)
+def test_planner_keeps_its_choice_on_dense_and_sparse_cells(x, y, generated):
+    # the rule prices the generator by Rankin's bound, 11x over Psi at
+    # (1e8, 100), against a sieve cost of 13 ns per integer; a faster kernel
+    # must not talk the rule into sieving these sparse cells, which would be
+    # over 10x slower there
+    bounds, _, _ = smooth_plan(x, y)
+    assert (bounds == [(1, math.floor(x))]) == generated
+
+
+# ---------------------------------------------------------------------------
+# the blocked, wheel-seeded kernel against the plain strided walk it replaced
+
+def plain_smooth_part(lo, hi, primes, top, prime_value=None):
+    """Every power of every prime walked over the whole window, in order."""
+    sp = np.ones(hi - lo + 1, dtype=np.uint32 if top < 1 << 32 else np.uint64)
+    weights = None if prime_value is None else np.ones(hi - lo + 1, dtype=np.complex128)
+    for p in primes.tolist():
+        t = p
+        while t <= hi:
+            sp[-lo % t :: t] *= p
+            if weights is not None:
+                weights[-lo % t :: t] *= prime_value(p)
+            t *= p
+    return sp, weights
+
+
+def plain_smooth_in_range(lo, hi, y, primes, prime_value=None):
+    """smooth_in_range for y >= 1 by the plain walk and one mask over the window."""
+    y_eff = min(y, hi)
+    sp, weights = plain_smooth_part(lo, hi, primes, hi + y_eff, prime_value)
+    mask = sp >= np.arange(lo + y_eff - 1, hi + y_eff, dtype=sp.dtype) // y_eff
+    members = np.flatnonzero(mask) + lo
+    if weights is None:
+        return members, None
+    w = weights[mask]
+    rest = members // sp[mask].astype(np.int64)
+    for i in np.flatnonzero(rest > 1).tolist():
+        w[i] *= prime_value(int(rest[i]))
+    return members, w
+
+
+def assert_kernel_matches_plain_walk(lo, hi, y, primes):
+    for pv in (None, imaginary_prime):
+        members, weights = smooth_in_range(lo, hi, y, primes, pv)
+        want, want_w = plain_smooth_in_range(lo, hi, y, primes, pv)
+        assert members.dtype == np.int64
+        assert np.array_equal(members, want)
+        if pv is None:
+            assert weights is None
+        else:
+            assert np.array_equal(weights, want_w)  # exact products: bit for bit
+
+
+# three blocks, the last one short; lo is aligned neither to a block nor to
+# the wheel's period 720720, and the first block runs across a period
+BLOCKS_LO = 3 * 720720 - 777
+BLOCKS_HI = BLOCKS_LO + 2 * sieve._BLOCK + 1000
+
+
+@pytest.mark.parametrize("y", [1, 2, 3, 4, 5, 12, 13, 16, 17, 1000])
+def test_kernel_matches_plain_walk_across_blocks(y):
+    assert BLOCKS_LO % sieve._BLOCK and BLOCKS_LO % 720720
+    primes = primes_upto(min(y, math.isqrt(BLOCKS_HI)))
+    assert_kernel_matches_plain_walk(BLOCKS_LO, BLOCKS_HI, y, primes)
+    x, segment = 1_300_000, sieve._BLOCK + (1 << 19) + 3  # segments of three blocks
+    want = plain_smooth_in_range(1, x, y, primes_upto(min(y, math.isqrt(x))))[0]
+    assert psi(x, y, segment) == want.size
+
+
+def test_kernel_matches_plain_walk_in_uint64_across_blocks():
+    lo, hi, y = 2**32 - sieve._BLOCK - 5000, 2**32 + 3000, 1000
+    assert hi - lo + 1 > sieve._BLOCK
+    assert sieve._smooth_part(lo, hi, primes_upto(y), hi + y)[0].dtype == np.uint64
+    assert_kernel_matches_plain_walk(lo, hi, y, primes_upto(y))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(BLOCKS_LO, BLOCKS_HI), (2**32 - sieve._BLOCK - 5000, 2**32 + 3000)]
+)
+def test_build_sieve_matches_plain_walk_across_blocks(lo, hi):
+    fs = build_sieve(lo, hi)
+    with mock.patch.object(sieve, "_smooth_part", plain_smooth_part):
+        want = build_sieve(lo, hi)
+    assert np.array_equal(fs.lpf, want.lpf)
+    assert np.array_equal(fs.spf, want.spf)
