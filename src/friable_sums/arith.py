@@ -95,11 +95,6 @@ def divisors_from(fac: Iterable[tuple[int, int]]) -> list[int]:
     return ds
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    return sorted(divisors_from(factorize(n)))
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

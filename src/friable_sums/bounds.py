@@ -4,15 +4,19 @@ reports comparing exact |S| against each envelope.
 Every envelope is the bracketed saving factor multiplying x; the
 unknowable x^{o(1)} prefactor is deliberately reported as x, so all
 asymptotic constants land in the ratio |S| / (x * envelope) and are never
-asserted against.  Exponent-space twins of the envelopes live in
-`optimizer.saving_exponents` for overflow-free region work.
+asserted against.  Each envelope is written once, as a table of terms
+whose monomials x^a y^b q^c are kept as exponents (a, b, c): the float
+envelopes here and the leading exponents that
+`optimizer.saving_exponents` reports on the (alpha, beta) plane both read
+that table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .sums import SumParams, SumValue, sum_power, sum_theta
 
@@ -36,39 +40,64 @@ def l_factor(x: float, theta: float, a: int, q: int) -> LFactor:
     return LFactor(theta=theta, a=a, q=q, value=value)
 
 
+# Each envelope's bracketed saving factor is a sum of terms, and each term is
+# the least of its monomials x^a y^b q^c, written (a, b, c).  E4 is written
+# with eps = 0 and without its outer power delta.
+_TERMS: dict[str, tuple[tuple[tuple[float, float, float], ...], ...]] = {
+    "FT": (((-0.25, 0.5, 0),), ((0, 0, -0.5),), ((-0.5, 0.5, 0.5),)),
+    "THM1": (((-0.2, 0, 0), (-0.25, 0.25, 0)), ((0, 0, -0.5),), ((-0.5, 0, 0.5),)),
+    "E1": (((-0.25, 0.25, 0),), ((0, 0, -0.5),), ((-0.5, 0, 0.5),)),
+    "E2": (((0, -0.5, 0),), ((-0.25, 0, 0.125),), ((0, 0, -0.5),), ((-0.5, 0, 0.5),)),
+    "E3": (((-0.25, 0, 0.25), (-0.25, 0.25, 0.125)), ((0, 0, -0.25),), ((-0.25, 0.25, 0),)),
+    "E4": (((0, 0, -0.25),), ((-1.0, 0, 0.75),)),
+}
+
+
+def _term_values(name: str, x: float, y: float, q: int) -> list[float]:
+    return [min(x**a * y**b * q**c for a, b, c in term) for term in _TERMS[name]]
+
+
+def _exponent(
+    name: str, alpha: float | np.ndarray, beta: float | np.ndarray
+) -> float | np.ndarray:
+    """Leading exponent in x of the envelope `name` at y = x^alpha, q =
+    x^beta: the largest over its terms of the least monomial exponent.
+    """
+    return np.maximum.reduce([np.minimum.reduce([a + b * alpha + c * beta for a, b, c in term])
+                              for term in _TERMS[name]])
+
+
 def envelope_ft(x: float, y: float, q: int) -> float:
     """x^{-1/4} y^{1/2} + q^{-1/2} + (q y / x)^{1/2}."""
-    return x ** -0.25 * math.sqrt(y) + q ** -0.5 + math.sqrt(q * y / x)
+    return sum(_term_values("FT", x, y, q))
 
 
 def envelope_thm1(x: float, y: float, q: int) -> float:
     """min(x^{-1/5}, (x/y)^{-1/4}) + q^{-1/2} + (q/x)^{1/2}."""
-    return min(x ** -0.2, (x / y) ** -0.25) + q ** -0.5 + math.sqrt(q / x)
+    return sum(_term_values("THM1", x, y, q))
 
 
 def envelope_e(
     i: int, x: float, y: float, q: int, eps: float = 0.01, delta: float = 0.05
 ) -> float:
-    """The i-th monomial-sum envelope, i in {1, 2, 3, 4}.
+    """The i-th monomial-sum envelope, i in {1, 2, 3, 4}:
 
-    eps and delta only enter E4 = (q^{-1/4} + q^{3/4+eps} x^{-1})^delta; the
-    defaults are conventions, not derived values.
+    E1 = (x/y)^{-1/4} + q^{-1/2} + (x/q)^{-1/2},
+    E2 = y^{-1/2} + x^{-1/4} q^{1/8} + q^{-1/2} + (x/q)^{-1/2},
+    E3 = min((x/q)^{-1/4}, (x/y)^{-1/4} q^{1/8}) + q^{-1/4} + (x/y)^{-1/4},
+    E4 = (q^{-1/4} + q^{3/4+eps} x^{-1})^delta.
+
+    eps and delta only enter E4; the defaults are conventions, not derived
+    values.
     """
-    if i == 1:
-        return (x / y) ** -0.25 + q ** -0.5 + (x / q) ** -0.5
-    if i == 2:
-        return y ** -0.5 + x ** -0.25 * q ** 0.125 + q ** -0.5 + (x / q) ** -0.5
-    if i == 3:
-        return (
-            min((x / q) ** -0.25, (x / y) ** -0.25 * q ** 0.125)
-            + q ** -0.25
-            + (x / y) ** -0.25
-        )
-    if i == 4:
-        if eps <= 0 or not 0 < delta <= 1:
-            raise ValueError(f"E4 needs eps > 0 and delta in (0, 1], got {eps}, {delta}")
-        return (q ** -0.25 + q ** (0.75 + eps) / x) ** delta
-    raise ValueError(f"envelope index must be 1..4, got {i}")
+    if i not in (1, 2, 3, 4):
+        raise ValueError(f"envelope index must be 1..4, got {i}")
+    terms = _term_values(f"E{i}", x, y, q)
+    if i < 4:
+        return sum(terms)
+    if eps <= 0 or not 0 < delta <= 1:
+        raise ValueError(f"E4 needs eps > 0 and delta in (0, 1], got {eps}, {delta}")
+    return (terms[0] + terms[1] * q**eps) ** delta
 
 
 def nontrivial_range_cor14(x: float, y: float, eps: float) -> tuple[float, float]:

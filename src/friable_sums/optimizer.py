@@ -16,6 +16,8 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .bounds import _exponent
+
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, Fraction]
 
@@ -28,60 +30,62 @@ def eta(mu: float, beta: float) -> float:
     """Piecewise-linear saving profile: two symmetric peaks over [0, 1].
 
     min(mu/2, 1/2 - beta/4 - mu/2) on [0, 1/2], and
-    min(mu/2 - beta/4, 1/2 - mu/2) on (1/2, 1].  May be negative.
+    min(mu/2 - beta/4, 1/2 - mu/2) on (1/2, 1].  May be negative.  mu may be
+    a float or a numpy array; eta is then a numpy float or an array of
+    mu's shape.
     """
-    if not 0.0 <= mu <= 1.0:
+    mu = np.asarray(mu)
+    if not np.all((0.0 <= mu) & (mu <= 1.0)):
         raise ValueError(f"mu must lie in [0, 1], got {mu}")
-    if mu <= 0.5:
-        return min(mu / 2.0, 0.5 - beta / 4.0 - mu / 2.0)
-    return min(mu / 2.0 - beta / 4.0, 0.5 - mu / 2.0)
+    left = np.minimum(mu / 2.0, 0.5 - beta / 4.0 - mu / 2.0)
+    right = np.minimum(mu / 2.0 - beta / 4.0, 0.5 - mu / 2.0)
+    return np.where(mu <= 0.5, left, right)[()]
 
 
-def _eta_breakpoints(beta: float) -> tuple[float, float, float]:
-    return (0.5 - beta / 4.0, 0.5, 0.5 + beta / 4.0)
-
-
-def _window_points(omega: float, alpha: float, beta: float) -> list[float]:
+def _window_points(omega: float | np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """The ends of the window [omega, omega + alpha], clamped to [0, 1], and
-    the breakpoints of eta inside it: eta is piecewise linear, so its
-    minimum over the window sits at one of them.
+    each breakpoint of eta that lies inside it (the window start in its
+    place otherwise), stacked along a new first axis: eta is piecewise
+    linear, so its minimum over the window sits at one of them.  omega may
+    be a float or a numpy array.
     """
-    lo = min(max(omega, 0.0), 1.0)
-    hi = min(max(omega + alpha, lo), 1.0)
-    return [lo, hi] + [b for b in _eta_breakpoints(beta) if lo < b < hi]
+    lo = np.clip(omega, 0.0, 1.0)
+    hi = np.clip(omega + alpha, lo, 1.0)
+    breaks = (0.5 - beta / 4.0, 0.5, 0.5 + beta / 4.0)
+    inner = [np.where((lo < b) & (b < hi), b, lo) for b in breaks]
+    return np.array([lo, hi] + inner)
 
 
 def kappa(omega: float, alpha: float, beta: float) -> float:
     """min of eta over the window [omega, omega + alpha], clamped to [0, 1];
     no grid is needed.
     """
-    return min(eta(mu, beta) for mu in _window_points(omega, alpha, beta))
+    return float(eta(_window_points(omega, alpha, beta), beta).min())
 
 
 def optimal_omega(alpha: float, beta: float) -> tuple[float, float]:
     """Closed-form window start omega maximizing kappa, with kappa = omega/2.
 
-    For beta <= 1 the three regimes are alpha < beta/2, beta/2 <= alpha <
-    beta, and beta <= alpha.  For 1 < beta <= 2 only alpha < 1 - beta/2
-    admits a nontrivial placement; otherwise TrivialRegimeError is raised.
+    For beta <= 1 the three regimes are those of `two_peaks_regime`:
+    alpha < beta/2, beta/2 <= alpha < beta, and beta <= alpha.  For
+    1 < beta <= 2 only alpha < 1 - beta/2 admits a nontrivial placement;
+    otherwise TrivialRegimeError is raised.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if not 0.0 <= beta <= 2.0:
         raise ValueError(f"beta must lie in [0, 2], got {beta}")
-    if beta <= 1.0:
-        if alpha < beta / 2.0:
-            omega = 0.5 - beta / 4.0 - alpha / 2.0
-        elif alpha < beta:
-            omega = (1.0 - beta) / 2.0
-        else:
-            omega = (1.0 - alpha) / 2.0
-        return omega, omega / 2.0
-    if alpha >= 1.0 - beta / 2.0:
+    if beta > 1.0 and alpha >= 1.0 - beta / 2.0:
         raise TrivialRegimeError(
             f"no power saving at alpha={alpha}, beta={beta}: window placement is vacuous"
         )
-    omega = 0.5 - beta / 4.0 - alpha / 2.0
+    regime = two_peaks_regime(alpha, beta) if beta <= 1.0 else None
+    if regime is PeakRegime.UNDER_INTERSECTION:
+        omega = (1.0 - beta) / 2.0
+    elif regime is PeakRegime.EDGE_TO_EDGE:
+        omega = (1.0 - alpha) / 2.0
+    else:  # inside one peak, or the nontrivial part of 1 < beta <= 2
+        omega = 0.5 - beta / 4.0 - alpha / 2.0
     return omega, omega / 2.0
 
 
@@ -104,7 +108,8 @@ class ExponentPoint:
 def optimal_point(alpha: float, beta: float) -> ExponentPoint:
     """Bundle optimal_omega's placement with a witness mu attaining kappa."""
     omega, kap = optimal_omega(alpha, beta)
-    mu = min(_window_points(omega, alpha, beta), key=lambda m: eta(m, beta))
+    points = _window_points(omega, alpha, beta)
+    mu = float(points[np.argmin(eta(points, beta))])
     return ExponentPoint(alpha=alpha, beta=beta, omega=omega, mu=mu, kappa=kap)
 
 
@@ -125,20 +130,9 @@ def oracle_optimal_omega(
     if select_tol is None:
         select_tol = step / 4.0
     omegas = np.arange(0.0, 1.0 + step / 2, step)
-    lo = np.clip(omegas, 0.0, 1.0)
-    hi = np.clip(omegas + alpha, lo, 1.0)
-    cand = [lo, hi]
-    for b in _eta_breakpoints(beta):
-        cand.append(np.where((lo < b) & (b < hi), b, lo))
-    kappas = np.min([_eta_vec(c, beta) for c in cand], axis=0)
+    kappas = eta(_window_points(omegas, alpha, beta), beta).min(axis=0)
     best = int(np.argmax(kappas >= np.max(kappas) - select_tol))
     return float(omegas[best]), float(kappas[best])
-
-
-def _eta_vec(mu: np.ndarray, beta: float) -> np.ndarray:
-    left = np.minimum(mu / 2.0, 0.5 - beta / 4.0 - mu / 2.0)
-    right = np.minimum(mu / 2.0 - beta / 4.0, 0.5 - mu / 2.0)
-    return np.where(mu <= 0.5, left, right)
 
 
 class PeakRegime(str, Enum):
@@ -273,21 +267,16 @@ def figure1_regions(eps_grid: float = 0.01) -> RegionSet:
 def saving_exponents(
     alpha: float | np.ndarray, beta: float | np.ndarray
 ) -> dict[str, float | np.ndarray]:
-    """Leading exponent (in x) of each envelope's bracketed saving factor;
-    negative means a power saving.  The fourth envelope carries a free
-    positive power delta, which scales but never flips these signs; it is
-    reported here with delta = 1 and eps = 0.
+    """Leading exponent (in x) of each envelope's bracketed saving factor,
+    read from the table of terms in `bounds` that the float envelopes read
+    too; negative means a power saving.  The fourth envelope carries a
+    free positive power delta, which scales but never flips these signs; it
+    is reported here with delta = 1 and eps = 0.
 
     alpha and beta may be floats or numpy arrays of one shape; the
     exponents are then numpy floats or arrays of that shape.
     """
-    e1 = np.maximum.reduce([-(1 - alpha) / 4, -beta / 2, -(1 - beta) / 2])
-    e2 = np.maximum.reduce([-alpha / 2, beta / 8 - 0.25, -beta / 2, -(1 - beta) / 2])
-    e3 = np.maximum.reduce(
-        [np.minimum((beta - 1) / 4, (alpha - 1) / 4 + beta / 8), -beta / 4, (alpha - 1) / 4]
-    )
-    e4 = np.maximum(-beta / 4, 0.75 * beta - 1)
-    return {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
+    return {name: _exponent(name, alpha, beta) for name in ("E1", "E2", "E3", "E4")}
 
 
 def _float_poly(poly: tuple[Point, ...]) -> np.ndarray:
@@ -363,11 +352,3 @@ def region_grid_mismatches(
             bad.append((float(a[i]), float(b[i]), f"saving pattern breaks panel {name}"))
     return bad
 
-
-def assembled_e3_exponent(alpha: float, beta: float) -> float:
-    """Saving exponent max(-beta/4, omega - 1, -kappa) assembled from the
-    optimal window placement; matches the third envelope's leading exponent
-    on every nontrivial regime.
-    """
-    omega, kap = optimal_omega(alpha, beta)
-    return max(-beta / 4.0, omega - 1.0, -kap)

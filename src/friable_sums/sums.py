@@ -382,23 +382,13 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
     idx, units = _monomial_residues(m % q, q, 1, nu)
     if units is not None and not units.all():
         raise ValueError(f"m={int(m[~units][0])} is not invertible modulo {q}")
-    h = np.bincount(idx, minlength=q)
-    if (M + 1) ** k < 2**62:
-        acc = h.copy()
-        for _ in range(k - 1):
-            folded = np.zeros(q, dtype=np.int64)
-            for r in np.nonzero(h)[0]:
-                folded += np.roll(acc, int(r)) * h[r]
-            acc = folded
-        return sum(int(v) * int(v) for v in acc.tolist())
-    # Counts may overflow int64: fold with exact Python integers.
-    base = {int(r): int(c) for r, c in enumerate(h.tolist()) if c}
-    acc_d = dict(base)
+    # each folded count is at most (M + 1)^k; past int64, fold Python ints
+    dtype = np.int64 if (M + 1) ** k < 2**62 else object
+    h = np.bincount(idx, minlength=q).astype(dtype)
+    acc = h
     for _ in range(k - 1):
-        folded_d: dict[int, int] = {}
-        for s, cs in acc_d.items():
-            for r, cr in base.items():
-                t = (s + r) % q
-                folded_d[t] = folded_d.get(t, 0) + cs * cr
-        acc_d = folded_d
-    return sum(c * c for c in acc_d.values())
+        folded = np.zeros(q, dtype=dtype)
+        for r in np.nonzero(h)[0]:
+            folded += np.roll(acc, int(r)) * h[r]
+        acc = folded
+    return sum(int(v) * int(v) for v in acc.tolist())

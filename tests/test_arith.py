@@ -5,7 +5,7 @@ import pytest
 
 from friable_sums.arith import (
     divisor_count,
-    divisors,
+    divisors_from,
     e_frac,
     eq_phase,
     factorize,
@@ -106,7 +106,7 @@ def test_factorize_and_divisors_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
-        assert len(divisors(n)) == divisor_count(n)
+        assert len(divisors_from(factorize(n))) == divisor_count(n)
 
 
 def test_e_frac_matches_eq_phase_on_rationals():

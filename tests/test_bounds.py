@@ -1,6 +1,8 @@
 import math
+import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from friable_sums import bounds
@@ -13,6 +15,7 @@ from friable_sums.bounds import (
     nontrivial_range_cor14,
     report,
 )
+from friable_sums.optimizer import saving_exponents
 from friable_sums.sums import SumParams
 
 
@@ -49,18 +52,47 @@ def test_envelope_thm1_trivial_when_q_exceeds_x():
     assert envelope_thm1(1e6, 100, 10**7) > 1.0
 
 
+def written_out_envelopes(x, y, q, eps=0.01, delta=0.05):
+    """FT, THM1 and E1-E4, each written out by hand."""
+    return {
+        "FT": x**-0.25 * math.sqrt(y) + q**-0.5 + math.sqrt(q * y / x),
+        "THM1": min(x**-0.2, (x / y) ** -0.25) + q**-0.5 + math.sqrt(q / x),
+        "E1": (x / y) ** -0.25 + q**-0.5 + (x / q) ** -0.5,
+        "E2": y**-0.5 + x**-0.25 * q**0.125 + q**-0.5 + (x / q) ** -0.5,
+        "E3": min((x / q) ** -0.25, (x / y) ** -0.25 * q**0.125) + q**-0.25 + (x / y) ** -0.25,
+        "E4": (q**-0.25 + q ** (0.75 + eps) / x) ** delta,
+    }
+
+
+def random_cells(seed, count):
+    """(x, y, q) log-uniform over 10^2 <= x <= 10^14, 2 <= y <= x, 1 <= q <= x^2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = 10 ** rng.uniform(2, 14)
+        y = 10 ** rng.uniform(math.log10(2), math.log10(x))
+        yield x, y, max(1, int(10 ** rng.uniform(0, 2 * math.log10(x))))
+
+
 def test_envelope_e_formulas():
-    x, y, q = 1e8, 1e3, 10**5
-    assert envelope_e(1, x, y, q) == pytest.approx(
-        (x / y) ** -0.25 + q**-0.5 + (x / q) ** -0.5, rel=1e-12
-    )
-    assert envelope_e(2, x, y, q) == pytest.approx(
-        y**-0.5 + x**-0.25 * q**0.125 + q**-0.5 + (x / q) ** -0.5, rel=1e-12
-    )
-    assert envelope_e(3, x, y, q) == pytest.approx(
-        min((x / q) ** -0.25, (x / y) ** -0.25 * q**0.125) + q**-0.25 + (x / y) ** -0.25,
-        rel=1e-12,
-    )
+    for x, y, q in [(1e8, 1e3, 10**5), *random_cells(42, 3000)]:
+        want = written_out_envelopes(x, y, q)
+        got = {
+            "FT": envelope_ft(x, y, q),
+            "THM1": envelope_thm1(x, y, q),
+            **{f"E{i}": envelope_e(i, x, y, q) for i in (1, 2, 3, 4)},
+        }
+        for name, value in want.items():
+            assert got[name] == pytest.approx(value, rel=1e-15, abs=0), (name, x, y, q)
+
+
+def test_envelope_e4_reads_eps_and_delta():
+    # q^(3/4 + eps) is rounded once by hand and as q^(3/4) q^eps here, which
+    # differ by up to |log q| ulps before the power delta shrinks them
+    rng = random.Random(43)
+    for x, y, q in random_cells(44, 1000):
+        eps, delta = rng.uniform(1e-3, 0.3), rng.uniform(0.01, 1.0)
+        want = written_out_envelopes(x, y, q, eps, delta)["E4"]
+        assert envelope_e(4, x, y, q, eps, delta) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_envelope_e1_matches_thm1_without_fifth_root_branch():
@@ -193,3 +225,18 @@ def test_report_passes_threads_to_the_theta_sum():
     assert theta_sum.call_args.kwargs["threads"] == 2
     one = report(p, threads=1, segment=4096)
     assert (two.exact.value, two.exact.terms) == (one.exact.value, one.exact.terms)
+
+
+def test_cor14_upper_end_is_where_the_last_saving_exponent_turns():
+    # as eps -> 0 the window of cor14 ends at q = x^max(4/3, 2 - 2 alpha); it
+    # is the largest beta at which some envelope E1-E4 still saves
+    betas = np.linspace(0.0, 2.0, 2001)
+    for alpha in np.linspace(0.0, 0.99, 100).tolist():
+        top = max(4 / 3, 2 - 2 * alpha)
+        saves = np.minimum.reduce(list(saving_exponents(alpha, betas).values())) < 0
+        assert top - 1e-3 - 1e-12 <= betas[saves].max() < top  # grid step 1e-3
+        for beta in (top - 1e-9, top + 1e-9):
+            assert (min(saving_exponents(alpha, beta).values()) < 0) == (beta < top)
+        x = 1e12
+        _, hi = nontrivial_range_cor14(x, x**alpha, 1e-9)
+        assert math.log(hi) / math.log(x) == pytest.approx(top, abs=1e-8)

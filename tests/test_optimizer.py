@@ -10,7 +10,6 @@ from friable_sums.optimizer import (
     PeakRegime,
     RegionSet,
     TrivialRegimeError,
-    assembled_e3_exponent,
     eta,
     figure1_regions,
     kappa,
@@ -27,7 +26,7 @@ def eta_grid_min(omega, alpha, beta, step=1e-5):
     lo = min(max(omega, 0.0), 1.0)
     hi = min(max(omega + alpha, lo), 1.0)
     mus = np.linspace(lo, hi, max(2, int((hi - lo) / step) + 1))
-    return min(eta(float(m), beta) for m in mus)
+    return float(eta(mus, beta).min())
 
 
 def test_eta_hand_values():
@@ -299,6 +298,14 @@ def test_e1_region_is_strict_power_saving_and_best():
         tested += 1
 
 
+def assembled_e3_exponent(alpha, beta):
+    """Saving exponent max(-beta/4, omega - 1, -kappa) assembled from the
+    optimal window placement.
+    """
+    omega, kap = optimal_omega(alpha, beta)
+    return max(-beta / 4.0, omega - 1.0, -kap)
+
+
 def test_assembly_matches_third_envelope_exponent():
     rng = random.Random(38)
     checked = 0
@@ -311,3 +318,36 @@ def test_assembly_matches_third_envelope_exponent():
         direct = saving_exponents(alpha, beta)["E3"]
         assert abs(assembled - direct) < 1e-12
         checked += 1
+
+
+def written_out_saving_exponents(alpha, beta):
+    """The four leading exponents, each written out by hand."""
+    e1 = np.maximum.reduce([-(1 - alpha) / 4, -beta / 2, -(1 - beta) / 2])
+    e2 = np.maximum.reduce([-alpha / 2, beta / 8 - 0.25, -beta / 2, -(1 - beta) / 2])
+    e3 = np.maximum.reduce(
+        [np.minimum((beta - 1) / 4, (alpha - 1) / 4 + beta / 8), -beta / 4, (alpha - 1) / 4]
+    )
+    e4 = np.maximum(-beta / 4, 0.75 * beta - 1)
+    return {"E1": e1, "E2": e2, "E3": e3, "E4": e4}
+
+
+def test_saving_exponents_equal_written_out_formulas():
+    a, b = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 2.0, 401))
+    rng = np.random.default_rng(40)
+    ra, rb = rng.random(5000), 2.0 * rng.random(5000)
+    for alpha, beta in ((a, b), (ra, rb)):
+        got = saving_exponents(alpha, beta)
+        want = written_out_saving_exponents(alpha, beta)
+        for name in ("E1", "E2", "E3", "E4"):
+            assert np.array_equal(got[name], want[name]), name
+    for alpha, beta in zip(ra[:200].tolist(), rb[:200].tolist()):
+        assert saving_exponents(alpha, beta) == written_out_saving_exponents(alpha, beta)
+
+
+def test_eta_takes_arrays_elementwise():
+    rng = random.Random(41)
+    mus = np.array([rng.random() for _ in range(300)] + [0.0, 0.5, 1.0])
+    for beta in (0.0, 0.6, 1.5):
+        assert [eta(m, beta) for m in mus.tolist()] == eta(mus, beta).tolist()
+    with pytest.raises(ValueError):
+        eta(np.array([0.2, 1.1]), 0.5)

@@ -494,6 +494,19 @@ def test_moment_count_pigeonhole_bound():
         assert moment_count(k, nu, q, M) * q >= (M + 1) ** (2 * k)
 
 
+def test_moment_count_past_int64_matches_closed_forms():
+    # (M + 1)^k = (2^16 + 1)^4 > 2^62: the fold runs on Python integers
+    k, M = 4, 1 << 16
+    assert moment_count(k, 1, 1, M) == (M + 1) ** (2 * k)
+    # mod 2 the k-fold sums of m in [M, 2M] split into even and odd by
+    # ((M + 1)^k +- (E - O)^k) / 2, with E and O the even and odd m
+    evens = sum(1 for m in range(M, 2 * M + 1) if m % 2 == 0)
+    odds = M + 1 - evens
+    e = ((M + 1) ** k + (evens - odds) ** k) // 2
+    o = ((M + 1) ** k - (evens - odds) ** k) // 2
+    assert moment_count(k, 1, 2, M) == e * e + o * o
+
+
 def test_sum_twisted_direct_path_past_histogram_limit():
     # q beyond the histogram limit takes the streaming branch
     q = (1 << 23) + 9

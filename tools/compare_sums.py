@@ -12,12 +12,17 @@ prime, > 2^23, > 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2;
 `sum_twisted` on both paths; `sum_theta` at theta of either sign, with
 denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
-`complete_monomial_sum`; `sum_prime_convolution`; `sum_bilinear`; and
-`moment_count`.  The run passes when
+`complete_monomial_sum`; `sum_prime_convolution`; `sum_bilinear`;
+`moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
+envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
+and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
+401 (alpha, beta) grid over [0, 1] x [0, 2].  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
-* |value difference| <= 1e-14 * max(1, terms),
-* the moment counts are bit-identical, and
+* |value difference| <= 1e-14 * max(1, terms) for the sums,
+* the moment counts are bit-identical and the exponents equal as floats
+  (a zero exponent may change sign: 0.0 == -0.0),
+* each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
 
 Prints one line per failing cell and a summary; exits 1 on any failure.
@@ -41,6 +46,7 @@ SEGMENT = 1 << 14
 XY_GRID = ((20000, 30, SEGMENT), (150000, 100, SEGMENT), (5_000_000, 11, SEGMENT),
            (1_200_000, 100, (1 << 20) + 1))
 TOLERANCE = 1e-14
+ENVELOPE_TOLERANCE = 1e-15
 
 
 def _pair(z: complex) -> list[float]:
@@ -50,12 +56,14 @@ def _pair(z: complex) -> list[float]:
 def evaluate(src: str) -> dict[str, dict]:
     """Every cell of the grid, computed by the friable_sums under `src`."""
     sys.path.insert(0, src)
-    from friable_sums import sums
+    import numpy as np
+
+    from friable_sums import bounds, optimizer, sums
 
     out: dict[str, dict] = {}
 
-    def put(key: str, value: complex, terms: int, exact: bool = False) -> None:
-        out[key] = {"value": _pair(value), "terms": terms, "exact": exact}
+    def put(key: str, value: complex, terms: int, check: str = "sum") -> None:
+        out[key] = {"value": _pair(value), "terms": terms, "check": check}
 
     hist_limit = sums.HIST_LIMIT
     for path in ("hist", "direct"):
@@ -96,9 +104,24 @@ def evaluate(src: str) -> dict[str, dict]:
         for nu in NU_GRID:
             v = sums.sum_bilinear(*units, 5000, q, 7, nu)
             put(f"bilinear/q={q}/nu={nu}", v.value, v.terms)
-    for k, nu, q, m in ((2, -1, 1009, 40), (2, 3, 3600, 60), (3, -2, 997, 20)):
-        put(f"moment/k={k}/nu={nu}/q={q}/M={m}", 0j, sums.moment_count(k, nu, q, m), exact=True)
+    for k, nu, q, m in ((2, -1, 1009, 40), (2, 3, 3600, 60), (3, -2, 997, 20),
+                        (4, 3, 1009, 1 << 16)):
+        put(f"moment/k={k}/nu={nu}/q={q}/M={m}", 0j, sums.moment_count(k, nu, q, m), "exact")
+    for x in (1e3, 1e5, 1e8, 1e11, 1e14):
+        for y in (2.0, x**0.1, x**0.3, x**0.5, x):
+            for q in (1, 97, int(x**0.5), int(x**0.9), int(x**1.3), int(x**2)):
+                values = [bounds.envelope_ft(x, y, q), bounds.envelope_thm1(x, y, q)]
+                values += [bounds.envelope_e(i, x, y, q) for i in (1, 2, 3, 4)]
+                out[f"envelopes/x={x!r}/y={y!r}/q={q}"] = {
+                    "value": values, "terms": 0, "check": "rel"}
+    alpha, beta = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 2.0, 401))
+    for name, e in optimizer.saving_exponents(alpha, beta).items():
+        out[f"exponents/{name}"] = {"value": e.ravel().tolist(), "terms": 0, "check": "exact"}
     return out
+
+
+def _sum_delta(b: dict, n: dict) -> float:
+    return abs(complex(*b["value"]) - complex(*n["value"]))
 
 
 def compare(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
@@ -107,13 +130,19 @@ def compare(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
         bad.append(f"cell sets differ: {sorted(base.keys() ^ new.keys())[:5]}")
     for key in sorted(base.keys() & new.keys()):
         b, n = base[key], new[key]
-        diff = abs(complex(*b["value"]) - complex(*n["value"]))
         if b["terms"] != n["terms"]:
             bad.append(f"{key}: terms {b['terms']} -> {n['terms']}")
-        elif b["exact"] and b["value"] != n["value"]:
-            bad.append(f"{key}: not bit-identical ({b['value']} -> {n['value']})")
-        elif diff > TOLERANCE * max(1, b["terms"]):
-            bad.append(f"{key}: |delta| = {diff:.3g} > {TOLERANCE} * max(1, terms)")
+        elif b["check"] == "exact":
+            if b["value"] != n["value"]:
+                bad.append(f"{key}: not bit-identical")
+        elif b["check"] == "rel":
+            rel = max(abs(u - v) / abs(u) for u, v in zip(b["value"], n["value"]))
+            if rel > ENVELOPE_TOLERANCE:
+                bad.append(f"{key}: relative delta {rel:.3g} > {ENVELOPE_TOLERANCE}")
+        else:
+            diff = _sum_delta(b, n)
+            if diff > TOLERANCE * max(1, b["terms"]):
+                bad.append(f"{key}: |delta| = {diff:.3g} > {TOLERANCE} * max(1, terms)")
     for tree, cells in (("base", base), ("new", new)):
         for key, cell in cells.items():
             if key.endswith("/t=1") and cells[key[:-1] + "2"] != cell:
@@ -139,8 +168,8 @@ def main(argv: list[str]) -> int:
     bad = compare(base, new)
     for line in bad:
         print(line)
-    worst = max(abs(complex(*base[k]["value"]) - complex(*new[k]["value"]))
-                / max(1, base[k]["terms"]) for k in base.keys() & new.keys())
+    worst = max(_sum_delta(base[k], new[k]) / max(1, base[k]["terms"])
+                for k in base.keys() & new.keys() if base[k]["check"] == "sum")
     print(f"{len(base)} cells, {len(bad)} failures, "
           f"largest |delta| / max(1, terms) = {worst:.3g}")
     return 1 if bad else 0
