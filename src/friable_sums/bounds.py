@@ -143,10 +143,14 @@ def report(
     kwargs = {} if segment is None else {"segment": segment}
     if p.theta is not None:
         exact = sum_theta(p, threads=threads, **kwargs)
-        lf = l_factor(p.x, p.theta, p.a, p.q).value
     else:
         exact = sum_power(p, threads=threads, **kwargs)
-        lf = 1.0
+    return _with_envelopes(p, exact, eps, delta)
+
+
+def _with_envelopes(p: SumParams, exact: SumValue, eps: float, delta: float) -> BoundReport:
+    """The report of `p` around its exact sum: every envelope and ratio."""
+    lf = 1.0 if p.theta is None else l_factor(p.x, p.theta, p.a, p.q).value
     x, y, q = p.x, p.y, p.q
     ft = envelope_ft(x, y, q)
     thm1 = envelope_thm1(x, y, q)

@@ -10,6 +10,7 @@ a splitmix 64-bit stream so output is reproducible across platforms.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -279,18 +280,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
         return EXIT_BUDGET
 
-    def run(p: sums.SumParams) -> dict[str, str]:
-        return _report_row(bounds.report(p, eps=args.eps, delta=args.delta))
+    # ScanSpec.cells emits the residues of a cell side by side; each run of
+    # cells sharing (x, y, q, nu) is one pass of the sieve, bins and powers
+    groups = [list(g) for _, g in itertools.groupby(cells, lambda p: (p.x, p.y, p.q, p.nu))]
 
-    if args.threads > 1 and len(cells) > 1:
+    def run(group: list[sums.SumParams], threads: int = 1) -> list[dict[str, str]]:
+        values = sums._monomial_sum(group, threads=threads)
+        return [_report_row(bounds._with_envelopes(p, v, args.eps, args.delta))
+                for p, v in zip(group, values)]
+
+    workers = min(args.threads, usable_cpus())
+    if args.threads > 1 and len(groups) >= workers:
         from concurrent.futures import ThreadPoolExecutor
 
         _return_freed_memory()
-        workers = min(args.threads, usable_cpus())
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(p) for p in cells]
+            rows = [row for part in pool.map(run, groups) for row in part]
+    else:  # fewer passes than workers: each pass runs its segments on the threads
+        rows = [row for group in groups for row in run(group, args.threads)]
 
     if args.format == "json":
         _emit([json.dumps(rows)], args.output)

@@ -13,12 +13,16 @@ real-frequency sums: for q <= HIST_LIMIT it bins residues into exact
 integer counts, so large scans stay exact until one final
 floating-point pass; for larger q it sums each segment's phases as
 the segment arrives, through `_term_sum`, the one per-term tail, which
-`sum_bilinear` shares for its pairs m * n <= x.  One tail, `_binned_sum`,
-turns exact counts per class r mod q into the sum of e_q(a * r^nu) over
-the occupied classes; three callers end in it: `_monomial_sum` (its
-histogram path), `sum_prime_convolution` (the m <= x / (p_1...p_j) of
-each prime tuple, counted by class of m * p_1...p_j, O(min(z, q)) work
-per tuple) and `complete_monomial_sum` (one count per r = 1 .. q-1).
+`sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
+one or more residues a that share (x, y, q, nu): the listing, the bins
+and the powers r^nu mod q are made once, and only a * r^nu mod q and the
+phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
+per class r mod q into the sum of e_q(a * r^nu) over the occupied
+classes, for one or more residues a; three callers end in it:
+`_monomial_sum` (its histogram path), `sum_prime_convolution` (the
+m <= x / (p_1...p_j) of each prime tuple, counted by class of
+m * p_1...p_j, O(min(z, q)) work per tuple) and `complete_monomial_sum`
+(one count per r = 1 .. q-1).
 One kernel, `_phase_sum`, turns phases into a sum: a pairwise numpy sum
 per chunk of 2^16 terms, and exact compensated summation (fsum) across
 chunks and segments.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -101,26 +105,34 @@ def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
     return result
 
 
-def _monomial_residues(
-    r: np.ndarray, q: int, a: int, nu: int
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """a * r^nu mod q per int64 residue r in [0, q); second item masks
-    invertible r for nu < 0.
+def _monomial_residues(r: np.ndarray, q: int, nu: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """r^nu mod q per int64 residue r in [0, q), which `_scaled` multiplies
+    by each a; for nu < 0 the second item masks the invertible r, the only
+    ones whose powers mean anything.
     """
-    a = a % q
-    units = np.gcd(r, q) == 1 if nu < 0 else None
-    if q <= _VEC_MOD_LIMIT or q & (q - 1) == 0:
-        if nu == 1:  # a * r < 2^62, or wraps modulo 2^64, which a power-of-two q divides
-            return a * r % q, units
-        if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1)
-            phi = q
-            for p, _ in factorize(q):
-                phi = phi // p * (p - 1)
-            nu = -nu * (phi - 1)
-        return (a * _pow_vec(r, nu, q) % q).astype(np.int64), units
-    ok = [True] * r.size if units is None else units.tolist()
-    out = [a * pow(rv, nu, q) % q if u else 0 for rv, u in zip(r.tolist(), ok)]
-    return np.array(out, dtype=np.int64), units
+    if q > _VEC_MOD_LIMIT and q & (q - 1):  # Python ints; factoring q could take sqrt(q) steps
+        units = np.gcd(r, q) == 1 if nu < 0 else None
+        ok = [True] * r.size if units is None else units.tolist()
+        return np.array([pow(rv, nu, q) if u else 0 for rv, u in zip(r.tolist(), ok)],
+                        dtype=object), units
+    if nu == 1:
+        return r, None
+    units = None
+    if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1); it is prime to every p | q
+        phi, units = q, np.ones(r.shape, dtype=bool)
+        for p, _ in factorize(q):
+            phi = phi // p * (p - 1)
+            units &= r % p != 0
+        nu = -nu * (phi - 1)
+    return _pow_vec(r, nu, q), units
+
+
+def _scaled(a: int, pw: np.ndarray, q: int) -> np.ndarray:
+    """a * pw mod q as int64, for powers pw from `_monomial_residues`: a * pw
+    stays below 2^62 for q <= _VEC_MOD_LIMIT, wraps modulo 2^64 (which a
+    power-of-two q divides) and is exact on Python ints.
+    """
+    return (a % q * pw % q).astype(np.int64, copy=False)
 
 
 def _phase_sum(turns: np.ndarray, w: Optional[np.ndarray] = None) -> complex:
@@ -141,16 +153,16 @@ def _phase_sum(turns: np.ndarray, w: Optional[np.ndarray] = None) -> complex:
 
 
 def _term_sum(
-    n: np.ndarray, q: int, a: int, nu: int, w: Optional[np.ndarray] = None
-) -> SumValue:
-    """S over the int64 array n of w_n * e_q(a * n^nu), with w = 1 when
-    omitted; for nu < 0 only the n coprime with q are kept.
+    n: np.ndarray, q: int, avals: Sequence[int], nu: int, w: Optional[np.ndarray] = None
+) -> list[SumValue]:
+    """S over the int64 array n of w_n * e_q(a * n^nu) for each a in avals,
+    with w = 1 when omitted; for nu < 0 only the n coprime with q are kept.
     """
-    idx, units = _monomial_residues(n % q, q, a, nu)
+    pw, units = _monomial_residues(n % q, q, nu)
     if units is not None:
-        idx = idx[units]
+        pw = pw[units]
         w = None if w is None else w[units]
-    return SumValue(_phase_sum(idx / q, w), int(idx.size))
+    return [SumValue(_phase_sum(_scaled(a, pw, q) / q, w), int(pw.size)) for a in avals]
 
 
 def _total(parts: Iterable[SumValue]) -> SumValue:
@@ -159,23 +171,27 @@ def _total(parts: Iterable[SumValue]) -> SumValue:
 
 
 def _monomial_sum(
-    p: SumParams,
-    segment: int,
-    threads: int,
+    cells: Sequence[SumParams],
+    segment: int = DEFAULT_SEGMENT,
+    threads: int = 1,
     prime_value: Optional[Callable[[int], complex]] = None,
-) -> SumValue:
-    """S over n in S(x, y) of f(n) * e_q(a * n^nu), with f = 1 or the
-    completely multiplicative extension of prime_value.
+) -> list[SumValue]:
+    """S over n in S(x, y) of f(n) * e_q(a * n^nu) for each cell, with f = 1
+    or the completely multiplicative extension of prime_value.  The cells
+    share (x, y, q, nu) and differ in a: one pass lists S(x, y) and raises
+    its residues to the nu-th power for all of them.
 
     Up to HIST_LIMIT residues are binned into exact int64 counts (and
     complex weight bins), which meet the phases once at the end; beyond
     it each segment's phases are summed as the segment arrives.
     """
+    p, avals = cells[0], [c.a for c in cells]
     q = p.q
     if q > HIST_LIMIT:
-        return _total(smooth_segments(
-            p.x, p.y, lambda members, w: _term_sum(members, q, p.a, p.nu, w),
+        parts = list(smooth_segments(
+            p.x, p.y, lambda members, w: _term_sum(members, q, avals, p.nu, w),
             segment, threads, prime_value))
+        return [_total(part[i] for part in parts) for i in range(len(avals))]
 
     def bins(members: np.ndarray, w: Optional[np.ndarray]) -> list[np.ndarray]:
         r = members % q
@@ -187,27 +203,28 @@ def _monomial_sum(
         acc = part if acc is None else [np.add(t, b, out=t) for t, b in zip(acc, part)]
         del part  # free this segment's bins before the next one is sieved
     if acc is None:
-        return SumValue(0j, 0)
-    return _binned_sum(acc[0], q, p.a, p.nu, None if prime_value is None else acc[1:])
+        return [SumValue(0j, 0)] * len(avals)
+    return _binned_sum(acc[0], q, avals, p.nu, None if prime_value is None else acc[1:])
 
 
 def _binned_sum(
     counts: np.ndarray,
     q: int,
-    a: int,
+    avals: Sequence[int],
     nu: int,
     weights: Optional[list[np.ndarray]] = None,
-) -> SumValue:
+) -> list[SumValue]:
     """S over classes r mod q with counts[r] > 0 (units only for nu < 0) of
-    w_r * e_q(a * r^nu); w_r = counts[r], or weights[0][r] + i * weights[1][r].
-    `terms` is the sum of the counts kept.
+    w_r * e_q(a * r^nu), one per a in avals; w_r = counts[r], or
+    weights[0][r] + i * weights[1][r].  `terms` is the sum of the counts kept.
     """
     nz = np.flatnonzero(counts)
-    idx, units = _monomial_residues(nz, q, a, nu)
+    pw, units = _monomial_residues(nz, q, nu)
     if units is not None:
-        nz, idx = nz[units], idx[units]
+        nz, pw = nz[units], pw[units]
     w = counts[nz].astype(np.float64) if weights is None else weights[0][nz] + 1j * weights[1][nz]
-    return SumValue(_phase_sum(idx / q, w), int(counts[nz].sum()))
+    terms = int(counts[nz].sum())
+    return [SumValue(_phase_sum(_scaled(a, pw, q) / q, w), terms) for a in avals]
 
 
 def sum_power(
@@ -219,7 +236,7 @@ def sum_power(
     on which n^nu is defined; `terms` counts the summands actually used.
     Segments run on `threads` threads; the result does not depend on it.
     """
-    return _monomial_sum(p, segment, threads)
+    return _monomial_sum([p], segment, threads)[0]
 
 
 def sum_linear(
@@ -245,12 +262,12 @@ def sum_theta(
         raise ValueError("sum_theta needs params.theta")
     m, d = p.theta.as_integer_ratio()
     if d < 1 << 63:
-        return _monomial_sum(SumParams(x=p.x, y=p.y, q=d, a=m % d), segment, threads)
+        return _monomial_sum([SumParams(x=p.x, y=p.y, q=d, a=m % d)], segment, threads)[0]
     shift = d.bit_length() - 63
     a, t = m >> shift, (m & ((1 << shift) - 1)) / d
 
     def tail(members: np.ndarray, _: None) -> SumValue:
-        return _term_sum(members, 1 << 62, a, 1, np.exp(1j * (TWO_PI * t * members)))
+        return _term_sum(members, 1 << 62, [a], 1, np.exp(1j * (TWO_PI * t * members)))[0]
 
     return _total(smooth_segments(p.x, p.y, tail, segment, threads))
 
@@ -264,7 +281,7 @@ def sum_twisted(
     """S over n in S(x, y) of f(n) * e_q(a * n^nu) for completely
     multiplicative f given by its values on primes (|f| <= 1 caller contract).
     """
-    return _monomial_sum(p, segment, 1, prime_value)
+    return _monomial_sum([p], segment, 1, prime_value)[0]
 
 
 def sum_prime_convolution(
@@ -296,7 +313,7 @@ def sum_prime_convolution(
             z = floor_quotient(x, pr)
             m = np.arange(1, min(z, q) + 1, dtype=np.int64)
             np.add.at(counts, m * (pr % q) % q, (z - m) // q + 1)
-    return _binned_sum(counts, q, a, nu)
+    return _binned_sum(counts, q, [a], nu)[0]
 
 
 def sum_bilinear(
@@ -334,7 +351,7 @@ def sum_bilinear(
             mn.append(m * ns[:k])
             w.append(am * bs[:k])
     mn = np.concatenate(mn)
-    v = _term_sum(mn, q, a, nu, np.concatenate(w))
+    v = _term_sum(mn, q, [a], nu, np.concatenate(w))[0]
     if v.terms < mn.size:
         raise ValueError(f"nu={nu} < 0 needs every m * n <= x invertible modulo {q}")
     return v
@@ -352,7 +369,7 @@ def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
         raise ValueError("nu must be nonzero")
     counts = np.ones(q, dtype=np.int64)
     counts[0] = 0
-    return _binned_sum(counts, q, a, nu)
+    return _binned_sum(counts, q, [a], nu)[0]
 
 
 def weil_envelope_violation(
@@ -379,12 +396,12 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
             f"moment histogram over q={q} residues exceeds the memory budget"
         )
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
-    idx, units = _monomial_residues(m % q, q, 1, nu)
+    pw, units = _monomial_residues(m % q, q, nu)
     if units is not None and not units.all():
         raise ValueError(f"m={int(m[~units][0])} is not invertible modulo {q}")
     # each folded count is at most (M + 1)^k; past int64, fold Python ints
     dtype = np.int64 if (M + 1) ** k < 2**62 else object
-    h = np.bincount(idx, minlength=q).astype(dtype)
+    h = np.bincount(_scaled(1, pw, q), minlength=q).astype(dtype)
     acc = h
     for _ in range(k - 1):
         folded = np.zeros(q, dtype=dtype)

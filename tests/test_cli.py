@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from friable_sums import cli, sieve
+from friable_sums import bounds, cli, sieve, sums
 from friable_sums.cli import SplitMix64, main, parse_grid, resolve_grid
 
 
@@ -360,6 +360,73 @@ def test_scan_grid_row_count_and_determinism(tmp_path, capsys):
     lines = b1.decode().splitlines()
     data = [l for l in lines if l and not l.startswith("#")]
     assert len(data) == 1 + 27  # header + 3*3*3 rows
+
+
+def _scan_by_cell(argv):
+    """What `scan` prints for argv, built by calling bounds.report once per cell."""
+    args = cli.build_parser().parse_args(argv)
+    cells = cli.ScanSpec.from_args(args).cells()
+    rows = [cli._report_row(bounds.report(p, args.eps, args.delta)) for p in cells]
+    if args.format == "json":
+        return json.dumps(rows) + "\n"
+    lines = [cli.CSV_VERSION_LINE, ",".join(cli.SCAN_COLUMNS)]
+    lines += [",".join(r[c] for c in cli.SCAN_COLUMNS) for r in rows] + cli._diag_lines(rows)
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--nu", "1", "--q-grid", "x^0.9"],
+        ["--nu", "3", "--q-grid", "x^0.9"],
+        ["--nu", "-1", "--q-grid", "3981,720720"],
+        # past sums.HIST_LIMIT: the direct path, vectorized and on Python ints
+        ["--nu", "-1", "--q-grid", f"{(1 << 24) + 43},{(1 << 32) + 15}"],
+        ["--nu", "3", "--q-grid", f"{(1 << 24) + 43},{(1 << 32) + 15}"],
+        # one q twice: two cells with draws of their own, one run of six rows
+        ["--nu", "2", "--q-grid", "101,101"],
+    ],
+)
+def test_scan_shares_a_pass_per_cell_and_matches_per_cell_reports(capsys, grid, fmt):
+    argv = ["scan", "--x-grid", "1e4,3e4", "--y-grid", "30", "--random-a", "3",
+            "--seed", "5", "--format", fmt, *grid]
+    want = _scan_by_cell(argv)
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, argv + ["--threads", threads])
+        assert code == 0
+        assert out == want
+
+
+def test_scan_draws_each_cell_of_a_repeated_q_apart(capsys):
+    argv = ["scan", "--x-grid", "1e4", "--y-grid", "30", "--q-grid", "101,101",
+            "--random-a", "3", "--seed", "5", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    a = [int(row["a"]) for row in json.loads(out)]
+    draws = [cli.cell_rng(5, i) for i in (0, 1)]
+    assert a == [draws[i // 3].unit_mod(101) for i in range(6)]
+
+
+def test_single_cell_scan_runs_its_pass_on_the_threads(capsys, monkeypatch):
+    argv = ["scan", "--x-grid", "1e5", "--y-grid", "100", "--q-grid", "1009",
+            "--random-a", "4", "--seed", "3", "--nu", "-1"]
+    asked = []
+    segments = sums.smooth_segments
+
+    def recording(*args):
+        asked.append(args[4])  # x, y, part, segment, threads
+        return segments(*args)
+
+    monkeypatch.setattr(sums, "smooth_segments", recording)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    outs = []
+    for threads in ("1", "2"):
+        code, out, _ = run(capsys, argv + ["--threads", threads])
+        assert code == 0
+        outs.append(out)
+    assert asked == [1, 2]  # one pass for the four residues, on the threads asked for
+    assert outs[0] == outs[1] == _scan_by_cell(argv)
 
 
 def test_scan_different_seed_changes_random_draws(tmp_path):

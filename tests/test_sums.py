@@ -142,18 +142,36 @@ def test_sum_power_negative_nu_matches_brute_force():
 
 @pytest.mark.parametrize(
     "q",
-    [1, 2, 3600, 10007, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11, 1 << 32, 1 << 40, 1 << 62],
+    [1, 2, 3600, 10007, 1 << 20, 720720, (1 << 24) + 43, (1 << 31) - 1, (1 << 31) + 11,
+     1 << 32, 1 << 40, 1 << 62],
 )
 @pytest.mark.parametrize("nu", [-3, -1, 1, 2])
 def test_monomial_residues_equal_python_pow_on_units(q, nu):
-    r = np.random.default_rng(q).integers(0, q, 5000)
-    idx, units = sums._monomial_residues(r, q, 7, nu)
+    # the residues from 0 and random ones; 720720 = 2^4 3^2 5 7 11 13
+    r = np.concatenate([np.arange(min(q, 1000)), np.random.default_rng(q).integers(0, q, 5000)])
+    pw, units = sums._monomial_residues(r, q, nu)
+    idx = sums._scaled(7, pw, q)
     want_units = [math.gcd(v, q) == 1 for v in r.tolist()]
     assert (units is None) == (nu > 0)
     assert units is None or units.tolist() == want_units
     for v, got, ok in zip(r.tolist(), idx.tolist(), want_units):
         if ok or nu > 0:
             assert got == 7 * pow(v, nu, q) % q
+
+
+@pytest.mark.parametrize("hist_limit", [sums.HIST_LIMIT, 0])
+@pytest.mark.parametrize("q, nu", [(1009, 1), (3600, 3), (720720, -1), ((1 << 32) + 15, -2)])
+def test_one_pass_for_several_residues_matches_one_pass_each(monkeypatch, hist_limit, q, nu):
+    monkeypatch.setattr(sums, "HIST_LIMIT", hist_limit)
+    avals = [a for a in (1, 7, 11, 19, q - 1) if math.gcd(a, q) == 1]
+    cells = [SumParams(x=3e4, y=50, q=q, a=a, nu=nu) for a in avals]
+    twist = lambda pr: cmath.exp(0.1j * pr)  # noqa: E731
+    for prime_value in (None, twist):
+        shared = sums._monomial_sum(cells, 1 << 12, 1, prime_value)
+        assert shared == [sums._monomial_sum([c], 1 << 12, 1, prime_value)[0] for c in cells]
+    assert shared[0] == sum_twisted(cells[0], twist, segment=1 << 12)
+    shared = sums._monomial_sum(cells, 1 << 12, 2)
+    assert shared == [sum_power(c, segment=1 << 12) for c in cells]
 
 
 def test_sum_power_matches_naive_oracle_randomized():

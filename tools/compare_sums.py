@@ -8,7 +8,9 @@ fixed grid: `sum_power` on the histogram path and, with `sums.HIST_LIMIT`
 patched to 0, on the direct path, at (x, y) cells that the segment sieve
 lists (one of them, (1.2e6, 100), in segments that span several sieve
 blocks) and one, (5e6, 11), that the generator lists, at q in {1, composite,
-prime, > 2^23, > 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2;
+prime, > 2^23, > 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2, and
+at nu = -1 for q = 510510 = 2*3*5*7*11*13*17 and 2^20, where the sum keeps
+only the n prime to q;
 `sum_twisted` on both paths; `sum_theta` at theta of either sign, with
 denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
@@ -40,6 +42,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
 NU_GRID = (-2, -1, 1, 3)
+QNU_GRID = [(q, nu) for q in Q_GRID for nu in NU_GRID] + [(510510, -1), (1 << 20, -1)]
 SEGMENT = 1 << 14
 # (x, y, segment); the last cell's first segment spans four sieve blocks and
 # one more entry, so it ends in a block of one
@@ -69,16 +72,15 @@ def evaluate(src: str) -> dict[str, dict]:
     for path in ("hist", "direct"):
         sums.HIST_LIMIT = hist_limit if path == "hist" else 0
         for x, y, segment in XY_GRID:
-            for q in Q_GRID:
-                a = 7 if q % 7 else 11
-                for nu in NU_GRID:
-                    p = sums.SumParams(x=x, y=y, q=q, a=a, nu=nu)
-                    for threads in (1, 2):
-                        v = sums.sum_power(p, segment=segment, threads=threads)
-                        put(f"power/{path}/x={x}/y={y}/q={q}/nu={nu}/t={threads}",
-                            v.value, v.terms)
-                    v = sums.sum_twisted(p, lambda pr: cmath.exp(1j * pr), segment=segment)
-                    put(f"twisted/{path}/x={x}/y={y}/q={q}/nu={nu}", v.value, v.terms)
+            for q, nu in QNU_GRID:
+                a = next(a for a in (7, 11, 19) if math.gcd(a, q) == 1)
+                p = sums.SumParams(x=x, y=y, q=q, a=a, nu=nu)
+                for threads in (1, 2):
+                    v = sums.sum_power(p, segment=segment, threads=threads)
+                    put(f"power/{path}/x={x}/y={y}/q={q}/nu={nu}/t={threads}",
+                        v.value, v.terms)
+                v = sums.sum_twisted(p, lambda pr: cmath.exp(1j * pr), segment=segment)
+                put(f"twisted/{path}/x={x}/y={y}/q={q}/nu={nu}", v.value, v.terms)
     sums.HIST_LIMIT = hist_limit
 
     for x, y in ((1e6, 1e3), (3e5, 50)):
