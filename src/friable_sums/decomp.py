@@ -7,6 +7,11 @@ function, all implemented as exact, checkable computations.
   alternating prime-convolution corrections;
 - verifiers for two exact convolution decompositions of Lambda(n);
 - regrouping of prime-tuple convolutions into separable bilinear weights.
+
+The expansion and the relaxed tuple sum make no numpy call per tuple:
+`sieve._tuple_runs` reads the prime-tuple walk in batches and lays each
+batch's terms f(m * p_1...p_j), m <= x // (p_1...p_j), out flat in chunks,
+each summed pairwise by numpy and combined across chunks with fsum.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     FactorSieve,
+    _tuple_runs,
     build_sieve,
     next_primes_above,
     prime_tuples,
@@ -166,15 +172,8 @@ def _expansion_depth_ok(x_floor: int, y: float, r: int, ordering: str) -> bool:
     so the alternating series terminates within r corrections.
     """
     if ordering == "strict":
-        smallest = next_primes_above(y, r + 1)
-        prod = 1
-        for p in smallest:
-            prod *= p
-            if prod > x_floor:
-                return True
-        return prod > x_floor
-    p1 = next_primes_above(y, 1)[0]
-    return p1 ** (r + 1) > x_floor
+        return math.prod(next_primes_above(y, r + 1)) > x_floor
+    return next_primes_above(y, 1)[0] ** (r + 1) > x_floor
 
 
 def buchstab_expand(
@@ -200,23 +199,19 @@ def buchstab_expand(
     if ordering not in ("strict", "nondecreasing"):
         raise ValueError(f"unknown ordering {ordering!r}")
     x_floor = floor_int(x)
-    if x_floor < 1:
-        return BuchstabExpansion(x, y, r, ordering, 0j, tuple(0j for _ in range(r)))
     ps = primes_between(y, x)
     if ps.size and not _expansion_depth_ok(x_floor, y, r, ordering):
         raise ValueError(
             f"incomplete expansion: r={r} corrections cannot terminate at x={x}, y={y}"
         )
-    main_parts = []
-    for lo in range(1, x_floor + 1, chunk):
-        hi = min(lo + chunk - 1, x_floor)
-        main_parts.append(complex(np.sum(f(np.arange(lo, hi + 1, dtype=np.int64)))))
-    main = fsum_complex(main_parts)
+    top = x_floor + 1
+    main = fsum_complex(complex(np.sum(f(np.arange(lo, min(lo + chunk, top), dtype=np.int64))))
+                        for lo in range(1, top, chunk))
 
     level_parts: list[list[complex]] = [[] for _ in range(r)]
-    for pr, idx in prime_tuples(ps, x_floor, r, ordering == "strict"):
-        m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
-        level_parts[len(idx) - 1].append(complex(np.sum(f(m * pr))))
+    for level, tuples, _, chunks in _tuple_runs(ps, x_floor, r, ordering == "strict"):
+        pr = np.array([p for p, _ in tuples], dtype=np.int64)
+        level_parts[level - 1].extend(complex(np.sum(f(m * pr[t]))) for t, m in chunks)
     corrections = tuple(fsum_complex(parts) for parts in level_parts)
     return BuchstabExpansion(x, y, r, ordering, main, corrections)
 
@@ -401,10 +396,10 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
     ordered j-tuples of primes above y (repeats allowed), inner m free.
     """
     parts: list[complex] = []
-    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, distinct=False):
-        if len(idx) == j:
-            m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
-            parts.append(_orderings_of(idx) * complex(np.sum(f(m * pr))))
+    for _, tuples, _, chunks in _tuple_runs(tuple_primes(y, x, j), floor_int(x), j, False, level=j):
+        pr = np.array([p for p, _ in tuples], dtype=np.int64)
+        w = np.array([_orderings_of(idx) for _, idx in tuples], dtype=np.float64)
+        parts.extend(complex(np.sum(w[t] * f(m * pr[t]))) for t, m in chunks)
     return fsum_complex(parts)
 
 

@@ -46,6 +46,7 @@ Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -68,6 +69,10 @@ _GENERATE_NS = 2.6
 _BLOCK = 1 << 18
 _BLOCKED_STRIDE = 1 << 10
 _WHEEL_POWERS = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+# The tuple layer reads the prime-tuple walk this many tuples at a time and
+# evaluates each batch's (tuple, m) terms in chunks of at most this many.
+_TUPLE_BATCH = 1 << 8
+_TUPLE_CHUNK = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -142,6 +147,37 @@ def prime_tuples(
                 yield from grow(i + 1 if distinct else i, pr, ext)
 
     return grow(0, 1, ())
+
+
+def _tuple_runs(ps: Iterable[int], x_floor: int, depth: int, distinct: bool = True, *,
+                level: Optional[int] = None, cap: Optional[int] = None) -> Iterator[tuple]:
+    """The tuples of `prime_tuples` (only those of `level` primes, when
+    given) in batches of one level, each tuple with its run of terms
+    m = 1 .. min(z, cap), z = x_floor // product.
+
+    Yields (level, tuples, z, chunks): the batch's (product, indices) pairs,
+    products being Python ints; z per tuple as int64 (below 2^26 for every
+    caller); and the batch's terms laid out flat, tuple after tuple, as
+    chunks (t, m) of at most _TUPLE_CHUNK terms, t indexing the batch.  The
+    walk is read _TUPLE_BATCH tuples at a time, so memory stays
+    O(batch + chunk).
+    """
+    walk = prime_tuples(ps, x_floor, depth, distinct)
+    while got := list(itertools.islice(walk, _TUPLE_BATCH)):
+        for k in range(1, depth + 1) if level is None else (level,):
+            if tuples := [item for item in got if len(item[1]) == k]:
+                z = np.array([x_floor // pr for pr, _ in tuples], dtype=np.int64)
+                yield k, tuples, z, _runs(z if cap is None else np.minimum(z, cap))
+
+
+def _runs(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(t, m) for m = 1 .. lengths[t], every length >= 1, laid out flat and
+    cut into chunks of at most _TUPLE_CHUNK terms."""
+    ends = np.cumsum(lengths)
+    for lo in range(0, int(ends[-1]), _TUPLE_CHUNK):
+        k = np.arange(lo, min(lo + _TUPLE_CHUNK, int(ends[-1])), dtype=np.int64)
+        t = np.searchsorted(ends, k, side="right")
+        yield t, k - (ends[t] - lengths[t]) + 1
 
 
 def tuple_primes(y: float, x: float, j: int) -> np.ndarray:

@@ -19,10 +19,13 @@ and the powers r^nu mod q are made once, and only a * r^nu mod q and the
 phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
 per class r mod q into the sum of e_q(a * r^nu) over the occupied
 classes, for one or more residues a; three callers end in it:
-`_monomial_sum` (its histogram path), `sum_prime_convolution` (the
-m <= x / (p_1...p_j) of each prime tuple, counted by class of
-m * p_1...p_j, O(min(z, q)) work per tuple) and `complete_monomial_sum`
-(one count per r = 1 .. q-1).
+`_monomial_sum` (its histogram path), `sum_prime_convolution` and
+`complete_monomial_sum` (one count per r = 1 .. q-1).  The convolution
+counts the m <= z = x // (p_1...p_j) of each prime tuple by class of
+m * p_1...p_j mod q, as each m <= min(z, q) standing for (z - m) // q + 1
+values; it reads the tuples in batches from `sieve._tuple_runs` and adds
+a whole chunk of (tuple, m) terms with one np.add.at, so no numpy call is
+made per tuple and the int64 counts are exact.
 One kernel, `_phase_sum`, turns phases into a sum: a pairwise numpy sum
 per chunk of 2^16 terms, and exact compensated summation (fsum) across
 chunks and segments.
@@ -36,8 +39,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import TWO_PI, factorize, floor_int, floor_quotient, fsum_complex, is_prime
-from .sieve import DEFAULT_SEGMENT, ResourceLimitError, prime_tuples, smooth_segments, tuple_primes
+from .arith import TWO_PI, factorize, floor_int, fsum_complex, is_prime
+from .sieve import DEFAULT_SEGMENT, ResourceLimitError, _tuple_runs, smooth_segments, tuple_primes
 
 # Residue histograms are used up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables.
@@ -307,12 +310,12 @@ def sum_prime_convolution(
     if q > MAX_MOMENT_MODULUS:
         raise ResourceLimitError(f"convolution bins over q={q} residues exceed the memory budget")
     counts = np.zeros(q, dtype=np.int64)
-    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, strict):
-        if len(idx) == j:
+    runs = _tuple_runs(tuple_primes(y, x, j), floor_int(x), j, strict, level=j, cap=q)
+    for _, tuples, z, chunks in runs:
+        pr_q = np.array([pr % q for pr, _ in tuples], dtype=np.int64)
+        for t, m in chunks:
             # each m <= min(z, q) stands for the (z - m) // q + 1 values m' <= z, m' = m mod q
-            z = floor_quotient(x, pr)
-            m = np.arange(1, min(z, q) + 1, dtype=np.int64)
-            np.add.at(counts, m * (pr % q) % q, (z - m) // q + 1)
+            np.add.at(counts, m * pr_q[t] % q, (z[t] - m) // q + 1)
     return _binned_sum(counts, q, [a], nu)[0]
 
 
@@ -359,17 +362,23 @@ def sum_bilinear(
 
 def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
     """Sum over n = 1 .. q-1 of e_q(a * n^nu) for prime q, gcd(a, q) = 1."""
-    if q > MAX_MOMENT_MODULUS:
-        raise ResourceLimitError(f"complete-sum bins over q={q} residues exceed the memory budget")
+    counts = _complete_counts(q)
     if not is_prime(q):
         raise ValueError(f"complete monomial sums need a prime modulus, got q={q}")
     if math.gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     if nu == 0:
         raise ValueError("nu must be nonzero")
+    return _binned_sum(counts, q, [a], nu)[0]
+
+
+def _complete_counts(q: int) -> np.ndarray:
+    """One count per class r = 1 .. q-1, the n of a complete sum mod q."""
+    if q > MAX_MOMENT_MODULUS:
+        raise ResourceLimitError(f"complete-sum bins over q={q} residues exceed the memory budget")
     counts = np.ones(q, dtype=np.int64)
     counts[0] = 0
-    return _binned_sum(counts, q, [a], nu)[0]
+    return counts
 
 
 def weil_envelope_violation(
@@ -378,8 +387,12 @@ def weil_envelope_violation(
     """|sum over all residues n mod q of e_q(a n^nu)| minus (nu-1)*sqrt(q),
     if positive beyond `slack`; None when the envelope holds.
     """
-    full = 1 + complete_monomial_sum(q, a, nu).value  # n = 0 contributes 1
-    excess = abs(full) - (nu - 1) * math.sqrt(q)
+    return _weil_excess(complete_monomial_sum(q, a, nu), q, nu, slack)
+
+
+def _weil_excess(s: SumValue, q: int, nu: int, slack: float = 1e-6) -> Optional[float]:
+    """The excess of `weil_envelope_violation` for s = complete_monomial_sum(q, a, nu)."""
+    excess = abs(1 + s.value) - (nu - 1) * math.sqrt(q)  # n = 0 contributes 1
     return excess if excess > slack else None
 
 

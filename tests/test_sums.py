@@ -605,7 +605,7 @@ def test_prime_convolution_lists_primes_only_up_to_x_over_least_prime_power():
 def test_prime_convolution_refuses_a_modulus_past_its_bin_budget():
     # one int64 bin per residue would take 8 TiB at q = 2^40 + 15; the
     # refusal comes before any tuple is walked or any bin allocated
-    with mock.patch.object(sums, "prime_tuples", side_effect=AssertionError("walked")):
+    with mock.patch.object(sums, "_tuple_runs", side_effect=AssertionError("walked")):
         with pytest.raises(ResourceLimitError):
             sum_prime_convolution(2, 1e6, 100, (1 << 40) + 15, 1)
 

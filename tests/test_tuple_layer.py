@@ -1,0 +1,163 @@
+"""The tuple layer's batched runs against the per-tuple loops they replaced.
+
+`buchstab_expand`, `relaxed_tuple_sum` and `sum_prime_convolution` read the
+prime-tuple walk in batches and evaluate each batch's (tuple, m) terms as one
+flat run, cut into chunks.  The oracles below are the loops they replaced:
+one arange, one f call and one sum (or one np.add.at) per tuple.  Batches and
+chunks are also forced small, so that tuples straddle their edges.  The
+convolution's counts are integers, so it must match bit for bit; the float
+sums must match within 1e-14 per term.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from friable_sums import sieve, sums
+from friable_sums.arith import floor_int, floor_quotient, fsum_complex
+from friable_sums.decomp import _orderings_of, buchstab_expand, relaxed_tuple_sum
+from friable_sums.sieve import (
+    _tuple_runs,
+    next_primes_above,
+    prime_tuples,
+    primes_between,
+    tuple_primes,
+)
+from friable_sums.sums import sum_prime_convolution
+
+
+def phase_map(q, a):
+    def f(n):
+        ang = (2.0 * math.pi / q) * ((a % q) * (n % q) % q)
+        return np.cos(ang) + 1j * np.sin(ang)
+
+    return f
+
+
+def oracle_corrections(f, x, y, r, strict):
+    """Per level j: the sum of f(m * pr) over j-tuples pr and m <= x / pr,
+    and its number of terms."""
+    parts, terms = [[] for _ in range(r)], [0] * r
+    for pr, idx in prime_tuples(primes_between(y, x), floor_int(x), r, strict):
+        m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
+        parts[len(idx) - 1].append(complex(np.sum(f(m * pr))))
+        terms[len(idx) - 1] += m.size
+    return [fsum_complex(p) for p in parts], terms
+
+
+def oracle_relaxed(j, x, y, f):
+    parts, terms = [], 0
+    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, distinct=False):
+        if len(idx) == j:
+            m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
+            parts.append(_orderings_of(idx) * complex(np.sum(f(m * pr))))
+            terms += m.size
+    return fsum_complex(parts), terms
+
+
+def oracle_convolution(j, x, y, q, a, nu, strict):
+    counts = np.zeros(q, dtype=np.int64)
+    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, strict):
+        if len(idx) == j:
+            z = floor_quotient(x, pr)
+            m = np.arange(1, min(z, q) + 1, dtype=np.int64)
+            np.add.at(counts, m * (pr % q) % q, (z - m) // q + 1)
+    return sums._binned_sum(counts, q, [a], nu)[0]
+
+
+# (tuples per batch, terms per chunk); None keeps the defaults
+SIZES = [None, (1, 1), (3, 5), (7, 64)]
+
+
+@pytest.fixture(params=SIZES, ids=lambda s: "default" if s is None else f"batch{s[0]}-chunk{s[1]}")
+def sizes(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(sieve, "_TUPLE_BATCH", request.param[0])
+        monkeypatch.setattr(sieve, "_TUPLE_CHUNK", request.param[1])
+
+
+@pytest.mark.parametrize("ps, x_floor, depth, distinct, level, cap", [
+    ([3, 5, 7, 11, 13], 2000, 3, True, None, None),
+    ([3, 5, 7, 11, 13], 2000, 4, False, None, 7),
+    ([3, 5, 7, 11, 13], 2000, 4, False, 2, 50),
+    ([11, 13], 100, 2, True, 2, None),  # 11 * 13 > 100: level 2 is empty
+    ([], 100, 2, True, None, None),
+])
+def test_runs_list_each_tuples_terms_once(sizes, ps, x_floor, depth, distinct, level, cap):
+    want = [(pr, idx, m, x_floor // pr)
+            for pr, idx in prime_tuples(ps, x_floor, depth, distinct)
+            if level in (None, len(idx))
+            for m in range(1, min(x_floor // pr, cap or x_floor) + 1)]
+    got = []
+    for k, tuples, z, chunks in _tuple_runs(ps, x_floor, depth, distinct, level=level, cap=cap):
+        assert 0 < len(tuples) <= sieve._TUPLE_BATCH
+        assert all(len(idx) == k for _, idx in tuples)
+        for t, m in chunks:
+            assert 0 < t.size == m.size <= sieve._TUPLE_CHUNK
+            got += [(*tuples[i], mi, int(z[i])) for i, mi in zip(t.tolist(), m.tolist())]
+    assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("x, y, r, ordering", [
+    (2000, 2, 6, "nondecreasing"),  # 3^6 <= 2000 < 3^7: all six levels occupied
+    (5000.5, 2, 6, "strict"),  # 3*5*7*11*13 > 5000.5: levels 5 and 6 empty
+    (1e4, 2, 4, "strict"),
+    (1e4, 20, 3, "nondecreasing"),
+    (30000.5, 12, 3, "strict"),
+    (1234.75, 30, 2, "strict"),
+    (200, 15, 2, "strict"),  # y >= x / p0: level 2 empty
+    (50, 60, 2, "strict"),  # y >= x: no prime above y
+])
+def test_buchstab_matches_the_per_tuple_loop(sizes, x, y, r, ordering):
+    f = phase_map(101, 7)
+    got = buchstab_expand(f, x, y, r, ordering=ordering)
+    want, terms = oracle_corrections(f, x, y, r, ordering == "strict")
+    assert len(got.corrections) == r
+    for c, w, n in zip(got.corrections, want, terms):
+        assert abs(c - w) <= 1e-14 * max(1, n)
+
+
+@pytest.mark.parametrize("j, x, y", [
+    (2, 2000.5, 7),
+    (3, 1e4, 5),
+    (6, 2000, 2),  # 3^6 <= 2000: the one 6-tuple (3, ..., 3) and its kin
+    (2, 100, 7),  # 11^2 > 100: no pair
+    (2, 50, 60),  # y >= x
+])
+def test_relaxed_sum_matches_the_per_tuple_loop(sizes, j, x, y):
+    f = phase_map(13, 5)
+    want, terms = oracle_relaxed(j, x, y, f)
+    assert abs(relaxed_tuple_sum(j, x, y, f) - want) <= 1e-14 * max(1, terms)
+
+
+@pytest.mark.parametrize("j, x, y, q", [
+    (1, 20000.5, 50, 7),  # q below every z
+    (1, 20000, 50, 10007),  # q above most z
+    (2, 1e5, 30, 3600),
+    (2, 1e5 + 0.25, 30, 10007),  # q above every z
+    (3, 1e5, 10, 101),
+    (3, 3e4, 12, 1),
+    (2, 200, 15, 7),  # y >= x / p0: no pair
+    (1, 50, 60, 7),  # y >= x
+])
+@pytest.mark.parametrize("nu", [1, -1, 3])
+@pytest.mark.parametrize("strict", [True, False])
+def test_convolution_matches_the_per_tuple_loop_bit_for_bit(sizes, j, x, y, q, nu, strict):
+    a = 7 if math.gcd(7, q) == 1 else 1
+    got = sum_prime_convolution(j, x, y, q, a, nu, strict=strict)
+    assert got == oracle_convolution(j, x, y, q, a, nu, strict)
+
+
+@pytest.mark.parametrize("strict, terms", [(True, 3926), (False, 6955)])
+def test_convolution_with_products_past_two_to_the_64(strict, terms):
+    # four primes just above 2^20 multiply to past 2^80, so products must stay
+    # Python ints; z = x // product stays small, and only the primes up to
+    # x / p0^3 = p0 + 500 are listed, so the cell runs in a few milliseconds
+    y = 1 << 20
+    p0 = next_primes_above(y, 1)[0]
+    x = p0**3 * (p0 + 500)
+    assert p0**4 > 1 << 80
+    got = sum_prime_convolution(4, x, y, 1009, 5, strict=strict)
+    assert got.terms == terms
+    assert got == oracle_convolution(4, x, y, 1009, 5, 1, strict)

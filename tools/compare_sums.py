@@ -14,7 +14,10 @@ only the n prime to q;
 `sum_twisted` on both paths; `sum_theta` at theta of either sign, with
 denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
-`complete_monomial_sum`; `sum_prime_convolution`; `sum_bilinear`;
+`complete_monomial_sum`; `sum_prime_convolution`, one cell of it with
+products of four primes past 2^80; `buchstab_expand` (each correction, in
+both orderings, up to r = 6) and `relaxed_tuple_sum`, whose `terms` is the
+number of values of f the call took; `sum_bilinear`;
 `moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
 envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
 and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
@@ -22,7 +25,8 @@ and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
-* the moment counts are bit-identical and the exponents equal as floats
+* the prime convolutions and the moment counts are bit-identical, and the
+  exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
@@ -61,7 +65,7 @@ def evaluate(src: str) -> dict[str, dict]:
     sys.path.insert(0, src)
     import numpy as np
 
-    from friable_sums import bounds, optimizer, sums
+    from friable_sums import bounds, decomp, optimizer, sums
 
     out: dict[str, dict] = {}
 
@@ -98,7 +102,28 @@ def evaluate(src: str) -> dict[str, dict]:
                 for strict in (True, False):
                     v = sums.sum_prime_convolution(j, x, y, q, 7, nu, strict=strict)
                     put(f"conv/j={j}/x={x}/y={y}/q={q}/nu={nu}/strict={strict}",
-                        v.value, v.terms)
+                        v.value, v.terms, "exact")
+    p0 = 1048583  # the least prime above 2^20
+    for strict in (True, False):
+        v = sums.sum_prime_convolution(4, p0**3 * (p0 + 500), 1 << 20, 1009, 5, strict=strict)
+        put(f"conv/j=4/x=p0^3*(p0+500)/y=2^20/q=1009/strict={strict}", v.value, v.terms, "exact")
+    evaluated = [0]
+
+    def phases(n):  # e_q(7 n) at q = 10007, counting the values taken
+        evaluated[0] += n.size
+        ang = (2.0 * math.pi / 10007) * (7 * (n % 10007) % 10007)
+        return np.cos(ang) + 1j * np.sin(ang)
+
+    for x, y, r, ordering in ((3e5, 100, 2, "strict"), (1e5, 7, 6, "strict"),
+                              (20000.5, 12, 3, "nondecreasing"), (2000, 2, 6, "nondecreasing")):
+        evaluated[0] = 0
+        e = decomp.buchstab_expand(phases, x, y, r, ordering=ordering)
+        for level, c in enumerate((e.main,) + e.corrections):
+            put(f"buchstab/x={x}/y={y}/r={r}/{ordering}/level={level}", c, evaluated[0])
+    for j, x, y in ((2, 2e5, 7), (3, 20000.5, 5), (6, 2000, 2)):
+        evaluated[0] = 0
+        v = decomp.relaxed_tuple_sum(j, x, y, phases)
+        put(f"relaxed/j={j}/x={x}/y={y}", v, evaluated[0])
     alpha = {m: cmath.exp(0.3j * m) for m in range(1, 120)}
     beta = {n: (-1) ** n * 0.5 for n in range(1, 90) if n % 4}
     for q in (1, 3600, 10007):
