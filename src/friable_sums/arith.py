@@ -116,25 +116,14 @@ def floor_int(x: float) -> int:
 
 
 def floor_quotient(x: float, d: int) -> int:
-    """Largest integer k with k*d <= x, exact for float x and int d >= 1.
+    """Largest integer k with k*d <= x, exact for real x and int d >= 1.
 
-    Float division alone can misplace the edge when x sits on a multiple
-    of d; the integer products below compare exactly against the float.
+    k*d is an integer, so k*d <= x exactly when k*d <= floor(x): the
+    quotient is floor(floor(x) / d), taken in integers.
     """
     if d < 1:
         raise ValueError(f"divisor must be positive, got {d}")
-    if isinstance(x, int):
-        return x // d
-    if x != x or x in (math.inf, -math.inf):
-        raise ValueError(f"cannot take a floor quotient of x={x}")
-    if float(x).is_integer():
-        return int(x) // d
-    k = math.floor(x / d)
-    while (k + 1) * d <= x:
-        k += 1
-    while k * d > x:
-        k -= 1
-    return k
+    return floor_int(x) // d
 
 
 def fsum_complex(values: Iterable[complex]) -> complex:

@@ -14,10 +14,10 @@ that table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .sieve import DEFAULT_SEGMENT
 from .sums import SumParams, SumValue, sum_power, sum_theta
 
 ENVELOPE_NAMES = ("FT_rat", "FT_real", "THM1", "E1", "E2", "E3", "E4", "COR12")
@@ -130,7 +130,7 @@ def report(
     eps: float = 0.01,
     delta: float = 0.05,
     *,
-    segment: Optional[int] = None,
+    segment: int = DEFAULT_SEGMENT,
     threads: int = 1,
 ) -> BoundReport:
     """Evaluate the sum for `p` exactly and fill every envelope and ratio.
@@ -140,12 +140,8 @@ def report(
     """
     if not (p.x > 0 and p.y > 0):
         raise ValueError(f"envelopes need x > 0 and y > 0, got x={p.x}, y={p.y}")
-    kwargs = {} if segment is None else {"segment": segment}
-    if p.theta is not None:
-        exact = sum_theta(p, threads=threads, **kwargs)
-    else:
-        exact = sum_power(p, threads=threads, **kwargs)
-    return _with_envelopes(p, exact, eps, delta)
+    exact_sum = sum_power if p.theta is None else sum_theta
+    return _with_envelopes(p, exact_sum(p, segment=segment, threads=threads), eps, delta)
 
 
 def _with_envelopes(p: SumParams, exact: SumValue, eps: float, delta: float) -> BoundReport:

@@ -505,21 +505,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_sum_flags(sp):
-        sp.add_argument("--x", type=float, required=True)
-        sp.add_argument("--y", type=float, required=True)
-        sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--a", type=int, default=1)
-        sp.add_argument("--nu", type=int, default=1)
-        sp.add_argument("--theta", type=float, default=None)
-        sp.add_argument("--eps", type=float, default=0.01)
-        sp.add_argument("--delta", type=float, default=0.05)
-        sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--output", default=None)
-
     sp = sub.add_parser("sum", help="evaluate one sum and its bound report")
-    common_sum_flags(sp)
+    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--y", type=float, required=True)
+    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--nu", type=int, default=1)
+    sp.add_argument("--theta", type=float, default=None)
+    sp.add_argument("--eps", type=float, default=0.01)
+    sp.add_argument("--delta", type=float, default=0.05)
+    sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_sum)
 
     sp = sub.add_parser("sieve", help="emit a psi(x, y) table")

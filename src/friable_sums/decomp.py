@@ -11,7 +11,10 @@ function, all implemented as exact, checkable computations.
 The expansion and the relaxed tuple sum make no numpy call per tuple:
 `sieve._tuple_runs` reads the prime-tuple walk in batches and lays each
 batch's terms f(m * p_1...p_j), m <= x // (p_1...p_j), out flat in chunks,
-each summed pairwise by numpy and combined across chunks with fsum.
+each summed pairwise by numpy and combined across chunks with fsum.  The
+expansion's main term, the full sum over n <= x, is the run m = 1 .. floor(x)
+of the empty tuple, whose product is 1: it is read by `sieve._runs` in the
+same chunks as every correction.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     FactorSieve,
+    _runs,
     _tuple_runs,
     build_sieve,
     next_primes_above,
@@ -183,7 +187,6 @@ def buchstab_expand(
     r: int,
     *,
     ordering: str = "strict",
-    chunk: int = 1 << 20,
 ) -> BuchstabExpansion:
     """Expand the smooth sum of f over S(x, y) as the full sum over n <= x
     plus r alternating corrections summed over prime tuples above y.
@@ -204,9 +207,8 @@ def buchstab_expand(
         raise ValueError(
             f"incomplete expansion: r={r} corrections cannot terminate at x={x}, y={y}"
         )
-    top = x_floor + 1
-    main = fsum_complex(complex(np.sum(f(np.arange(lo, min(lo + chunk, top), dtype=np.int64))))
-                        for lo in range(1, top, chunk))
+    # the full sum is the run m = 1 .. floor(x) of the empty tuple, product 1
+    main = fsum_complex(complex(np.sum(f(m))) for _, m in _runs(np.array([x_floor])))
 
     level_parts: list[list[complex]] = [[] for _ in range(r)]
     for level, tuples, _, chunks in _tuple_runs(ps, x_floor, r, ordering == "strict"):
@@ -320,17 +322,14 @@ def first_heath_brown_counterexample(
     one = np.ones(n_max + 1)
     one[0] = 0.0
     mu_z = t.mobius.astype(np.float64)
-    mu_z[floor_int(z) + 1 :] = 0.0
-    mu_z[0] = 0.0
-    total = np.zeros(n_max + 1)
-    for j in range(1, J + 1):
-        conv = log_arr.copy()
-        conv[0] = 0.0
-        for _ in range(j - 1):
-            conv = _dirichlet_convolve(conv, one)
-        for _ in range(j):
-            conv = _dirichlet_convolve(conv, mu_z)
-        total += (-1) ** (j - 1) * math.comb(J, j) * conv
+    mu_z[floor_int(z) + 1 :] = 0.0  # mobius[0] is 0 already
+    # term_1 = mu_z * log and term_{j+1} = mu_z * (term_j * 1); the sparse
+    # mu_z goes first, as _dirichlet_convolve walks its support
+    term = _dirichlet_convolve(mu_z, log_arr)
+    total = J * term
+    for j in range(2, J + 1):
+        term = _dirichlet_convolve(mu_z, _dirichlet_convolve(term, one))
+        total += (-1) ** (j - 1) * math.comb(J, j) * term
     defect = np.abs(total[1:] - t.von_mangoldt[1:])
     bad = np.nonzero(defect > tol)[0]
     return int(bad[0]) + 1 if bad.size else None
@@ -394,9 +393,13 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
 def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
     """Direct evaluation of the fully relaxed prime-tuple convolution: all
     ordered j-tuples of primes above y (repeats allowed), inner m free.
+    f takes the terms as int64, so floor(x) >= 2^63 is refused up front.
     """
+    x_floor = floor_int(x)
+    if x_floor >= 1 << 63:
+        raise ValueError(f"terms m * p_1...p_j <= x must stay below 2^63, got x={x}")
     parts: list[complex] = []
-    for _, tuples, _, chunks in _tuple_runs(tuple_primes(y, x, j), floor_int(x), j, False, level=j):
+    for _, tuples, _, chunks in _tuple_runs(tuple_primes(y, x, j), x_floor, j, False, level=j):
         pr = np.array([p for p, _ in tuples], dtype=np.int64)
         w = np.array([_orderings_of(idx) for _, idx in tuples], dtype=np.float64)
         parts.extend(complex(np.sum(w[t] * f(m * pr[t]))) for t, m in chunks)

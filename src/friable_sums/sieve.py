@@ -291,10 +291,6 @@ class SmoothSet:
         return int(self.members.size)
 
 
-def _segment_bounds(x_floor: int, segment: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)]
-
-
 def _wheel_factors(k: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
     """The wheel seed of the first k (p, e) of _WHEEL_POWERS as two
     patterns, over 5 to 13 and over 2 and 3, whose periods divide 5005 and
@@ -484,7 +480,8 @@ def smooth_plan(
     primes = primes_upto(min(y_floor, math.isqrt(x_floor)))
     if _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
-    return _segment_bounds(x_floor, segment), y_floor, primes
+    return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
+            y_floor, primes)
 
 
 def smooth_in_range(

@@ -57,6 +57,22 @@ MAX_MODULUS = 1 << 63
 _CHUNK = 1 << 16
 
 
+def _check_phase(q: int, a: int, nu: int) -> None:
+    """Refuse a phase e_q(a * n^nu) outside the domain q >= 1, gcd(a, q) = 1, nu != 0."""
+    if q < 1 or math.gcd(a, q) != 1:
+        raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got q={q}, a={a}")
+    if nu == 0:
+        raise ValueError("nu must be nonzero")
+
+
+def _bins(q: int) -> np.ndarray:
+    """One zeroed int64 count per residue mod q; past MAX_MOMENT_MODULUS the
+    bins are refused before anything is allocated."""
+    if q > MAX_MOMENT_MODULUS:
+        raise ResourceLimitError(f"bins over q={q} residues exceed the memory budget")
+    return np.zeros(q, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class SumParams:
     """Argument record (x, y, q, a, nu, theta) shared by every sum."""
@@ -69,12 +85,9 @@ class SumParams:
     theta: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.q < MAX_MODULUS:
+        if self.q >= MAX_MODULUS:
             raise ValueError(f"modulus must satisfy 1 <= q < 2^63, got q={self.q}")
-        if math.gcd(self.a, self.q) != 1:
-            raise ValueError(f"need gcd(a, q) = 1, got a={self.a}, q={self.q}")
-        if self.nu == 0:
-            raise ValueError("nu must be nonzero")
+        _check_phase(self.q, self.a, self.nu)
         if self.theta is not None and not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
         if self.theta is not None and self.nu != 1:
@@ -303,13 +316,8 @@ def sum_prime_convolution(
     """
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
-    if q < 1 or math.gcd(a, q) != 1:
-        raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got q={q}, a={a}")
-    if nu == 0:
-        raise ValueError("nu must be nonzero")
-    if q > MAX_MOMENT_MODULUS:
-        raise ResourceLimitError(f"convolution bins over q={q} residues exceed the memory budget")
-    counts = np.zeros(q, dtype=np.int64)
+    _check_phase(q, a, nu)
+    counts = _bins(q)
     runs = _tuple_runs(tuple_primes(y, x, j), floor_int(x), j, strict, level=j, cap=q)
     for _, tuples, z, chunks in runs:
         pr_q = np.array([pr % q for pr, _ in tuples], dtype=np.int64)
@@ -332,8 +340,7 @@ def sum_bilinear(
     The pairs are listed per m, against the sorted beta keys up to
     floor(x) // m, and summed by the per-term kernel.
     """
-    if q < 1 or math.gcd(a, q) != 1:
-        raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got q={q}, a={a}")
+    _check_phase(q, a, nu)
     for name, seq in (("alpha", alpha), ("beta", beta)):
         for key, w in seq.items():
             if key < 1:
@@ -362,22 +369,17 @@ def sum_bilinear(
 
 def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
     """Sum over n = 1 .. q-1 of e_q(a * n^nu) for prime q, gcd(a, q) = 1."""
+    _check_phase(q, a, nu)
     counts = _complete_counts(q)
     if not is_prime(q):
         raise ValueError(f"complete monomial sums need a prime modulus, got q={q}")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    if nu == 0:
-        raise ValueError("nu must be nonzero")
     return _binned_sum(counts, q, [a], nu)[0]
 
 
 def _complete_counts(q: int) -> np.ndarray:
     """One count per class r = 1 .. q-1, the n of a complete sum mod q."""
-    if q > MAX_MOMENT_MODULUS:
-        raise ResourceLimitError(f"complete-sum bins over q={q} residues exceed the memory budget")
-    counts = np.ones(q, dtype=np.int64)
-    counts[0] = 0
+    counts = _bins(q)
+    counts[1:] = 1
     return counts
 
 
@@ -400,25 +402,21 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
     """Number of solutions of m_1^nu + ... + m_k^nu = m_{k+1}^nu + ... +
     m_{2k}^nu (mod q) with M <= m_i <= 2M, by a k-fold residue histogram.
     """
-    if k < 1 or M < 1 or q < 1:
-        raise ValueError(f"need k, M, q >= 1, got k={k}, M={M}, q={q}")
-    if nu == 0:
-        raise ValueError("nu must be nonzero")
-    if q > MAX_MOMENT_MODULUS:
-        raise ResourceLimitError(
-            f"moment histogram over q={q} residues exceeds the memory budget"
-        )
+    if k < 1 or M < 1:
+        raise ValueError(f"need k, M >= 1, got k={k}, M={M}")
+    _check_phase(q, 1, nu)
+    h = _bins(q)
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
     pw, units = _monomial_residues(m % q, q, nu)
     if units is not None and not units.all():
         raise ValueError(f"m={int(m[~units][0])} is not invertible modulo {q}")
     # each folded count is at most (M + 1)^k; past int64, fold Python ints
     dtype = np.int64 if (M + 1) ** k < 2**62 else object
-    h = np.bincount(_scaled(1, pw, q), minlength=q).astype(dtype)
-    acc = h
+    h += np.bincount(_scaled(1, pw, q), minlength=q)
+    acc = h.astype(dtype)
     for _ in range(k - 1):
         folded = np.zeros(q, dtype=dtype)
         for r in np.nonzero(h)[0]:
-            folded += np.roll(acc, int(r)) * h[r]
+            folded += np.roll(acc, int(r)) * int(h[r])
         acc = folded
     return sum(int(v) * int(v) for v in acc.tolist())

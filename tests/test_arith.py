@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -126,3 +127,28 @@ def test_floor_quotient_exact_edges():
         d = rng.randrange(1, 1000)
         assert floor_quotient(float(k * d), d) == k
         assert floor_quotient(k * d - 0.5, d) == k - 1
+
+
+def test_floor_quotient_equals_the_exact_rational_floor():
+    # floor(x / d) = floor(floor(x) / d) for real x, checked against the
+    # exact rational Fraction(x) // d
+    rng = random.Random(14)
+    xs = [0, 0.0, -0.0, 0.5, -0.5, 2.0**70, -(2.0**70), 2**70, 2**70 - 1, -(2**70) + 1]
+    for _ in range(3000):
+        d = rng.choice([1, 2, 3, 7, rng.randrange(1, 10**6), rng.randrange(1, 2**40)])
+        k = rng.randrange(-(2**30), 2**30)
+        near = float(k * d)  # on a multiple of d, then one ulp either side
+        xs_d = [near, math.nextafter(near, math.inf), math.nextafter(near, -math.inf),
+                rng.uniform(-1e6, 1e6), rng.uniform(-(2.0**70), 2.0**70),
+                rng.randrange(-(2**70), 2**70), k * d, k * d - 1]
+        for x in xs_d:
+            assert floor_quotient(x, d) == Fraction(x) // d, (x, d)
+    for x in xs:
+        for d in (1, 3, 2**35 + 1):
+            assert floor_quotient(x, d) == Fraction(x) // d, (x, d)
+
+
+def test_floor_quotient_refuses_a_divisor_below_one():
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="divisor must be positive"):
+            floor_quotient(10.5, d)

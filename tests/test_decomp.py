@@ -23,7 +23,7 @@ from friable_sums.decomp import (
     vaughan_lambda_check,
     w_split,
 )
-from friable_sums.sieve import build_sieve
+from friable_sums.sieve import build_sieve, next_primes_above
 from friable_sums.sums import SumParams, sum_linear, sum_power, sum_prime_convolution
 
 
@@ -369,6 +369,68 @@ def test_heath_brown_cutoff_is_sharp_for_the_range_check():
         heath_brown_lambda_check(1001, 2, 31.63)
 
 
+def heath_brown_oracle(n_max, J, z, tol=1e-9):
+    """The per-j form of the Heath-Brown check: each term
+    mu_z^(*j) * log * 1^(*(j-1)) rebuilt anew for each j, J^2 convolutions.
+    Reads its tables through decomp.arith_tables, so a patch reaches both.
+    """
+    t = decomp.arith_tables(n_max)
+    n = np.arange(n_max + 1, dtype=np.float64)
+    n[0] = 1.0
+    log_arr = np.log(n)
+    one = np.ones(n_max + 1)
+    one[0] = 0.0
+    mu_z = t.mobius.astype(np.float64)
+    mu_z[math.floor(z) + 1 :] = 0.0
+    mu_z[0] = 0.0
+    total = np.zeros(n_max + 1)
+    for j in range(1, J + 1):
+        conv = log_arr.copy()
+        conv[0] = 0.0
+        for _ in range(j - 1):
+            conv = decomp._dirichlet_convolve(conv, one)
+        for _ in range(j):
+            conv = decomp._dirichlet_convolve(conv, mu_z)
+        total += (-1) ** (j - 1) * math.comb(J, j) * conv
+    bad = np.nonzero(np.abs(total[1:] - t.von_mangoldt[1:]) > tol)[0]
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def planted_mobius(k, delta):
+    """arith_tables with mu(k) moved by delta."""
+    real = decomp.arith_tables
+
+    def tables(n_max):
+        t = real(n_max)
+        t.mobius[k] += delta
+        return t
+
+    return tables
+
+
+# z^J = n_max exactly, the edge of the identity's range
+HEATH_BROWN_GRID = [(500, 1, 500), (961, 2, 31), (1024, 2, 32), (729, 3, 9), (1000, 3, 10),
+                    (625, 4, 5), (1296, 4, 6)]
+
+
+@pytest.mark.parametrize("n_max, J, z", HEATH_BROWN_GRID)
+def test_heath_brown_chain_matches_the_per_j_loop(n_max, J, z):
+    assert first_heath_brown_counterexample(n_max, J, z) is None
+    assert heath_brown_oracle(n_max, J, z) is None
+    # a moved mu(k), k <= z, breaks mu_z * 1 = [n = 1] at n = k; both forms
+    # then first fail at n = 2 k^J, and k = z moves nothing up to n_max = z^J
+    for k in sorted({1, 2, 3, 5, z}):
+        for delta in (1, -2):
+            with mock.patch.object(decomp, "arith_tables", planted_mobius(k, delta)):
+                want = heath_brown_oracle(n_max, J, z)
+                assert first_heath_brown_counterexample(n_max, J, z) == want, (k, delta)
+            assert want == (2 * k**J if 2 * k**J <= n_max else None), (k, delta)
+    # a moved Lambda(k) breaks n = k alone
+    with mock.patch.object(decomp, "arith_tables", perturbed_tables(n_max, 0.25)):
+        assert first_heath_brown_counterexample(n_max, J, z) == n_max
+        assert heath_brown_oracle(n_max, J, z) == n_max
+
+
 # ---------------------------------------------------------------------------
 # bilinear regrouping
 # ---------------------------------------------------------------------------
@@ -453,6 +515,18 @@ def test_relaxed_tuple_sum_lists_primes_only_up_to_x_over_least_prime_power():
     # two primes above 1e4 have a product above 1e8, and no prime table up
     # to x (past the 2^26 budget) is built to find that out
     assert relaxed_tuple_sum(2, 1e8, 1e4, phase_map(7, 3)) == 0j
+
+
+def test_relaxed_tuple_sum_refuses_terms_past_int64_before_listing_primes():
+    # f takes the terms m * p1 * p2 * p3 as int64: floor(x) >= 2^63 is refused
+    # before tuple_primes lists anything
+    p0 = next_primes_above(1 << 21, 1)[0]
+    x = p0**2 * (p0 + 200)
+    assert x >= 1 << 63
+    with mock.patch.object(decomp, "tuple_primes", side_effect=AssertionError("listed")):
+        for xv in (x, 1 << 63, float(1 << 63)):
+            with pytest.raises(ValueError, match="2\\^63"):
+                relaxed_tuple_sum(3, xv, 1 << 21, ones_map)
 
 
 def test_regroup_rejects_small_j():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friable_sums import sums
+from friable_sums import sieve, sums
 from friable_sums.arith import eq_phase, fsum_complex
 from friable_sums.sieve import ResourceLimitError
 from friable_sums.sums import (
@@ -699,3 +699,43 @@ def test_bilinear_drops_keys_above_floor_x():
     assert_bilinear_matches_naive(small, {2: -1.0, 5: 1.0}, math.inf, 11, 2, 3)
     with pytest.raises(ValueError, match="2\\^63"):
         sum_bilinear(alpha, beta, 1e40, 11, 2, 3)
+
+
+# every entry that takes a phase e_q(a * n^nu), as a call (q, a, nu) -> value;
+# moment_count has no residue a, so it is only asked about q and nu
+PHASE_ENTRIES = {
+    "SumParams": lambda q, a, nu: SumParams(x=100, y=10, q=q, a=a, nu=nu),
+    "sum_prime_convolution": lambda q, a, nu: sum_prime_convolution(2, 1000, 5, q, a, nu),
+    "sum_bilinear": lambda q, a, nu: sum_bilinear({1: 1, 2: 1}, {1: 1, 3: 1}, 10, q, a, nu),
+    "complete_monomial_sum": lambda q, a, nu: complete_monomial_sum(q, a, nu),
+    "moment_count": lambda q, a, nu: moment_count(2, nu, q, 5),
+}
+
+
+BAD_PHASES = [(0, 1, 1, "q >= 1"), (-7, 1, 1, "q >= 1"), (6, 4, 1, "gcd"), (7, 1, 0, "nu must be nonzero")]
+
+
+@pytest.mark.parametrize("entry, q, a, nu, message", [
+    (entry, *bad) for entry in PHASE_ENTRIES for bad in BAD_PHASES
+    if not (entry == "moment_count" and bad[3] == "gcd")
+])
+def test_every_phase_entry_refuses_the_same_bad_phase(entry, q, a, nu, message):
+    with pytest.raises(ValueError, match=message):
+        PHASE_ENTRIES[entry](q, a, nu)
+    PHASE_ENTRIES[entry](7, 3, 2)  # a good phase passes the same entry
+
+
+@pytest.mark.parametrize("entry", ["sum_prime_convolution", "complete_monomial_sum", "moment_count"])
+@pytest.mark.parametrize("nu", [2, -1])
+@pytest.mark.parametrize("q", [(1 << 40) + 15, (1 << 31) - 1])
+def test_binned_entries_refuse_a_modulus_past_the_budget_before_trial_division(entry, nu, q):
+    # both q are prime and past the 2^26-bin budget; testing that, or (for
+    # the vectorised powers, q <= 2^31) factoring q for phi(q) at nu < 0,
+    # takes up to 2^20 trial divisions, and the bins would take up to 8 TiB
+    walked = AssertionError("trial division or a tuple walk ran")
+    with mock.patch.object(sums, "is_prime", side_effect=walked), \
+            mock.patch.object(sums, "factorize", side_effect=walked), \
+            mock.patch.object(sieve, "is_prime", side_effect=walked), \
+            mock.patch.object(sums, "_tuple_runs", side_effect=walked):
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            PHASE_ENTRIES[entry](q, 3, nu)

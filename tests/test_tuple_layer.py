@@ -161,3 +161,17 @@ def test_convolution_with_products_past_two_to_the_64(strict, terms):
     got = sum_prime_convolution(4, x, y, 1009, 5, strict=strict)
     assert got.terms == terms
     assert got == oracle_convolution(4, x, y, 1009, 5, 1, strict)
+
+
+@pytest.mark.parametrize("x", [0.5, 0, -3.5, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 16) + 0.5,
+                               3 * (1 << 16) + 7.25])
+def test_buchstab_main_term_is_the_plain_full_sum(x):
+    # the main term is the empty tuple's run m = 1 .. floor(x), summed in
+    # chunks of _TUPLE_CHUNK = 2^16 terms; y >= x leaves no correction
+    f = phase_map(101, 7)
+    got = buchstab_expand(f, x, max(x, 2), 2)
+    n = np.arange(1, floor_int(x) + 1, dtype=np.int64)
+    assert got.corrections == (0j, 0j)
+    assert abs(got.main - complex(np.sum(f(n)))) <= 1e-14 * max(1, n.size)
+    if n.size <= sieve._TUPLE_CHUNK:  # one chunk: the same pairwise sum
+        assert got.main == complex(np.sum(f(n)))
