@@ -11,9 +11,11 @@ and its phases are residues modulo 2^k.  One core, `_monomial_sum`, runs
 the sieve's segment driver for the plain, the twisted and the
 real-frequency sums: for q <= HIST_LIMIT it bins residues into exact
 integer counts, so large scans stay exact until one final
-floating-point pass; for larger q it sums each segment's phases as
-the segment arrives, through `_term_sum`, the one per-term tail, which
-`sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
+floating-point pass (without weights the sieve folds each segment's
+counts straight from its mask, listing no member, and they are added in
+place into one int64 histogram); for larger q it sums each segment's
+phases as the segment arrives, through `_term_sum`, the one per-term
+tail, which `sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
 one or more residues a that share (x, y, q, nu): the listing, the bins
 and the powers r^nu mod q are made once, and only a * r^nu mod q and the
 phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
@@ -198,8 +200,9 @@ def _monomial_sum(
     its residues to the nu-th power for all of them.
 
     Up to HIST_LIMIT residues are binned into exact int64 counts (and
-    complex weight bins), which meet the phases once at the end; beyond
-    it each segment's phases are summed as the segment arrives.
+    complex weight bins), which meet the phases once at the end; without
+    weights the driver hands over each segment's counts, not its members.
+    Beyond HIST_LIMIT each segment's phases are summed as it arrives.
     """
     p, avals = cells[0], [c.a for c in cells]
     q = p.q
@@ -210,13 +213,16 @@ def _monomial_sum(
         return [_total(part[i] for part in parts) for i in range(len(avals))]
 
     def bins(members: np.ndarray, w: Optional[np.ndarray]) -> list[np.ndarray]:
+        if w is None:  # the segment's residue counts, folded by the sieve
+            return [members]
         r = members % q
-        ws = () if w is None else (w.real, w.imag)
-        return [np.bincount(r, weights=v, minlength=q) for v in (None, *ws)]
+        return [np.bincount(r, weights=v, minlength=q) for v in (None, w.real, w.imag)]
 
     acc = None
-    for part in smooth_segments(p.x, p.y, bins, segment, threads, prime_value):
-        acc = part if acc is None else [np.add(t, b, out=t) for t, b in zip(acc, part)]
+    counted = q if prime_value is None else None
+    for part in smooth_segments(p.x, p.y, bins, segment, threads, prime_value, counted):
+        acc = ([part[0].astype(np.int64, copy=False), *part[1:]] if acc is None
+               else [np.add(t, b, out=t) for t, b in zip(acc, part)])
         del part  # free this segment's bins before the next one is sieved
     if acc is None:
         return [SumValue(0j, 0)] * len(avals)

@@ -142,6 +142,24 @@ def test_grids_are_refused_before_any_work(capsys, monkeypatch, argv, why):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve", "--x-grid", "1e19", "--y-grid", "2"],
+        ["sum", "--x", "1e19", "--y", "2", "--q", "101", "--a", "1"],
+        ["scan", "--x-grid", "1e19", "--y-grid", "2", "--q-grid", "101", "--budget", "1e30"],
+    ],
+)
+def test_x_from_two_to_the_63_is_refused_before_any_listing(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("S(x, y) was listed past 2^63")
+
+    monkeypatch.setattr(sieve, "_generate", fail)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert "x < 2^63" in err
+
+
 def test_sum_columns_are_the_scan_columns_with_re_and_im_before_abs(capsys):
     code, out, _ = run(capsys, ["sum", "--x", "100", "--y", "5", "--q", "7"])
     assert code == 0

@@ -361,13 +361,15 @@ def test_psi_never_exceeds_rankin_bound():
             assert psi(x, y) <= sieve._rankin_bound(x, primes_upto(y))
 
 
+@pytest.mark.parametrize("q", [None, 101])
 @pytest.mark.parametrize(
     "x, y, segment, generated",
     [(1e8, 30, DEFAULT_SEGMENT, True), (5e6, 1000, 1 << 20, False)],
 )
-def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated):
+def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q):
     # perfbench/spans.py reads these: the bounds tile [1, floor(x)] and the
-    # driver calls smooth_in_range exactly once per planned bound
+    # driver calls smooth_in_range exactly once per planned bound, with the
+    # segment's members, or with q its residue counts
     bounds, y_floor, primes = smooth_plan(x, y, segment)
     assert (len(bounds) == 1) == generated
     assert bounds[0][0] == 1 and bounds[-1][1] == math.floor(x)
@@ -382,10 +384,15 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated):
         return out
 
     with mock.patch.object(sieve, "smooth_in_range", counted):
-        total = sum(smooth_segments(x, y, lambda members, w: members.size, segment))
+        total = sum(smooth_segments(x, y, lambda r, w: int(r.size if q is None else r.sum()),
+                                    segment, 1, None, q))
     assert len(results) == len(bounds)
     assert all(isinstance(r, tuple) and len(r) == 2 and r[1] is None for r in results)
-    assert total == sum(r[0].size for r in results)
+    if q is None:
+        assert total == sum(r[0].size for r in results)
+    else:
+        assert all(r[0].size == q for r in results)
+        assert total == psi(x, y, segment)
 
 
 @pytest.mark.parametrize(
@@ -480,3 +487,72 @@ def test_build_sieve_matches_plain_walk_across_blocks(lo, hi):
         want = build_sieve(lo, hi)
     assert np.array_equal(fs.lpf, want.lpf)
     assert np.array_equal(fs.spf, want.spf)
+
+
+# ---------------------------------------------------------------------------
+# residue counts folded from the sieve mask, against the listing's bincount
+
+FOLD_Q = [1, 2, 3, 4095, 4096, 4097, 2**18 - 1, 2**18, 2**18 + 1, 10**6 + 3, 2**23]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, y",
+    [
+        (BLOCKS_LO + 2, BLOCKS_HI, 1000),  # three blocks, the last one short
+        (BLOCKS_LO + 2, BLOCKS_HI, 13),
+        (10**6 + 7, 10**6 + 3000, 5000),  # y >= hi - lo, a segment shorter than most q
+        (999_983, 10**6 + 500, 2 * 10**6),  # y >= hi: every n is smooth
+        (2**32 - sieve._BLOCK - 4999, 2**32 + 3000, 1000),  # uint64 smooth parts
+    ],
+)
+def test_folded_counts_equal_the_listing_bincount(lo, hi, y):
+    primes = primes_upto(min(y, math.isqrt(hi)))
+    members, _ = smooth_in_range(lo, hi, y, primes)
+    for q in FOLD_Q:
+        assert q == 1 or lo % q  # the first block starts inside a row of q
+        counts, weights = smooth_in_range(lo, hi, y, primes, None, q)
+        assert weights is None and counts.dtype == np.int32
+        assert np.array_equal(counts, np.bincount(members % q, minlength=q)), q
+    if y >= hi:
+        assert members.size == hi - lo + 1
+
+
+def test_folded_counts_of_a_generated_segment_are_its_bincount():
+    x, y = 10**8, 30
+    primes = primes_upto(y)
+    assert sieve._generates(x, y, primes)
+    members, _ = smooth_in_range(1, x, y, primes)
+    for q in FOLD_Q:
+        counts, weights = smooth_in_range(1, x, y, primes, None, q)
+        assert weights is None and counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(members % q, minlength=q)), q
+    for lo, hi in ((1, x), (10**6, 10**6 + 100)):  # generated, then sieved
+        with pytest.raises(ValueError, match="not both"):
+            smooth_in_range(lo, hi, y, primes, imaginary_prime, 101)
+
+
+def test_folded_counts_per_segment_are_the_same_on_one_and_two_threads():
+    # segments of three blocks, the last block of each short, and a short
+    # last segment
+    x, y, segment = 1_300_000, 1000, sieve._BLOCK + (1 << 19) + 3
+    assert x % segment
+    listed = list(smooth_segments(x, y, lambda members, _: members, segment))
+    with mock.patch.object(sieve, "usable_cpus", lambda: 2):
+        for q in FOLD_Q:
+            runs = [list(smooth_segments(x, y, lambda c, _: c, segment, threads, None, q))
+                    for threads in (1, 2)]
+            assert len(runs[0]) == len(listed) == -(-x // segment)
+            for one, two, members in zip(*runs, listed):
+                assert np.array_equal(one, two)
+                assert np.array_equal(one, np.bincount(members % q, minlength=q)), q
+
+
+def test_smooth_scans_hold_x_below_two_to_the_63():
+    # the generator's int64 products would wrap past 2^63 and never stop
+    with mock.patch.object(sieve, "_generate", side_effect=AssertionError("listing began")):
+        for x in (2**63, 2**63 + 5, float(2**63), 1e19):
+            with pytest.raises(ValueError, match="2\\^63"):
+                psi(x, 2)
+            with pytest.raises(ValueError, match="2\\^63"):
+                smooth_plan(x, 2)
+    assert psi(2**63 - 1, 2) == 63

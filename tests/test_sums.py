@@ -232,11 +232,14 @@ THETA_N = [1, 2, 3, 97, 2**32 - 1, 2**32, 2**32 + 1, 2**53 - 1, 2**53, 2**53 + 1
 @pytest.mark.parametrize("theta", THETA_GRID)
 def test_sum_theta_matches_a_fraction_oracle_per_term(theta):
     """Each n goes alone through the segment seam sum_theta sums over, so
-    every term e(theta * n) is held against theta * n mod 1 in Fractions.
+    every term e(theta * n) is held against theta * n mod 1 in Fractions;
+    on the histogram path the seam carries n's residue count mod q.
     """
     t = Fraction(theta)
     for n in THETA_N:
-        def one_segment(x, y, fn, segment, threads, prime_value=None):
+        def one_segment(x, y, fn, segment, threads, prime_value=None, q=None):
+            if q is not None:
+                return [fn(np.bincount([n % q], minlength=q), None)]
             return [fn(np.array([n], dtype=np.int64), None)]
 
         with mock.patch.object(sums, "smooth_segments", one_segment):
@@ -245,6 +248,19 @@ def test_sum_theta_matches_a_fraction_oracle_per_term(theta):
         want = cmath.exp(2j * math.pi * (turns.numerator / turns.denominator))
         assert v.terms == 1
         assert abs(v.value - want) <= 1e-14, (theta, n)
+
+
+def test_histogram_adds_int32_segment_counts_in_int64():
+    # each sieved segment's counts are int32; two of 2^31 - 1 in one class
+    # must not wrap in the histogram they are added into
+    def two_segments(x, y, fn, segment, threads, prime_value=None, q=None):
+        assert q == 3 and prime_value is None
+        return [fn(np.array([0, 2**31 - 1, 0], dtype=np.int32), None) for _ in range(2)]
+
+    with mock.patch.object(sums, "smooth_segments", two_segments):
+        v = sum_power(SumParams(x=10, y=2, q=3, a=1))
+    assert v.terms == 2**32 - 2
+    assert abs(v.value - (2**32 - 2) * cmath.exp(2j * math.pi / 3)) <= 1e-6
 
 
 @pytest.mark.parametrize("k", [1, 23, 24, 40, 62])

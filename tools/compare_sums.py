@@ -8,7 +8,9 @@ fixed grid: `sum_power` on the histogram path and, with `sums.HIST_LIMIT`
 patched to 0, on the direct path, at (x, y) cells that the segment sieve
 lists (one of them, (1.2e6, 100), in segments that span several sieve
 blocks) and one, (5e6, 11), that the generator lists, at q in {1, composite,
-prime, > 2^23, > 2^31, 2^40}, nu in {-2, -1, 1, 3} and threads 1 and 2, and
+prime, > 2^23, > 2^31, 2^40} and at q = 4099 and 10^6 + 3, whose histograms
+the sieve folds from its mask in rows and in two pieces per block, at
+nu in {-2, -1, 1, 3} and threads 1 and 2, and
 at nu = -1 for q = 510510 = 2*3*5*7*11*13*17 and 2^20, where the sum keeps
 only the n prime to q;
 `sum_twisted` on both paths; `sum_theta` at theta of either sign, with
@@ -44,7 +46,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-Q_GRID = (1, 3600, 10007, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
+Q_GRID = (1, 3600, 4099, 10007, 1_000_003, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
 NU_GRID = (-2, -1, 1, 3)
 QNU_GRID = [(q, nu) for q in Q_GRID for nu in NU_GRID] + [(510510, -1), (1 << 20, -1)]
 SEGMENT = 1 << 14
