@@ -313,8 +313,13 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # verify suites
 # ---------------------------------------------------------------------------
 
+def _given(value, default):
+    """A verify size as given (0 included), or its default when unset."""
+    return default if value is None else value
+
+
 def _suite_buchstab(args) -> tuple[bool, str]:
-    x, y, r = args.x or 1e4, args.y or 25.0, args.r or 3
+    x, y, r = _given(args.x, 1e4), _given(args.y, 25.0), _given(args.r, 3)
     rng = cell_rng(args.seed, 0)
     for _ in range(3):
         q = 2 + rng.below(997)
@@ -342,7 +347,7 @@ def _phase_map(q: int, a: int) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _suite_wsplit(args) -> tuple[bool, str]:
-    n_max = int(args.x or 20000)
+    n_max = int(_given(args.x, 20000))
     ws = (3.0, 10.0, 50.0)
     sieve = build_sieve(1, n_max)
     for w in ws:
@@ -354,7 +359,7 @@ def _suite_wsplit(args) -> tuple[bool, str]:
 
 
 def _suite_partition(args) -> tuple[bool, str]:
-    x, y, w = args.x or 1e4, args.y or 10.0, 10.0
+    x, y, w = _given(args.x, 1e4), _given(args.y, 10.0), 10.0
     direct, regrouped = decomp.split_partition_sums(_phase_map(101, 7), x, y, w)
     err = abs(direct - regrouped) / max(1.0, abs(direct))
     if err > 1e-9:
@@ -363,7 +368,7 @@ def _suite_partition(args) -> tuple[bool, str]:
 
 
 def _suite_vaughan(args) -> tuple[bool, str]:
-    n_max = int(args.x or 2000)
+    n_max = int(_given(args.x, 2000))
     bad = decomp.first_vaughan_counterexample(n_max, 10.0, 20.0)
     if bad is not None:
         return False, f"smallest failing n={bad} (n_max={n_max}, u=10, v=20)"
@@ -371,7 +376,7 @@ def _suite_vaughan(args) -> tuple[bool, str]:
 
 
 def _suite_heath_brown(args) -> tuple[bool, str]:
-    n_max = int(args.x or 2000)
+    n_max = int(_given(args.x, 2000))
     z = 13  # the identity needs z^3 >= n_max; the check itself is O(n_max)
     while z**3 < n_max:
         z += 1
@@ -382,7 +387,7 @@ def _suite_heath_brown(args) -> tuple[bool, str]:
 
 
 def _suite_regroup(args) -> tuple[bool, str]:
-    x, y = args.x or 2000.0, args.y or 7.0
+    x, y = _given(args.x, 2000.0), _given(args.y, 7.0)
     f = _phase_map(5, 1)
     weights = decomp.bilinear_regroup(2, x, y)
     direct = decomp.relaxed_tuple_sum(2, x, y, f)
@@ -394,7 +399,7 @@ def _suite_regroup(args) -> tuple[bool, str]:
 
 
 def _suite_weil(args) -> tuple[bool, str]:
-    q_max = int(args.x or 199)
+    q_max = int(_given(args.x, 199))
     for q in range(2, q_max + 1):
         if not is_prime(q):
             continue

@@ -8,13 +8,16 @@ function, all implemented as exact, checkable computations.
 - verifiers for two exact convolution decompositions of Lambda(n);
 - regrouping of prime-tuple convolutions into separable bilinear weights.
 
-The expansion and the relaxed tuple sum make no numpy call per tuple:
-`sieve._tuple_runs` reads the prime-tuple walk in batches and lays each
-batch's terms f(m * p_1...p_j), m <= x // (p_1...p_j), out flat in chunks,
-each summed pairwise by numpy and combined across chunks with fsum.  The
-expansion's main term, the full sum over n <= x, is the run m = 1 .. floor(x)
-of the empty tuple, whose product is 1: it is read by `sieve._runs` in the
-same chunks as every correction.
+The expansion, the relaxed tuple sum and the regrouping make no numpy call
+per tuple: they run on the one prime-tuple walk, `sieve._tuple_walk`, which
+hands out array chunks of tuples of one level with their products and
+multinomials.  The expansion and the relaxed sum lay each chunk's terms
+f(m * p_1...p_j), m <= x // (p_1...p_j), out flat with `sieve._runs`, in
+chunks each summed pairwise by numpy and combined across chunks with fsum.
+The expansion's main term, the full sum over n <= x, is the run
+m = 1 .. floor(x) of the empty tuple, whose product is 1: it is read by
+`sieve._runs` in the same chunks as every correction.  The regrouping
+reads gamma and its diagonal count off the multinomials.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     FactorSieve,
     _runs,
-    _tuple_runs,
+    _tuple_walk,
     build_sieve,
     next_primes_above,
-    prime_tuples,
     primes_between,
     primes_upto,
     spf_factorization,
@@ -211,8 +213,8 @@ def buchstab_expand(
     main = fsum_complex(complex(np.sum(f(m))) for _, m in _runs(np.array([x_floor])))
 
     level_parts: list[list[complex]] = [[] for _ in range(r)]
-    for level, tuples, _, chunks in _tuple_runs(ps, x_floor, r, ordering == "strict"):
-        pr = np.array([p for p, _ in tuples], dtype=np.int64)
+    for level, pr, _ in _tuple_walk(ps, x_floor, r, ordering == "strict"):
+        chunks = _runs(x_floor // pr)
         level_parts[level - 1].extend(complex(np.sum(f(m * pr[t]))) for t, m in chunks)
     corrections = tuple(fsum_complex(parts) for parts in level_parts)
     return BuchstabExpansion(x, y, r, ordering, main, corrections)
@@ -382,11 +384,12 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
 
     gamma: dict[int, int] = {}
     diagonal = 0
-    for pr, idx in prime_tuples(ps, x_floor, j, distinct=False):
-        if len(idx) == j - 1:
-            gamma[pr] = _orderings_of(idx)
-        elif len(idx) == j and len(set(idx)) < j:
-            diagonal += _orderings_of(idx) * floor_quotient(x, pr)
+    for level, pr, w in _tuple_walk(ps, x_floor, j, False):
+        if level == j - 1:
+            gamma.update(zip(pr.tolist(), w.tolist()))
+        elif level == j:
+            # a j-tuple repeats a prime exactly when it has fewer than j! orderings
+            diagonal += int(np.sum((w < math.factorial(j)) * w * (x_floor // pr)))
     return RegroupWeights(j=j, x=x, y=y, beta=beta, gamma=gamma, diagonal_terms=diagonal)
 
 
@@ -399,10 +402,10 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
     if x_floor >= 1 << 63:
         raise ValueError(f"terms m * p_1...p_j <= x must stay below 2^63, got x={x}")
     parts: list[complex] = []
-    for _, tuples, _, chunks in _tuple_runs(tuple_primes(y, x, j), x_floor, j, False, level=j):
-        pr = np.array([p for p, _ in tuples], dtype=np.int64)
-        w = np.array([_orderings_of(idx) for _, idx in tuples], dtype=np.float64)
-        parts.extend(complex(np.sum(w[t] * f(m * pr[t]))) for t, m in chunks)
+    for level, pr, w in _tuple_walk(tuple_primes(y, x, j), x_floor, j, False):
+        if level == j:
+            w = w.astype(np.float64)
+            parts.extend(complex(np.sum(w[t] * f(m * pr[t]))) for t, m in _runs(x_floor // pr))
     return fsum_complex(parts)
 
 
@@ -416,11 +419,3 @@ def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
         if sel.any():
             parts.append(g * complex(np.sum(bs[sel] * f(ells[sel] * n))))
     return fsum_complex(parts)
-
-
-def _orderings_of(indices: tuple[int, ...]) -> int:
-    """Distinct orderings of a nondecreasing index tuple (a multinomial)."""
-    total = math.factorial(len(indices))
-    for i in set(indices):
-        total //= math.factorial(indices.count(i))
-    return total

@@ -53,11 +53,10 @@ Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -76,10 +75,9 @@ _GENERATE_NS = 2.6
 _BLOCK = 1 << 18
 _BLOCKED_STRIDE = 1 << 10
 _WHEEL_POWERS = ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
-# The tuple layer reads the prime-tuple walk this many tuples at a time and
-# evaluates each batch's (tuple, m) terms in chunks of at most this many.
-_TUPLE_BATCH = 1 << 8
-_TUPLE_CHUNK = 1 << 16
+# The prime-tuple walk hands out this many tuples at a time, and the tuple
+# layer evaluates their (tuple, m) terms in chunks of at most this many.
+_TUPLE_CHUNK = 1 << 12
 
 
 class ResourceLimitError(RuntimeError):
@@ -128,57 +126,47 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
     return ps[ps > lo]
 
 
-def prime_tuples(
-    ps: Iterable[int], x_floor: int, depth: int, distinct: bool = True
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(product, indices) for every tuple of 1 to `depth` primes from the
-    ascending `ps` whose product is <= x_floor.
+def _tuple_walk(
+    ps: np.ndarray, x_floor: int, depth: int, distinct: bool
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(level, products, orderings) for every tuple of 1 to `depth` primes
+    from the ascending `ps` whose product is <= x_floor, in chunks of at
+    most _TUPLE_CHUNK tuples of one level.
 
     Indices increase strictly when `distinct`, weakly otherwise, so each
-    multiset of primes comes once.  Tuples come in lexicographic order of
-    their indices, each one before its extensions.  Products are Python
-    ints, so they never wrap.
+    multiset of primes comes once, and orderings is its multinomial, the
+    number of its distinct orderings.  The children of a chunk of parents
+    are the indices from each parent's last (plus one when distinct) up to
+    the last prime <= x_floor // product, laid out by `_runs`; a child's
+    multinomial is its parent's times k // c, k its level and c the run
+    length of its last index.  Chunks are walked depth-first, so memory
+    stays O(depth * chunk).  Products are int64 while x_floor < 2^63 and
+    Python ints (in object arrays) past it, so they never wrap; so are the
+    multinomials, at most depth!, while depth <= 20 (20! < 2^63).
     """
-    ps = [int(p) for p in ps]
+    if not ps.size:
+        return
+    values = ps.astype(np.int64 if x_floor < 1 << 63 else object)
 
-    def grow(
-        start: int, prod: int, indices: tuple[int, ...]
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        for i in range(start, len(ps)):
-            pr = prod * ps[i]
-            if pr > x_floor:
-                break
-            ext = indices + (i,)
-            yield pr, ext
-            if len(ext) < depth:
-                yield from grow(i + 1 if distinct else i, pr, ext)
+    def grow(level: int, last: np.ndarray, prod: np.ndarray, weight: np.ndarray,
+             run: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        start = np.maximum(last + distinct, 0)
+        stop = np.searchsorted(ps, np.minimum(x_floor // prod, ps[-1]).astype(np.int64), "right")
+        for t, m in _runs(np.maximum(stop - start, 0)):
+            i = start[t] + m - 1
+            c = np.where(i == last[t], run[t] + 1, 1)
+            pr, w = prod[t] * values[i], weight[t] * (level + 1) // c
+            yield level + 1, pr, w
+            if level + 1 < depth:
+                yield from grow(level + 1, i, pr, w, c)
 
-    return grow(0, 1, ())
-
-
-def _tuple_runs(ps: Iterable[int], x_floor: int, depth: int, distinct: bool = True, *,
-                level: Optional[int] = None, cap: Optional[int] = None) -> Iterator[tuple]:
-    """The tuples of `prime_tuples` (only those of `level` primes, when
-    given) in batches of one level, each tuple with its run of terms
-    m = 1 .. min(z, cap), z = x_floor // product.
-
-    Yields (level, tuples, z, chunks): the batch's (product, indices) pairs,
-    products being Python ints; z per tuple as int64 (below 2^26 for every
-    caller); and the batch's terms laid out flat, tuple after tuple, as
-    chunks (t, m) of at most _TUPLE_CHUNK terms, t indexing the batch.  The
-    walk is read _TUPLE_BATCH tuples at a time, so memory stays
-    O(batch + chunk).
-    """
-    walk = prime_tuples(ps, x_floor, depth, distinct)
-    while got := list(itertools.islice(walk, _TUPLE_BATCH)):
-        for k in range(1, depth + 1) if level is None else (level,):
-            if tuples := [item for item in got if len(item[1]) == k]:
-                z = np.array([x_floor // pr for pr, _ in tuples], dtype=np.int64)
-                yield k, tuples, z, _runs(z if cap is None else np.minimum(z, cap))
+    yield from grow(0, np.full(1, -1), np.ones(1, dtype=values.dtype),
+                    np.ones(1, dtype=np.int64 if depth <= 20 else object),
+                    np.zeros(1, dtype=np.int64))
 
 
 def _runs(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(t, m) for m = 1 .. lengths[t], every length >= 1, laid out flat and
+    """(t, m) for m = 1 .. lengths[t], every length >= 0, laid out flat and
     cut into chunks of at most _TUPLE_CHUNK terms."""
     ends = np.cumsum(lengths)
     for lo in range(0, int(ends[-1]), _TUPLE_CHUNK):

@@ -25,8 +25,9 @@ classes, for one or more residues a; three callers end in it:
 `complete_monomial_sum` (one count per r = 1 .. q-1).  The convolution
 counts the m <= z = x // (p_1...p_j) of each prime tuple by class of
 m * p_1...p_j mod q, as each m <= min(z, q) standing for (z - m) // q + 1
-values; it reads the tuples in batches from `sieve._tuple_runs` and adds
-a whole chunk of (tuple, m) terms with one np.add.at, so no numpy call is
+values; it takes the tuples in array chunks from the one prime-tuple walk,
+`sieve._tuple_walk`, lays their terms out with `sieve._runs` and adds a
+whole chunk of (tuple, m) terms with one np.add.at, so no numpy call is
 made per tuple and the int64 counts are exact.
 One kernel, `_phase_sum`, turns phases into a sum: a pairwise numpy sum
 per chunk of 2^16 terms, and exact compensated summation (fsum) across
@@ -42,7 +43,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .arith import TWO_PI, factorize, floor_int, fsum_complex, is_prime
-from .sieve import DEFAULT_SEGMENT, ResourceLimitError, _tuple_runs, smooth_segments, tuple_primes
+from .sieve import (DEFAULT_SEGMENT, ResourceLimitError, _runs, _tuple_walk, smooth_segments,
+                    tuple_primes)
 
 # Residue histograms are used up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables.
@@ -324,12 +326,14 @@ def sum_prime_convolution(
         raise ValueError(f"need j >= 1, got {j}")
     _check_phase(q, a, nu)
     counts = _bins(q)
-    runs = _tuple_runs(tuple_primes(y, x, j), floor_int(x), j, strict, level=j, cap=q)
-    for _, tuples, z, chunks in runs:
-        pr_q = np.array([pr % q for pr, _ in tuples], dtype=np.int64)
-        for t, m in chunks:
-            # each m <= min(z, q) stands for the (z - m) // q + 1 values m' <= z, m' = m mod q
-            np.add.at(counts, m * pr_q[t] % q, (z[t] - m) // q + 1)
+    x_floor = floor_int(x)
+    for level, pr, _ in _tuple_walk(tuple_primes(y, x, j), x_floor, j, strict):
+        if level == j:
+            # z < 2^26 and pr % q < q <= 2^26, whatever the products' dtype
+            z, pr_q = (x_floor // pr).astype(np.int64), (pr % q).astype(np.int64)
+            for t, m in _runs(np.minimum(z, q)):
+                # each m <= min(z, q) stands for the (z - m) // q + 1 values m' <= z, m' = m mod q
+                np.add.at(counts, m * pr_q[t] % q, (z[t] - m) // q + 1)
     return _binned_sum(counts, q, [a], nu)[0]
 
 

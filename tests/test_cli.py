@@ -534,6 +534,19 @@ def test_verify_heath_brown_past_13_cubed(capsys):
     assert out.startswith("heath-brown: PASS") and "z=18" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "buchstab", "--r", "0"], "need r >= 1"),
+    (["--suite", "wsplit", "--x", "0"], "need 1 <= lo <= hi"),
+    (["--suite", "heath-brown", "--x", "0"], "need 1 <= lo <= hi"),
+])
+def test_verify_takes_an_explicit_zero_as_given(capsys, argv, message):
+    # 0 is a size, not "unset": the suite runs at it and refuses it, and
+    # does not fall back to its default and PASS
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2
+    assert out == "" and message in err
+
+
 def test_verify_sabotage_reports_counterexample(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "buchstab", "--sabotage"])
     assert code == 1

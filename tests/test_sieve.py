@@ -14,7 +14,6 @@ from friable_sums.sieve import (
     ResourceLimitError,
     build_sieve,
     iter_smooth,
-    prime_tuples,
     primes_between,
     primes_upto,
     psi,
@@ -290,25 +289,56 @@ def test_build_sieve_across_two_to_the_32():
         assert (fs.lpf_of(n), fs.spf_of(n)) == (max(factors), min(factors))
 
 
+def tuple_multisets(ps, x_floor, depth, distinct):
+    """Per level: the multiset of (product, multinomial) of the tuples of
+    `sieve._tuple_walk`, listed by itertools with Python-int products."""
+    pick = itertools.combinations if distinct else itertools.combinations_with_replacement
+    out = {}
+    for k in range(1, depth + 1):
+        for idx in pick(range(len(ps)), k):
+            pr = math.prod(ps[i] for i in idx)
+            if pr <= x_floor:
+                orderings = math.factorial(k)
+                for i in set(idx):
+                    orderings //= math.factorial(idx.count(i))
+                out.setdefault(k, []).append((pr, orderings))
+    return {k: sorted(v) for k, v in out.items()}
+
+
+def walked_multisets(ps, x_floor, depth, distinct):
+    out = {}
+    for k, pr, w in sieve._tuple_walk(np.array(ps, dtype=np.int64), x_floor, depth, distinct):
+        assert 0 < pr.size == w.size <= sieve._TUPLE_CHUNK
+        out.setdefault(k, []).extend(zip(pr.tolist(), w.tolist()))
+    return {k: sorted(v) for k, v in out.items()}
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     ps=st.lists(st.sampled_from(primes_upto(60).tolist()), max_size=8, unique=True).map(sorted),
     x_floor=st.integers(0, 20000),
     depth=st.integers(1, 5),
     distinct=st.booleans(),
+    chunk=st.sampled_from([1, 3, sieve._TUPLE_CHUNK]),
 )
-def test_prime_tuples_match_itertools_enumeration(ps, x_floor, depth, distinct):
-    pick = itertools.combinations if distinct else itertools.combinations_with_replacement
-    expected = sorted(
-        idx
-        for k in range(1, depth + 1)
-        for idx in pick(range(len(ps)), k)
-        if math.prod(ps[i] for i in idx) <= x_floor
-    )
-    got = list(prime_tuples(np.array(ps, dtype=np.int64), x_floor, depth, distinct))
-    assert [idx for _, idx in got] == expected
-    assert [pr for pr, _ in got] == [math.prod(ps[i] for i in idx) for idx in expected]
-    assert all(type(pr) is int for pr, _ in got)
+def test_tuple_walk_matches_itertools_enumeration(ps, x_floor, depth, distinct, chunk):
+    # tuples come in chunks of one level, so only each level's multiset is
+    # pinned, not the order within it
+    with mock.patch.object(sieve, "_TUPLE_CHUNK", chunk):
+        got = walked_multisets(ps, x_floor, depth, distinct)
+    assert got == tuple_multisets(ps, x_floor, depth, distinct)
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+def test_tuple_walk_keeps_python_int_products_past_two_to_the_63(distinct):
+    # three primes above 2^21 multiply to past 2^63: the products must be
+    # exact Python ints, not wrapped int64
+    ps = primes_between(1 << 21, (1 << 21) + 200).tolist()
+    x_floor = ps[0] * ps[1] * ps[-1]
+    assert x_floor >= 1 << 63
+    got = walked_multisets(ps, x_floor, 3, distinct)
+    assert all(type(pr) is int for level in got.values() for pr, _ in level)
+    assert got == tuple_multisets(ps, x_floor, 3, distinct)
 
 
 # ---------------------------------------------------------------------------

@@ -621,7 +621,7 @@ def test_prime_convolution_lists_primes_only_up_to_x_over_least_prime_power():
 def test_prime_convolution_refuses_a_modulus_past_its_bin_budget():
     # one int64 bin per residue would take 8 TiB at q = 2^40 + 15; the
     # refusal comes before any tuple is walked or any bin allocated
-    with mock.patch.object(sums, "_tuple_runs", side_effect=AssertionError("walked")):
+    with mock.patch.object(sums, "_tuple_walk", side_effect=AssertionError("walked")):
         with pytest.raises(ResourceLimitError):
             sum_prime_convolution(2, 1e6, 100, (1 << 40) + 15, 1)
 
@@ -752,6 +752,6 @@ def test_binned_entries_refuse_a_modulus_past_the_budget_before_trial_division(e
     with mock.patch.object(sums, "is_prime", side_effect=walked), \
             mock.patch.object(sums, "factorize", side_effect=walked), \
             mock.patch.object(sieve, "is_prime", side_effect=walked), \
-            mock.patch.object(sums, "_tuple_runs", side_effect=walked):
+            mock.patch.object(sums, "_tuple_walk", side_effect=walked):
         with pytest.raises(ResourceLimitError, match="memory budget"):
             PHASE_ENTRIES[entry](q, 3, nu)

@@ -1,14 +1,17 @@
-"""The tuple layer's batched runs against the per-tuple loops they replaced.
+"""The tuple layer's chunked runs against per-tuple loops.
 
-`buchstab_expand`, `relaxed_tuple_sum` and `sum_prime_convolution` read the
-prime-tuple walk in batches and evaluate each batch's (tuple, m) terms as one
-flat run, cut into chunks.  The oracles below are the loops they replaced:
-one arange, one f call and one sum (or one np.add.at) per tuple.  Batches and
-chunks are also forced small, so that tuples straddle their edges.  The
-convolution's counts are integers, so it must match bit for bit; the float
-sums must match within 1e-14 per term.
+`buchstab_expand`, `relaxed_tuple_sum` and `sum_prime_convolution` take the
+prime-tuple walk in chunks of tuples of one level and evaluate each chunk's
+(tuple, m) terms as one flat run, cut into chunks.  The oracles below list
+the tuples with itertools and make one arange, one f call and one sum (or one
+np.add.at) per tuple.  Chunks are also forced small, so that tuples straddle
+their edges.  The convolution's counts are integers, so it must match bit for
+bit; the float sums must match within 1e-14 per term.
 """
 
+import bisect
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -16,14 +19,8 @@ import pytest
 
 from friable_sums import sieve, sums
 from friable_sums.arith import floor_int, floor_quotient, fsum_complex
-from friable_sums.decomp import _orderings_of, buchstab_expand, relaxed_tuple_sum
-from friable_sums.sieve import (
-    _tuple_runs,
-    next_primes_above,
-    prime_tuples,
-    primes_between,
-    tuple_primes,
-)
+from friable_sums.decomp import buchstab_expand, relaxed_tuple_sum
+from friable_sums.sieve import _runs, _tuple_walk, next_primes_above, primes_between, tuple_primes
 from friable_sums.sums import sum_prime_convolution
 
 
@@ -35,11 +32,40 @@ def phase_map(q, a):
     return f
 
 
+def tuples(ps, x, depth, distinct):
+    """(product, indices) of every tuple of 1 to `depth` of the primes ps,
+    indices increasing (strictly when distinct), with product <= x."""
+    return _tuples(tuple(int(p) for p in ps), floor_int(x), depth, distinct)
+
+
+# listed once per cell, for the four chunk sizes of `sizes` to share
+@functools.lru_cache(maxsize=None)
+def _tuples(ps, x_floor, depth, distinct):
+    pick = itertools.combinations if distinct else itertools.combinations_with_replacement
+    out = []
+    for k in range(1, depth + 1):
+        # a k-tuple's largest prime is at most x_floor // ps[0]^(k-1)
+        top = bisect.bisect_right(ps, x_floor // ps[0] ** (k - 1)) if ps else 0
+        for idx in pick(range(top), k):
+            pr = math.prod(ps[i] for i in idx)
+            if pr <= x_floor:
+                out.append((pr, idx))
+    return tuple(out)
+
+
+def orderings(idx):
+    """Distinct orderings of a nondecreasing index tuple (a multinomial)."""
+    total = math.factorial(len(idx))
+    for i in set(idx):
+        total //= math.factorial(idx.count(i))
+    return total
+
+
 def oracle_corrections(f, x, y, r, strict):
     """Per level j: the sum of f(m * pr) over j-tuples pr and m <= x / pr,
     and its number of terms."""
     parts, terms = [[] for _ in range(r)], [0] * r
-    for pr, idx in prime_tuples(primes_between(y, x), floor_int(x), r, strict):
+    for pr, idx in tuples(primes_between(y, x), x, r, strict):
         m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
         parts[len(idx) - 1].append(complex(np.sum(f(m * pr))))
         terms[len(idx) - 1] += m.size
@@ -48,17 +74,17 @@ def oracle_corrections(f, x, y, r, strict):
 
 def oracle_relaxed(j, x, y, f):
     parts, terms = [], 0
-    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, distinct=False):
+    for pr, idx in tuples(tuple_primes(y, x, j), x, j, distinct=False):
         if len(idx) == j:
             m = np.arange(1, floor_quotient(x, pr) + 1, dtype=np.int64)
-            parts.append(_orderings_of(idx) * complex(np.sum(f(m * pr))))
+            parts.append(orderings(idx) * complex(np.sum(f(m * pr))))
             terms += m.size
     return fsum_complex(parts), terms
 
 
 def oracle_convolution(j, x, y, q, a, nu, strict):
     counts = np.zeros(q, dtype=np.int64)
-    for pr, idx in prime_tuples(tuple_primes(y, x, j), floor_int(x), j, strict):
+    for pr, idx in tuples(tuple_primes(y, x, j), x, j, strict):
         if len(idx) == j:
             z = floor_quotient(x, pr)
             m = np.arange(1, min(z, q) + 1, dtype=np.int64)
@@ -66,15 +92,14 @@ def oracle_convolution(j, x, y, q, a, nu, strict):
     return sums._binned_sum(counts, q, [a], nu)[0]
 
 
-# (tuples per batch, terms per chunk); None keeps the defaults
-SIZES = [None, (1, 1), (3, 5), (7, 64)]
+# tuples per walk chunk and terms per run chunk; None keeps the default
+SIZES = [None, 1, 5, 64]
 
 
-@pytest.fixture(params=SIZES, ids=lambda s: "default" if s is None else f"batch{s[0]}-chunk{s[1]}")
+@pytest.fixture(params=SIZES, ids=lambda s: "default" if s is None else f"chunk{s}")
 def sizes(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(sieve, "_TUPLE_BATCH", request.param[0])
-        monkeypatch.setattr(sieve, "_TUPLE_CHUNK", request.param[1])
+        monkeypatch.setattr(sieve, "_TUPLE_CHUNK", request.param)
 
 
 @pytest.mark.parametrize("ps, x_floor, depth, distinct, level, cap", [
@@ -85,17 +110,21 @@ def sizes(request, monkeypatch):
     ([], 100, 2, True, None, None),
 ])
 def test_runs_list_each_tuples_terms_once(sizes, ps, x_floor, depth, distinct, level, cap):
-    want = [(pr, idx, m, x_floor // pr)
-            for pr, idx in prime_tuples(ps, x_floor, depth, distinct)
+    # the callers' layout: a walk chunk's tuples (of `level`, when given),
+    # each with its run m = 1 .. min(z, cap), z = x_floor // product
+    want = [(len(idx), pr, m, x_floor // pr)
+            for pr, idx in tuples(ps, x_floor, depth, distinct)
             if level in (None, len(idx))
             for m in range(1, min(x_floor // pr, cap or x_floor) + 1)]
     got = []
-    for k, tuples, z, chunks in _tuple_runs(ps, x_floor, depth, distinct, level=level, cap=cap):
-        assert 0 < len(tuples) <= sieve._TUPLE_BATCH
-        assert all(len(idx) == k for _, idx in tuples)
-        for t, m in chunks:
+    for k, pr, _ in _tuple_walk(np.array(ps, dtype=np.int64), x_floor, depth, distinct):
+        assert 0 < pr.size <= sieve._TUPLE_CHUNK
+        if level not in (None, k):
+            continue
+        z = x_floor // pr
+        for t, m in _runs(z if cap is None else np.minimum(z, cap)):
             assert 0 < t.size == m.size <= sieve._TUPLE_CHUNK
-            got += [(*tuples[i], mi, int(z[i])) for i, mi in zip(t.tolist(), m.tolist())]
+            got += [(k, int(pr[i]), mi, int(z[i])) for i, mi in zip(t.tolist(), m.tolist())]
     assert sorted(got) == sorted(want)
 
 
@@ -163,11 +192,14 @@ def test_convolution_with_products_past_two_to_the_64(strict, terms):
     assert got == oracle_convolution(4, x, y, 1009, 5, 1, strict)
 
 
-@pytest.mark.parametrize("x", [0.5, 0, -3.5, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 16) + 0.5,
-                               3 * (1 << 16) + 7.25])
+CHUNK = sieve._TUPLE_CHUNK
+
+
+@pytest.mark.parametrize("x", [0.5, 0, -3.5, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 0.5,
+                               3 * CHUNK + 7.25])
 def test_buchstab_main_term_is_the_plain_full_sum(x):
     # the main term is the empty tuple's run m = 1 .. floor(x), summed in
-    # chunks of _TUPLE_CHUNK = 2^16 terms; y >= x leaves no correction
+    # chunks of _TUPLE_CHUNK terms; y >= x leaves no correction
     f = phase_map(101, 7)
     got = buchstab_expand(f, x, max(x, 2), 2)
     n = np.arange(1, floor_int(x) + 1, dtype=np.int64)

@@ -18,8 +18,10 @@ denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
 `complete_monomial_sum`; `sum_prime_convolution`, one cell of it with
 products of four primes past 2^80; `buchstab_expand` (each correction, in
-both orderings, up to r = 6) and `relaxed_tuple_sum`, whose `terms` is the
-number of values of f the call took; `sum_bilinear`;
+both orderings, up to r = 6, and at (1e6, 100, r = 3), whose prime-tuple
+walk spans many chunks) and `relaxed_tuple_sum`, whose `terms` is the
+number of values of f the call took; `bilinear_regroup` (beta, gamma and
+diagonal_terms, at j = 2, 3 and 4); `sum_bilinear`;
 `moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
 envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
 and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
@@ -27,8 +29,8 @@ and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
-* the prime convolutions and the moment counts are bit-identical, and the
-  exponents equal as floats
+* the prime convolutions, the moment counts and the regrouping weights are
+  bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
@@ -117,7 +119,8 @@ def evaluate(src: str) -> dict[str, dict]:
         return np.cos(ang) + 1j * np.sin(ang)
 
     for x, y, r, ordering in ((3e5, 100, 2, "strict"), (1e5, 7, 6, "strict"),
-                              (20000.5, 12, 3, "nondecreasing"), (2000, 2, 6, "nondecreasing")):
+                              (20000.5, 12, 3, "nondecreasing"), (2000, 2, 6, "nondecreasing"),
+                              (1e6, 100, 3, "strict")):
         evaluated[0] = 0
         e = decomp.buchstab_expand(phases, x, y, r, ordering=ordering)
         for level, c in enumerate((e.main,) + e.corrections):
@@ -126,6 +129,11 @@ def evaluate(src: str) -> dict[str, dict]:
         evaluated[0] = 0
         v = decomp.relaxed_tuple_sum(j, x, y, phases)
         put(f"relaxed/j={j}/x={x}/y={y}", v, evaluated[0])
+    for j, x, y in ((2, 20000, 7), (3, 20000.5, 5), (4, 5000, 2)):
+        w = decomp.bilinear_regroup(j, x, y)
+        out[f"regroup/j={j}/x={x}/y={y}"] = {
+            "value": [sorted(w.beta.items()), sorted(w.gamma.items()), w.diagonal_terms],
+            "terms": w.diagonal_terms, "check": "exact"}
     alpha = {m: cmath.exp(0.3j * m) for m in range(1, 120)}
     beta = {n: (-1) ** n * 0.5 for n in range(1, 90) if n % 4}
     for q in (1, 3600, 10007):
