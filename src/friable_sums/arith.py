@@ -12,6 +12,7 @@ than a single Kahan accumulator).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable
 
@@ -55,23 +56,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n < 1:
         raise ValueError(f"cannot factor n={n}")
     out: list[tuple[int, int]] = []
-    for p in (2, 3):
+    p, steps = 2, itertools.chain((1, 2), itertools.cycle((2, 4)))  # 2, 3, then 6k -/+ 1
+    while p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             out.append((p, e))
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out.append((p, e))
-        d += 6
+        p += next(steps)
     if n > 1:
         out.append((n, 1))
     return out

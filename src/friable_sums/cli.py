@@ -351,10 +351,15 @@ def _suite_wsplit(args) -> tuple[bool, str]:
     ws = (3.0, 10.0, 50.0)
     sieve = build_sieve(1, n_max)
     for w in ws:
-        for n in range(math.ceil(w), n_max + 1):
+        counts = decomp._split_counts(n_max, w, sieve)
+        # the array pass must agree with the public per-n oracle on a prefix
+        for n in range(math.ceil(w), min(n_max, 1000) + 1):
             c = decomp.count_admissible_splits(n, w, sieve)
-            if c != 1:
-                return False, f"n={n} w={w}: {c} admissible splits (expected 1)"
+            if c != counts[n]:
+                return False, f"n={n} w={w}: array pass counts {counts[n]} admissible splits, count_admissible_splits {c}"
+        bad = np.flatnonzero(counts[math.ceil(w):] != 1) + math.ceil(w)
+        if bad.size:
+            return False, f"n={bad[0]} w={w}: {counts[bad[0]]} admissible splits (expected 1)"
     return True, f"unique splits for all n <= {n_max}, w in {ws}"
 
 

@@ -18,6 +18,11 @@ The expansion's main term, the full sum over n <= x, is the run
 m = 1 .. floor(x) of the empty tuple, whose product is 1: it is read by
 `sieve._runs` in the same chunks as every correction.  The regrouping
 reads gamma and its diagonal count off the multinomials.
+
+The split counts of every n <= N come from one array pass too
+(`_split_counts`): each admissible k takes its run of m <= N // k, laid
+out flat by `sieve._runs`, and k * m is counted by a single bincount.
+`count_admissible_splits`, one n at a time, is its oracle.
 """
 
 from __future__ import annotations
@@ -104,6 +109,24 @@ def count_admissible_splits(n: int, w: float, sieve: Optional[FactorSieve] = Non
             for i in range(e + 1)
         ]
     return sum(1 for k, pk, pm in splits if w <= k < w * pk and pk <= pm)
+
+
+def _split_counts(n_max: int, w: float, sieve: FactorSieve) -> np.ndarray:
+    """count_admissible_splits(n, w) for every 0 <= n <= n_max, as int64
+    counts c[n], in one array pass over a sieve covering [1, n_max].
+
+    Each admissible k (w <= k < w*P(k), compared in float64 as above) takes
+    m = 1 and every m in [P(k), n_max // k] with p(m) >= P(k); the (k, m)
+    runs are laid out flat by `_runs` and every k*m counted by one bincount.
+    """
+    ks = np.arange(1, n_max + 1, dtype=np.int64)
+    ks = ks[(w <= ks) & (ks < w * sieve.lpf[:n_max])]
+    pk = sieve.lpf[ks - 1]
+    hits = [ks]  # m = 1
+    for t, i in _runs(np.maximum(n_max // ks - pk + 1, 0)):
+        m = pk[t] + i - 1
+        hits.append((ks[t] * m)[sieve.spf[m - 1] >= pk[t]])
+    return np.bincount(np.concatenate(hits), minlength=n_max + 1)
 
 
 def split_partition_sums(
@@ -411,11 +434,14 @@ def relaxed_tuple_sum(j: int, x: float, y: float, f: VectorizedMap) -> complex:
 
 def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
     """sum over l, n with l*n <= x of beta[l] * gamma[n] * f(l*n)."""
-    ells = np.array(list(weights.beta), dtype=np.int64)
-    bs = np.array(list(weights.beta.values()), dtype=np.float64)
+    keys = sorted(weights.beta)  # ascending l, as bilinear_regroup lays them down already
+    ells = np.array(keys, dtype=np.int64)
+    bs = np.array([weights.beta[ell] for ell in keys], dtype=np.float64)
+    x_floor = floor_int(weights.x)
     parts: list[complex] = []
     for n, g in weights.gamma.items():
-        sel = ells * n <= weights.x
-        if sel.any():
-            parts.append(g * complex(np.sum(bs[sel] * f(ells[sel] * n))))
+        # l * n <= x exactly for the ascending prefix l <= floor(x) // n
+        cut = int(np.searchsorted(ells, x_floor // n, "right"))
+        if cut:
+            parts.append(g * complex(np.sum(bs[:cut] * f(ells[:cut] * n))))
     return fsum_complex(parts)

@@ -167,10 +167,11 @@ def _tuple_walk(
 
 def _runs(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(t, m) for m = 1 .. lengths[t], every length >= 0, laid out flat and
-    cut into chunks of at most _TUPLE_CHUNK terms."""
+    cut into chunks of at most _TUPLE_CHUNK terms; nothing for no lengths."""
     ends = np.cumsum(lengths)
-    for lo in range(0, int(ends[-1]), _TUPLE_CHUNK):
-        k = np.arange(lo, min(lo + _TUPLE_CHUNK, int(ends[-1])), dtype=np.int64)
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _TUPLE_CHUNK):
+        k = np.arange(lo, min(lo + _TUPLE_CHUNK, total), dtype=np.int64)
         t = np.searchsorted(ends, k, side="right")
         yield t, k - (ends[t] - lengths[t]) + 1
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from friable_sums import bounds, cli, sieve, sums
+from friable_sums import bounds, cli, decomp, sieve, sums
 from friable_sums.cli import SplitMix64, main, parse_grid, resolve_grid
 
 
@@ -545,6 +545,38 @@ def test_verify_takes_an_explicit_zero_as_given(capsys, argv, message):
     code, out, err = run(capsys, ["verify", *argv])
     assert code == 2
     assert out == "" and message in err
+
+
+def test_verify_wsplit_reports_a_planted_extra_split_past_the_oracle_prefix(capsys, monkeypatch):
+    # the per-n loop would name the first n >= w whose count is not 1: here
+    # n = 1500 at w = 10, as w = 3 passes and 1000 < 1500 < 1700
+    true_counts = decomp._split_counts
+
+    def planted(n_max, w, sv):
+        counts = true_counts(n_max, w, sv)
+        if w == 10.0:
+            counts[[1500, 1700]] += 1
+        return counts
+
+    monkeypatch.setattr(decomp, "_split_counts", planted)
+    code, out, err = run(capsys, ["verify", "--suite", "wsplit", "--x", "2000"])
+    assert code == 1 and err == ""
+    assert out == "wsplit: FAIL (n=1500 w=10.0: 2 admissible splits (expected 1))\n"
+
+
+def test_verify_wsplit_reports_a_disagreement_with_the_oracle(capsys, monkeypatch):
+    true_counts = decomp._split_counts
+
+    def planted(n_max, w, sv):
+        counts = true_counts(n_max, w, sv)
+        counts[700] = 0
+        return counts
+
+    monkeypatch.setattr(decomp, "_split_counts", planted)
+    code, out, err = run(capsys, ["verify", "--suite", "wsplit", "--x", "2000"])
+    assert code == 1 and err == ""
+    assert out == ("wsplit: FAIL (n=700 w=3.0: array pass counts 0 admissible splits, "
+                   "count_admissible_splits 1)\n")
 
 
 def test_verify_sabotage_reports_counterexample(capsys):

@@ -125,6 +125,21 @@ def test_admissible_splits_agree_with_and_without_sieve(n, w):
         assert w_split(n, w) == w_split(n, w, _SPLIT_SIEVE)
 
 
+@pytest.mark.parametrize("w", [1.0, 2.5, 3.0, 7.5, 10.0, 50.0, 2999.5])
+def test_split_counts_match_the_per_n_oracle(w):
+    counts = decomp._split_counts(3000, w, _SPLIT_SIEVE)
+    assert counts.dtype == np.int64 and counts.shape == (3001,)
+    assert counts.tolist() == [0] + [count_admissible_splits(n, w, _SPLIT_SIEVE) for n in range(1, 3001)]
+
+
+@pytest.mark.parametrize("n_max, w", [(1, 1.0), (1, 3.0), (2, 3.0), (40, 50.0), (2999, 2999.5)])
+def test_split_counts_below_the_threshold(n_max, w):
+    # n_max < w leaves no admissible k, n_max = 1 none but k = 1, which fails k < w * P(k)
+    counts = decomp._split_counts(n_max, w, _SPLIT_SIEVE)
+    assert counts.tolist() == [0] + [count_admissible_splits(n, w) for n in range(1, n_max + 1)]
+    assert not counts.any()
+
+
 def test_w_split_range_within_wy():
     fs = build_sieve(1, 30000)
     y = 50
@@ -487,6 +502,35 @@ def test_regroup_reproduces_relaxed_sum():
         direct = relaxed_tuple_sum(j, x, y, f)
         grouped = regrouped_tuple_sum(w, f)
         assert abs(direct - grouped) <= 1e-9 * max(1.0, abs(direct))
+
+
+def pairwise_regrouped_sum(weights, f):
+    """Oracle: every (l, n) pair tested against x itself, l in beta's order."""
+    ells = np.array(list(weights.beta), dtype=np.int64)
+    bs = np.array(list(weights.beta.values()), dtype=np.float64)
+    parts = []
+    for n, g in weights.gamma.items():
+        sel = ells * n <= weights.x
+        if sel.any():
+            parts.append(g * complex(np.sum(bs[sel] * f(ells[sel] * n))))
+    return fsum_complex(parts)
+
+
+@pytest.mark.parametrize("j, x, y", [(2, 1e4 + 0.5, 7.0), (2, 10001.0, 7.0), (3, 4000.75, 5.0)])
+def test_regrouped_sum_cuts_each_n_at_floor_x_over_n(j, x, y):
+    # l * n = floor(x) is in and floor(x) + 1 is out; the same terms in the
+    # same order as the pairwise test, so the sums are equal to the bit
+    f = phase_map(7, 3)
+    w = bilinear_regroup(j, x, y)
+    assert regrouped_tuple_sum(w, f) == pairwise_regrouped_sum(w, f)
+
+
+def test_regrouped_sum_takes_beta_in_any_order():
+    w = bilinear_regroup(2, 3000.5, 7.0)
+    shuffled = dict(sorted(w.beta.items(), key=lambda kv: -kv[0]))
+    again = decomp.RegroupWeights(w.j, w.x, w.y, shuffled, w.gamma, w.diagonal_terms)
+    f = phase_map(7, 3)
+    assert regrouped_tuple_sum(again, f) == regrouped_tuple_sum(w, f)
 
 
 def test_relaxed_equals_strict_plus_diagonal():

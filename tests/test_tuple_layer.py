@@ -128,6 +128,12 @@ def test_runs_list_each_tuples_terms_once(sizes, ps, x_floor, depth, distinct, l
     assert sorted(got) == sorted(want)
 
 
+@pytest.mark.parametrize("lengths", [[], [0], [0, 0, 0]])
+def test_runs_of_no_terms_yield_nothing(lengths):
+    # the split-count pass lays out no runs when no k is admissible
+    assert list(_runs(np.array(lengths, dtype=np.int64))) == []
+
+
 @pytest.mark.parametrize("x, y, r, ordering", [
     (2000, 2, 6, "nondecreasing"),  # 3^6 <= 2000 < 3^7: all six levels occupied
     (5000.5, 2, 6, "strict"),  # 3*5*7*11*13 > 5000.5: levels 5 and 6 empty
