@@ -31,10 +31,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter numbers
-_M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -293,7 +289,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.threads > 1 and len(groups) >= workers:
         from concurrent.futures import ThreadPoolExecutor
 
-        _return_freed_memory()
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = [row for part in pool.map(run, groups) for row in part]
     else:  # fewer passes than workers: each pass runs its segments on the threads
@@ -382,9 +377,14 @@ def _suite_vaughan(args) -> tuple[bool, str]:
 
 def _suite_heath_brown(args) -> tuple[bool, str]:
     n_max = int(_given(args.x, 2000))
-    z = 13  # the identity needs z^3 >= n_max; the check itself is O(n_max)
-    while z**3 < n_max:
-        z += 1
+    # the identity needs z^3 >= n_max, and z >= 13; Newton's integer steps,
+    # from above a float estimate, reach floor(cbrt(n)) however large n_max
+    # is (the check itself is O(n_max), and arith_tables refuses its size)
+    n = max(n_max, 1)
+    z = int(n ** (1 / 3) * (1 + 1e-9)) + 1
+    while (step := (2 * z + n // (z * z)) // 3) < z:
+        z = step
+    z = max(13, z + (z**3 < n))
     bad = decomp.first_heath_brown_counterexample(n_max, 3, z)
     if bad is not None:
         return False, f"smallest failing n={bad} (n_max={n_max}, J=3, z={z})"
@@ -495,16 +495,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int, name: str) -> Callable[[str], int]:
-    """argparse type for an integer option `name` that must be >= low."""
+def _at_least(low, name: str, kind: type = int) -> Callable[[str], object]:
+    """argparse type for an option `name` read by `kind` that must be >= low
+    (a float NaN is not)."""
 
-    def integer(text: str) -> int:
-        n = int(text)
-        if n < low:
+    def number(text: str):
+        n = kind(text)
+        if not n >= low:
             raise argparse.ArgumentTypeError(f"{name} must be at least {low}, got {n}")
         return n
 
-    return integer
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", type=float, default=None)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
+    sp.add_argument("--threads", type=_at_least(1, "threads"), default=1)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_sum)
@@ -542,15 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-grid", required=True)
     sp.add_argument("--a", type=int, default=1, help="fixed residue (default)")
     sp.add_argument(
-        "--random-a", type=_int_at_least(0, "random-a"), default=0, metavar="K",
+        "--random-a", type=_at_least(0, "random-a"), default=0, metavar="K",
         help="draw K seeded random units mod q per cell instead of --a",
     )
     sp.add_argument("--nu", type=int, default=1)
     sp.add_argument("--eps", type=float, default=0.01)
     sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_int_at_least(1, "threads"), default=1)
-    sp.add_argument("--budget", type=float, default=1e10,
+    sp.add_argument("--threads", type=_at_least(1, "threads"), default=1)
+    sp.add_argument("--budget", type=_at_least(-math.inf, "budget", float), default=1e10,
                     help="refuse scans whose summed term estimate exceeds this")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", default=None)
@@ -579,54 +580,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mallopt(param: int, value: int) -> None:
-    """glibc's mallopt(param, value); does nothing off glibc."""
-    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
-        return
-    import ctypes
-
-    ctypes.CDLL(None).mallopt(param, value)
-
-
 def _one_malloc_arena() -> None:
-    """Have glibc serve every thread of this process from one malloc arena.
+    """Have glibc serve every thread of this process from one malloc arena
+    (does nothing off glibc).
 
     By default each --threads pool thread gets an arena of its own, which
     keeps the segment buffers the thread freed; how much it keeps depends on
-    thread timing.  Three `sum` runs at x = 1e8 in one process, one of them
-    with --threads 2, peaked anywhere from 190 to 250 MiB from one process
-    to the next; with one arena they peak at 138-145 MiB and take as long
-    (2-core Xeon).  The sieve makes a few large allocations per segment, so
-    the shared arena's lock is not contended.
+    thread timing.  perfbench's `dense` workload (sums at x = 1e8, some with
+    --threads 2) peaked at 96-108 MiB over 6 runs with one arena, and at
+    151 MiB over 3 runs without it (2-core Xeon).  The sieve makes a few large
+    allocations per segment, so the shared arena's lock is not contended.
     """
-    _mallopt(_M_ARENA_MAX, 1)
+    if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+        import ctypes
 
-
-def _return_freed_memory() -> None:
-    """Have glibc give freed memory back at once, for the rest of the process:
-    blocks of 8 MiB or more get a mapping of their own that is unmapped at
-    free, and free space past 8 MiB at the top of the heap is trimmed.
-
-    By default glibc raises both limits as large blocks are freed (to 32
-    and 64 MiB), so after the first cell of a scan each segment's 16 MiB
-    smooth-part array (uint32 at 2^22 entries; the sieve's ceilings take
-    1 MiB per block) comes from the shared heap.  When two cells run at
-    once their blocks interleave there, and how much freed heap stays
-    resident depends on thread timing: a process running the pair of scans
-    `--x-grid geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 2
-    --threads 2` at nu = -1 and 3 three times, plus two sums, peaked at
-    157-192 MiB over 8 runs; with both limits at 8 MiB, at 153-156 MiB.
-    4 MiB was as steady but faulted in 40 % more pages; 17 and 32 MiB were
-    not steady.  Those runs predate the blocked sieve kernel, when each
-    segment also held a 16 MiB array of ceilings; with it, three passes of
-    perfbench's `phases` workload fault in 150-300k pages (370-390k before)
-    and peak at 133-142 MiB (145-149 MiB before) over 5 runs.
-    One-thread work keeps glibc's default: it reuses its heap in the same
-    order every run, and mapping each segment's buffers afresh cost three
-    `sum`s at x = 1e8 about 10 % in page faults (4 MiB limit, 2-core Xeon).
-    """
-    _mallopt(_M_MMAP_THRESHOLD, 8 << 20)
-    _mallopt(_M_TRIM_THRESHOLD, 8 << 20)
+        ctypes.CDLL(None).mallopt(-8, 1)  # M_ARENA_MAX is -8 in glibc's malloc.h
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -468,17 +468,24 @@ def smooth_plan(
     the single segment [1, floor(x)] where the cost rule (see the module
     docstring) lists S(x, y) by the generator.  The primes are those
     <= min(y, isqrt(x)) either way.  Members are int64, so floor(x) >= 2^63
-    is refused with ValueError.
+    is refused with ValueError, as is segment < 1.  A sieved plan whose
+    segments would exceed MAX_SEGMENT entries (none is longer than floor(x))
+    is refused with ResourceLimitError before anything is sieved.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
     if x_floor >= 1 << 63:
         raise ValueError(f"smooth scans need x < 2^63, got x={x}")
+    if segment < 1:
+        raise ValueError(f"segment must be at least 1, got {segment}")
     if x_floor < 1 or y_floor < 1:
         return [], y_floor, np.empty(0, dtype=np.int64)
     primes = primes_upto(min(y_floor, math.isqrt(x_floor)))
     if _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
+    if min(segment, x_floor) > MAX_SEGMENT:
+        raise ResourceLimitError(
+            f"sieve segments of {min(segment, x_floor)} entries exceed the {MAX_SEGMENT}-entry budget")
     return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
             y_floor, primes)
 
@@ -504,8 +511,8 @@ def smooth_in_range(
     so with y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff),
     made one kernel block at a time.  The ceilings share sp's dtype; their
     largest numerator is hi + y_eff - 1.  Counts are each block's mask
-    folded over q (see _fold), int32 per segment below 2^31 entries, so no
-    member is listed.
+    folded over q (see _fold), int32 as a planned segment holds at most
+    MAX_SEGMENT entries, so no member is listed.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -513,7 +520,7 @@ def smooth_in_range(
         members, weights = _generate(hi, primes, prime_value)
         return (members, weights) if q is None else (np.bincount(members % q, minlength=q), None)
     y_eff = min(y_floor, hi)
-    counts = None if q is None else np.zeros(q, dtype=np.int32 if hi - lo < 1 << 31 else np.int64)
+    counts = None if q is None else np.zeros(q, dtype=np.int32)
     if y_eff < 1:
         empty = np.empty(0, dtype=np.int64)
         return empty if counts is None else counts, empty.astype(np.complex128) if prime_value else None

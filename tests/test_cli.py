@@ -287,14 +287,16 @@ sys.exit(code)
     or not hasattr(ctypes.CDLL(None), "mallinfo2"),
     reason="glibc 2.33+ malloc only",
 )
-@pytest.mark.parametrize("threads, after", [("2", "True"), ("1", "False")])
-def test_threaded_scan_returns_freed_memory(threads, after):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_leaves_the_mmap_threshold_where_it_found_it(threads):
+    # a scan changes no process-wide allocator setting: 12 MiB blocks still
+    # come from the heap after it, at one thread or on a pool
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _MMAP_PROBE, threads], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", after]
+    assert proc.stdout.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -496,6 +498,17 @@ def test_scan_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_scan_budget_nan_is_refused(capsys):
+    # no cost exceeds NaN, so it would switch the budget off
+    argv = ["scan", "--x-grid", "1e4", "--y-grid", "10", "--q-grid", "101", "--budget"]
+    code, out, err = run(capsys, argv + ["nan"])
+    assert code == 2
+    assert out == "" and "budget must be at least -inf, got nan" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, argv + ["inf"])  # inf stays "no limit"
+    assert code == 0 and out.startswith("# friable-sums v1")
+
+
 def test_scan_coprime_filters_fixed_a(tmp_path):
     path = tmp_path / "scan.csv"
     code = main(
@@ -532,6 +545,27 @@ def test_verify_heath_brown_past_13_cubed(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "heath-brown", "--x", "5000"])
     assert code == 0
     assert out.startswith("heath-brown: PASS") and "z=18" in out
+    code, out, _ = run(capsys, ["verify", "--suite", "heath-brown"])
+    assert code == 0
+    assert out == "heath-brown: PASS (identity holds up to 2000 (J=3, z=13))\n"
+    # z^3 = x exactly takes z itself
+    code, out, _ = run(capsys, ["verify", "--suite", "heath-brown", "--x", str(17**3)])
+    assert code == 0 and "z=17)" in out
+
+
+@pytest.mark.parametrize("x", ["1e30", "1e300"])
+def test_verify_heath_brown_refuses_a_huge_x_at_once(x):
+    # z comes from an integer cube root, not from counting up to it (about
+    # 10^10 steps at 1e30), so the size is refused before any table is built
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "friable_sums.cli", "verify", "--suite", "heath-brown", "--x", x],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert "budget refusal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from friable_sums import sieve
 from friable_sums.sieve import (
     DEFAULT_SEGMENT,
+    MAX_SEGMENT,
     ResourceLimitError,
     build_sieve,
     iter_smooth,
@@ -73,6 +74,28 @@ def test_sieve_invariants():
 def test_segment_budget_enforced():
     with pytest.raises(ResourceLimitError):
         build_sieve(1, 10**9, max_entries=1 << 20)
+
+
+@pytest.mark.parametrize("segment", [0, -1, -5])
+def test_segment_below_one_is_refused(segment):
+    with pytest.raises(ValueError, match="segment must be at least 1"):
+        psi(1e6, 100, segment=segment)
+    with pytest.raises(ValueError, match="segment must be at least 1"):
+        smooth_plan(0.5, 100, segment=segment)
+
+
+def test_sieve_segments_past_the_budget_are_refused_before_sieving():
+    with mock.patch.object(sieve, "_smooth_part", side_effect=AssertionError("sieved")):
+        with pytest.raises(ResourceLimitError, match="entry budget"):
+            psi(1e8, 1e4, segment=2**27)
+        with pytest.raises(ResourceLimitError, match="entry budget"):
+            smooth_plan(1e8, 1e4, segment=MAX_SEGMENT + 1)
+        with pytest.raises(ResourceLimitError, match="entry budget"):
+            smooth_plan(MAX_SEGMENT + 1, 1e4, segment=1 << 30)
+    assert smooth_plan(1e8, 1e4, segment=MAX_SEGMENT)[0][0] == (1, MAX_SEGMENT)
+    # a segment longer than x is cut to x; the generator's plan ignores it
+    assert psi(1e5, 100, segment=1 << 30) == psi(1e5, 100) == 17442
+    assert smooth_plan(1e8, 100, segment=2**27)[0] == [(1, 10**8)]
 
 
 def test_smooth_members_against_trial_division_oracle():

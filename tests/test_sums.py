@@ -76,6 +76,14 @@ def test_sum_power_rejects_thread_counts_below_one(threads):
             sum_power(SumParams(x=100, y=5, q=q, a=1), threads=threads)
 
 
+@pytest.mark.parametrize("segment", [0, -1])
+def test_sum_power_rejects_segments_below_one(segment):
+    # an empty range of segments would give SumValue(0j, 0)
+    for q in (101, (1 << 23) + 9):  # histogram and direct paths
+        with pytest.raises(ValueError, match="segment must be at least 1"):
+            sum_power(SumParams(x=1e5, y=100, q=q, a=1), segment=segment)
+
+
 def test_sum_linear_trivial_modulus_counts_members():
     v = sum_linear(SumParams(x=1000, y=13, q=1, a=0))
     assert v.value == v.terms == len(naive_smooth(1000, 13))
