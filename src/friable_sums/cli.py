@@ -22,14 +22,16 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import bounds, decomp, optimizer, sums
-from .arith import floor_int, is_prime
-from .sieve import ResourceLimitError, build_sieve, psi, usable_cpus
+from .arith import floor_int
+from .sieve import ResourceLimitError, build_sieve, primes_upto, psi, usable_cpus
 
 CSV_VERSION_LINE = "# friable-sums v1"
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+# The weil suite's phase terms (e_q values it sums), refused past this budget.
+_WEIL_TERMS = 1 << 26
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -405,9 +407,14 @@ def _suite_regroup(args) -> tuple[bool, str]:
 
 def _suite_weil(args) -> tuple[bool, str]:
     q_max = int(_given(args.x, 199))
-    for q in range(2, q_max + 1):
-        if not is_prime(q):
-            continue
+    qs = primes_upto(q_max)  # refuses q_max past MAX_SEGMENT
+    # each prime q takes 5 powers nu of min(q - 1, 20) residues a, q - 1 phases each
+    terms = float((5.0 * np.minimum(qs - 1, 20) * (qs - 1)).sum())
+    if terms > _WEIL_TERMS:
+        raise ResourceLimitError(
+            f"weil suite up to q={q_max} needs {terms:.3g} phase terms, past the "
+            f"{_WEIL_TERMS}-term budget")
+    for q in qs.tolist():
         # one pass over the classes mod q per nu serves every a
         counts, avals = sums._complete_counts(q), range(1, min(q - 1, 20) + 1)
         for nu in range(2, 7):

@@ -36,6 +36,7 @@ import numpy as np
 from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     FactorSieve,
+    _powers,
     _runs,
     _tuple_walk,
     build_sieve,
@@ -271,11 +272,8 @@ def arith_tables(n_max: int) -> ArithTables:
         mobius[p::p] *= -1
         mobius[p * p :: p * p] = 0
     von_mangoldt = np.zeros(n_max + 1, dtype=np.float64)
-    for p in ps:
-        pk = p
-        while pk <= n_max:
-            von_mangoldt[pk] = math.log(p)
-            pk *= p
+    for t, p in _powers(ps, n_max):
+        von_mangoldt[t] = math.log(p)
     return ArithTables(n_max=n_max, spf=spf, mobius=mobius, von_mangoldt=von_mangoldt)
 
 

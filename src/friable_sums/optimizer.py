@@ -113,25 +113,20 @@ def optimal_point(alpha: float, beta: float) -> ExponentPoint:
     return ExponentPoint(alpha=alpha, beta=beta, omega=omega, mu=mu, kappa=kap)
 
 
-def oracle_optimal_omega(
-    alpha: float, beta: float, step: float = 1e-4, select_tol: Optional[float] = None
-) -> tuple[float, float]:
+def oracle_optimal_omega(alpha: float, beta: float, step: float = 1e-4) -> tuple[float, float]:
     """Brute-force window placement: maximize kappa over an omega grid on
     [0, 1].
 
     The height profile has flat stretches and symmetric tied optima, and the
     canonical choice is always the smallest admissible window start; so the
-    oracle returns the smallest grid omega whose kappa lies within
-    `select_tol` (default step/4, which covers the grid's sampling error)
-    of the grid maximum.
+    oracle returns the smallest grid omega whose kappa lies within step/4
+    (which covers the grid's sampling error) of the grid maximum.
     """
     if step > 1e-3:
         raise ValueError(f"oracle step must be <= 1e-3, got {step}")
-    if select_tol is None:
-        select_tol = step / 4.0
     omegas = np.arange(0.0, 1.0 + step / 2, step)
     kappas = eta(_window_points(omegas, alpha, beta), beta).min(axis=0)
-    best = int(np.argmax(kappas >= np.max(kappas) - select_tol))
+    best = int(np.argmax(kappas >= np.max(kappas) - step / 4.0))
     return float(omegas[best]), float(kappas[best])
 
 

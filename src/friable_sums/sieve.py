@@ -45,7 +45,9 @@ is sieved one block of 2^18 entries (1 MiB of uint32, which stays in L2)
 at a time: sp starts from a wheel pattern of period 720720 =
 2^4 3^2 5 7 11 13, which holds those prime powers, and the prime powers up
 to 2^10 walk the block.  The cofactor n / sp is <= y exactly when
-sp >= ceil(n / y), one contiguous division by a scalar per block.
+sp >= ceil(n / y), one contiguous division by a scalar per block.  The
+kernel builds smooth parts only: the weights of a twisted scan take one
+more strided walk, `_walk` over every prime power, outside it.
 
 Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 (n <= x means n <= floor(x)).
@@ -54,9 +56,10 @@ Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -248,19 +251,20 @@ def spf_factorization(spf: np.ndarray, offset: int, n: int) -> list[tuple[int, i
     return out
 
 
-def build_sieve(lo: int, hi: int, max_entries: int = MAX_SEGMENT) -> FactorSieve:
-    """Fill P(n) and p(n) for every n in [lo, hi] in one pass."""
+def build_sieve(lo: int, hi: int) -> FactorSieve:
+    """Fill P(n) and p(n) for every n in [lo, hi] in one pass; a segment of
+    more than MAX_SEGMENT entries is refused with ResourceLimitError."""
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     count = hi - lo + 1
-    if count > max_entries:
+    if count > MAX_SEGMENT:
         raise ResourceLimitError(
-            f"segment of {count} entries exceeds the {max_entries}-entry budget"
+            f"segment of {count} entries exceeds the {MAX_SEGMENT}-entry budget"
         )
     lpf = np.ones(count, dtype=np.int64)
     spf = np.zeros(count, dtype=np.int64)
     small = primes_upto(math.isqrt(hi))
-    sp, _ = _smooth_part(lo, hi, small, hi)
+    sp = _smooth_part(lo, hi, small, hi)
     cof = np.arange(lo, hi + 1, dtype=sp.dtype) // sp
     for p in small.tolist():
         lpf[-lo % p :: p] = p
@@ -315,46 +319,30 @@ def _periodic(
     return (blk[:whole].reshape(-1, size), rolled), (blk[whole:], rolled[: blk.size - whole])
 
 
-def _smooth_part(
-    lo: int,
-    hi: int,
-    primes: np.ndarray,
-    top: int,
-    prime_value: Optional[Callable[[int], complex]] = None,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int) -> np.ndarray:
     """sp[n - lo] = prod of p^v_p(n) over `primes`, for n in [lo, hi]: the
     one sieve kernel.
 
     p goes into every multiple of each power p^k <= hi, so n gets it v_p(n)
     times and sp stays a divisor of n.  sp is uint32 when `top` (>= hi, the
     largest value the caller holds beside sp) is below 2^32, else uint64.
-    With prime_value, weights prod prime_value(p)^v_p(n) share the walk.
 
     Each block of _BLOCK entries starts from the wheel seed of the wheel
     primes that lead `primes` (period 720720 = 5005 * 144, laid down as
     the product of its two factors), and those primes walk on from their
     next power.  The powers up to _BLOCKED_STRIDE then walk the block
     while it is in cache; larger powers hit a block too rarely to pay for
-    a call per block, so they walk the whole segment once.  Weights get
-    every power from p on, seeded or not.
+    a call per block, so they walk the whole segment once.
     """
     count = hi - lo + 1
     dtype = np.uint32 if top < 1 << 32 else np.uint64
     sp = np.empty(count, dtype=dtype)
-    weights = None if prime_value is None else np.ones(count, dtype=np.complex128)
     ps = primes.tolist()
     k = 0
     while k < min(len(ps), len(_WHEEL_POWERS)) and ps[k] == _WHEEL_POWERS[k][0]:
         k += 1
-    strides = []  # (t, p, fp): p is 1 where the seed already holds t
-    for i, p in enumerate(ps):
-        fp = None if weights is None else prime_value(p)
-        seeded = p ** _WHEEL_POWERS[i][1] if i < k else 1  # the power the seed holds
-        t = p
-        while t <= hi:
-            if t > seeded or fp is not None:
-                strides.append((t, p if t > seeded else 1, fp))
-            t *= p
+    seeded = {p: p**e for p, e in _WHEEL_POWERS[:k]}  # the power the seed holds
+    strides = [(t, p) for t, p in _powers(ps, hi) if t > seeded.get(p, 1)]
     wheel_5_13, wheel_2_3 = _wheel_factors(k, dtype)
     blocked = [s for s in strides if s[0] <= _BLOCKED_STRIDE]
     for b0 in range(0, count, _BLOCK):
@@ -363,25 +351,25 @@ def _smooth_part(
             view[...] = values
         for view, values in _periodic(blk, wheel_2_3, lo + b0):
             view *= values
-        _walk(blk, None if weights is None else weights[b0 : b0 + _BLOCK], lo + b0, blocked)
-    _walk(sp, weights, lo, [s for s in strides if s[0] > _BLOCKED_STRIDE])
-    return sp, weights
+        _walk(blk, lo + b0, blocked)
+    _walk(sp, lo, [s for s in strides if s[0] > _BLOCKED_STRIDE])
+    return sp
 
 
-def _walk(
-    sp: np.ndarray,
-    weights: Optional[np.ndarray],
-    first: int,
-    strides: list[tuple[int, int, Optional[complex]]],
-) -> None:
-    """For each (t, p, fp) of `strides`, multiply p into sp and fp into
-    weights at every multiple of t in [first, first + sp.size)."""
-    for t, p, fp in strides:
-        s = -first % t
-        if p > 1:
-            sp[s::t] *= p
-        if weights is not None:
-            weights[s::t] *= fp
+def _powers(ps: Iterable[int], hi: int) -> Iterator[tuple[int, int]]:
+    """(t, p) for every power t = p^k <= hi of each p in `ps`, in order."""
+    for p in ps:
+        t = p
+        while t <= hi:
+            yield t, p
+            t *= p
+
+
+def _walk(a: np.ndarray, first: int, strides: list[tuple[int, complex]]) -> None:
+    """For each (t, v) of `strides`, multiply v into a[j] at every multiple
+    first + j of t, 0 <= j < a.size."""
+    for t, v in strides:
+        a[-first % t :: t] *= v
 
 
 def _rankin_bound(x_floor: int, primes: np.ndarray) -> float:
@@ -431,8 +419,9 @@ def _generate(
     Each prime p, with its powers, is multiplied into the products built
     so far: m * p^k is kept when m * p^(k-1) <= hi // p, so nothing wraps.
     The products are uint32 while hi < 2^32 and sorted in place; weights
-    multiply by ascending p, one factor per power (the sieve takes powers
-    above 2^10 last, so the two can differ in the last bit).
+    multiply by ascending p, one factor per power, as the sieve's do (numpy
+    rounds a strided complex multiply by its alignment, so the two can
+    still differ in the last bit).
     """
     n = np.ones(1, dtype=np.uint32 if hi < 1 << 32 else np.int64)
     w = None if prime_value is None else np.ones(1, dtype=np.complex128)
@@ -468,14 +457,17 @@ def smooth_plan(
     the single segment [1, floor(x)] where the cost rule (see the module
     docstring) lists S(x, y) by the generator.  The primes are those
     <= min(y, isqrt(x)) either way.  Members are int64, so floor(x) >= 2^63
-    is refused with ValueError, as is segment < 1.  A sieved plan whose
-    segments would exceed MAX_SEGMENT entries (none is longer than floor(x))
-    is refused with ResourceLimitError before anything is sieved.
+    is refused with ValueError, as is a segment that is not an integer >= 1.
+    A sieved plan whose segments would exceed MAX_SEGMENT entries (none is
+    longer than floor(x)) is refused with ResourceLimitError before
+    anything is sieved.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
     if x_floor >= 1 << 63:
         raise ValueError(f"smooth scans need x < 2^63, got x={x}")
+    if not isinstance(segment, numbers.Integral):
+        raise ValueError(f"segment must be an integer, got {segment!r}")
     if segment < 1:
         raise ValueError(f"segment must be at least 1, got {segment}")
     if x_floor < 1 or y_floor < 1:
@@ -512,7 +504,10 @@ def smooth_in_range(
     made one kernel block at a time.  The ceilings share sp's dtype; their
     largest numerator is hi + y_eff - 1.  Counts are each block's mask
     folded over q (see _fold), int32 as a planned segment holds at most
-    MAX_SEGMENT entries, so no member is listed.
+    MAX_SEGMENT entries, so no member is listed.  Weights take their own
+    walk over every prime power, by ascending p (see _walk), then a member
+    whose cofactor is a prime takes its value: prime_value is called once
+    per sieving prime and once per distinct cofactor.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -524,7 +519,7 @@ def smooth_in_range(
     if y_eff < 1:
         empty = np.empty(0, dtype=np.int64)
         return empty if counts is None else counts, empty.astype(np.complex128) if prime_value else None
-    sp, weights = _smooth_part(lo, hi, primes, hi + y_eff, prime_value)
+    sp = _smooth_part(lo, hi, primes, hi + y_eff)
     parts = []
     for b0 in range(0, sp.size, _BLOCK):
         b1 = min(b0 + _BLOCK, sp.size)
@@ -540,14 +535,18 @@ def smooth_in_range(
     if counts is not None:
         return counts, None
     members = np.concatenate(parts)
-    if weights is None:
+    if prime_value is None:
         return members, None
+    fp = {p: prime_value(p) for p in primes.tolist()}
+    weights = np.ones(sp.size, dtype=np.complex128)
+    _walk(weights, lo, [(t, fp[p]) for t, p in _powers(fp, hi)])
     keep = members - lo
     w = weights[keep]
     rest = members // sp[keep].astype(np.int64)
     large = rest > 1
-    if np.any(large):
-        w[large] *= np.array([prime_value(int(c)) for c in rest[large]])
+    if np.any(large):  # each cofactor above 1 is a prime above the sieving bound
+        cof, at = np.unique(rest[large], return_inverse=True)
+        w[large] *= np.array([prime_value(c) for c in cof.tolist()])[at]
     return members, w
 
 

@@ -9,13 +9,14 @@ Every phase argument is reduced modulo q in integer arithmetic before
 the trig call; a real frequency theta is a double, so exactly m / 2^k,
 and its phases are residues modulo 2^k.  One core, `_monomial_sum`, runs
 the sieve's segment driver for the plain, the twisted and the
-real-frequency sums: for q <= HIST_LIMIT it bins residues into exact
-integer counts, so large scans stay exact until one final
-floating-point pass (without weights the sieve folds each segment's
-counts straight from its mask, listing no member, and they are added in
-place into one int64 histogram); for larger q it sums each segment's
-phases as the segment arrives, through `_term_sum`, the one per-term
-tail, which `sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
+real-frequency sums.  A plain sum with q <= HIST_LIMIT bins residues into
+exact integer counts, so large scans stay exact until one final
+floating-point pass: the sieve folds each segment's counts straight from
+its mask, listing no member, and they are added in place into one int64
+histogram.  A histogram holds counts only: a twisted sum, like any sum
+with a larger q, sums each segment's weighted phases per term as the
+segment arrives, through `_term_sum`, the one per-term tail, which
+`sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
 one or more residues a that share (x, y, q, nu): the listing, the bins
 and the powers r^nu mod q are made once, and only a * r^nu mod q and the
 phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
@@ -46,8 +47,9 @@ from .arith import TWO_PI, factorize, floor_int, fsum_complex, is_prime
 from .sieve import (DEFAULT_SEGMENT, ResourceLimitError, _runs, _tuple_walk, smooth_segments,
                     tuple_primes)
 
-# Residue histograms are used up to this modulus; beyond it sums stream
-# per-member phases instead of building O(q) tables.
+# Plain sums bin residues up to this modulus; beyond it sums stream
+# per-member phases instead of building O(q) tables, as twisted sums do at
+# every q.
 HIST_LIMIT = 1 << 23
 # Vectorized modular powers need q*q below 2^63, or a power-of-two q,
 # which uint64 products reduce exactly as they wrap modulo 2^64.
@@ -201,52 +203,38 @@ def _monomial_sum(
     share (x, y, q, nu) and differ in a: one pass lists S(x, y) and raises
     its residues to the nu-th power for all of them.
 
-    Up to HIST_LIMIT residues are binned into exact int64 counts (and
-    complex weight bins), which meet the phases once at the end; without
-    weights the driver hands over each segment's counts, not its members.
-    Beyond HIST_LIMIT each segment's phases are summed as it arrives.
+    A plain sum up to HIST_LIMIT takes each segment's exact residue counts
+    from the driver (no member is listed), adds them into one int64
+    histogram and meets the phases once at the end.  Beyond HIST_LIMIT,
+    and for a twisted sum at every q, each segment's phases are summed per
+    term as the segment arrives.
     """
     p, avals = cells[0], [c.a for c in cells]
     q = p.q
-    if q > HIST_LIMIT:
+    if q > HIST_LIMIT or prime_value is not None:
         parts = list(smooth_segments(
             p.x, p.y, lambda members, w: _term_sum(members, q, avals, p.nu, w),
             segment, threads, prime_value))
         return [_total(part[i] for part in parts) for i in range(len(avals))]
-
-    def bins(members: np.ndarray, w: Optional[np.ndarray]) -> list[np.ndarray]:
-        if w is None:  # the segment's residue counts, folded by the sieve
-            return [members]
-        r = members % q
-        return [np.bincount(r, weights=v, minlength=q) for v in (None, w.real, w.imag)]
-
     acc = None
-    counted = q if prime_value is None else None
-    for part in smooth_segments(p.x, p.y, bins, segment, threads, prime_value, counted):
-        acc = ([part[0].astype(np.int64, copy=False), *part[1:]] if acc is None
-               else [np.add(t, b, out=t) for t, b in zip(acc, part)])
-        del part  # free this segment's bins before the next one is sieved
+    for counts in smooth_segments(p.x, p.y, lambda counts, _: counts, segment, threads, None, q):
+        acc = counts.astype(np.int64, copy=False) if acc is None else np.add(acc, counts, out=acc)
+        del counts  # free this segment's counts before the next one is sieved
     if acc is None:
         return [SumValue(0j, 0)] * len(avals)
-    return _binned_sum(acc[0], q, avals, p.nu, None if prime_value is None else acc[1:])
+    return _binned_sum(acc, q, avals, p.nu)
 
 
-def _binned_sum(
-    counts: np.ndarray,
-    q: int,
-    avals: Sequence[int],
-    nu: int,
-    weights: Optional[list[np.ndarray]] = None,
-) -> list[SumValue]:
+def _binned_sum(counts: np.ndarray, q: int, avals: Sequence[int], nu: int) -> list[SumValue]:
     """S over classes r mod q with counts[r] > 0 (units only for nu < 0) of
-    w_r * e_q(a * r^nu), one per a in avals; w_r = counts[r], or
-    weights[0][r] + i * weights[1][r].  `terms` is the sum of the counts kept.
+    counts[r] * e_q(a * r^nu), one per a in avals.  `terms` is the sum of
+    the counts kept.
     """
     nz = np.flatnonzero(counts)
     pw, units = _monomial_residues(nz, q, nu)
     if units is not None:
         nz, pw = nz[units], pw[units]
-    w = counts[nz].astype(np.float64) if weights is None else weights[0][nz] + 1j * weights[1][nz]
+    w = counts[nz].astype(np.float64)
     terms = int(counts[nz].sum())
     return [SumValue(_phase_sum(_scaled(a, pw, q) / q, w), terms) for a in avals]
 
@@ -303,7 +291,8 @@ def sum_twisted(
     segment: int = DEFAULT_SEGMENT,
 ) -> SumValue:
     """S over n in S(x, y) of f(n) * e_q(a * n^nu) for completely
-    multiplicative f given by its values on primes (|f| <= 1 caller contract).
+    multiplicative f given by its values on primes (|f| <= 1 caller contract),
+    summed per term at every q.
     """
     return _monomial_sum([p], segment, 1, prime_value)[0]
 

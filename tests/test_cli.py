@@ -568,6 +568,30 @@ def test_verify_heath_brown_refuses_a_huge_x_at_once(x):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("x", ["1e30", "1e6"])
+def test_verify_weil_refuses_a_huge_x_at_once(x):
+    # 1e30 is past the prime table's budget, 1e6 past the suite's 2^26
+    # phase terms; neither starts the O(x^2) pass over the primes
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "friable_sums.cli", "verify", "--suite", "weil", "--x", x],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "budget refusal" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "weil: PASS (complete-sum envelope holds for all primes q <= 199, nu in 2..6)\n"),
+    (["--x", "499"], "weil: PASS (complete-sum envelope holds for all primes q <= 499, nu in 2..6)\n"),
+    (["--x", "1"], "weil: PASS (complete-sum envelope holds for all primes q <= 1, nu in 2..6)\n"),
+])
+def test_verify_weil_lines(capsys, argv, line):
+    assert run(capsys, ["verify", "--suite", "weil", *argv])[:2] == (0, line)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--suite", "buchstab", "--r", "0"], "need r >= 1"),
     (["--suite", "wsplit", "--x", "0"], "need 1 <= lo <= hi"),

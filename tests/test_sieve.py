@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -73,7 +74,16 @@ def test_sieve_invariants():
 
 def test_segment_budget_enforced():
     with pytest.raises(ResourceLimitError):
-        build_sieve(1, 10**9, max_entries=1 << 20)
+        build_sieve(1, 10**9)
+
+
+@pytest.mark.parametrize("segment", [1e5, 4096.0, "4096"])
+def test_segment_that_is_not_an_integer_is_refused(segment):
+    with pytest.raises(ValueError, match="segment must be an integer"):
+        psi(1e6, 100, segment=segment)
+    with pytest.raises(ValueError, match="segment must be an integer"):
+        smooth_plan(0.5, 100, segment=segment)
+    assert psi(1e6, 100, segment=np.int64(10**5)) == psi(1e6, 100)
 
 
 @pytest.mark.parametrize("segment", [0, -1, -5])
@@ -200,6 +210,10 @@ def trial_factors(n: int) -> list[int]:
             n //= d
         d += 1
     return out + ([n] if n > 1 else [])
+
+
+def unit_prime(p: int) -> complex:
+    return cmath.exp(1j * p)
 
 
 def imaginary_prime(p: int) -> complex:
@@ -527,7 +541,7 @@ def test_kernel_matches_plain_walk_across_blocks(y):
 def test_kernel_matches_plain_walk_in_uint64_across_blocks():
     lo, hi, y = 2**32 - sieve._BLOCK - 5000, 2**32 + 3000, 1000
     assert hi - lo + 1 > sieve._BLOCK
-    assert sieve._smooth_part(lo, hi, primes_upto(y), hi + y)[0].dtype == np.uint64
+    assert sieve._smooth_part(lo, hi, primes_upto(y), hi + y).dtype == np.uint64
     assert_kernel_matches_plain_walk(lo, hi, y, primes_upto(y))
 
 
@@ -536,10 +550,42 @@ def test_kernel_matches_plain_walk_in_uint64_across_blocks():
 )
 def test_build_sieve_matches_plain_walk_across_blocks(lo, hi):
     fs = build_sieve(lo, hi)
-    with mock.patch.object(sieve, "_smooth_part", plain_smooth_part):
+    with mock.patch.object(sieve, "_smooth_part", lambda *args: plain_smooth_part(*args)[0]):
         want = build_sieve(lo, hi)
     assert np.array_equal(fs.lpf, want.lpf)
     assert np.array_equal(fs.spf, want.spf)
+
+
+@pytest.mark.parametrize("y", [1000, 10**4])  # below and above isqrt(hi)
+@pytest.mark.parametrize(
+    "lo, hi", [(BLOCKS_LO, BLOCKS_HI), (2**32 - sieve._BLOCK - 5000, 2**32 + 3000)]
+)
+def test_weights_walk_matches_plain_walk_across_blocks(lo, hi, y):
+    # e^(ip) is inexact in floats, and numpy rounds a strided complex
+    # multiply by its alignment, so the two walks agree to the last bits only
+    primes = primes_upto(min(y, math.isqrt(hi)))
+    members, weights = smooth_in_range(lo, hi, y, primes, unit_prime)
+    want, want_w = plain_smooth_in_range(lo, hi, y, primes, unit_prime)
+    assert np.array_equal(members, want)
+    assert np.abs(weights - want_w).max() <= 1e-15
+    if y > math.isqrt(hi):
+        assert np.any(members // sieve._smooth_part(lo, hi, primes, hi + y)[members - lo] > 1)
+
+
+def test_twisted_segments_call_prime_value_once_per_prime():
+    # y > isqrt(x), so most members hold a prime above the sieving bound
+    x, y, segment = 10**6, 10**4, 1 << 18
+    calls = []
+
+    def pv(p):
+        calls.append(p)
+        return unit_prime(p)
+
+    bounds, y_floor, primes = smooth_plan(x, y, segment)
+    for lo, hi in bounds:
+        calls.clear()
+        smooth_in_range(lo, hi, y_floor, primes, pv)
+        assert len(calls) == len(set(calls)) <= primes_upto(y).size
 
 
 # ---------------------------------------------------------------------------
