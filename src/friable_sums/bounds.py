@@ -95,8 +95,8 @@ def envelope_e(
     terms = _term_values(f"E{i}", x, y, q)
     if i < 4:
         return sum(terms)
-    if eps <= 0 or not 0 < delta <= 1:
-        raise ValueError(f"E4 needs eps > 0 and delta in (0, 1], got {eps}, {delta}")
+    if not 0 < eps < np.inf or not 0 < delta <= 1:
+        raise ValueError(f"E4 needs a finite eps > 0 and delta in (0, 1], got {eps}, {delta}")
     return (terms[0] + terms[1] * q**eps) ** delta
 
 

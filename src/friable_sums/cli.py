@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -165,13 +165,7 @@ def _report_row(rep: bounds.BoundReport) -> dict[str, str]:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    try:
-        params = sums.SumParams(
-            x=args.x, y=args.y, q=args.q, a=args.a, nu=args.nu, theta=args.theta
-        )
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = sums.SumParams(x=args.x, y=args.y, q=args.q, a=args.a, nu=args.nu, theta=args.theta)
     rep = bounds.report(params, eps=args.eps, delta=args.delta, threads=args.threads)
     row = _report_row(rep)
     row["re_S"] = _fmt(rep.exact.value.real)
@@ -186,11 +180,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
-    try:
-        cells = grid_cells(parse_grid(args.x_grid), parse_grid(args.y_grid))
-    except ValueError as exc:
-        print(f"invalid grid: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cells = grid_cells(parse_grid(args.x_grid), parse_grid(args.y_grid))
     rows = [(x, y, psi(x, y)) for x, y in cells]
     if args.format == "json":
         _emit([json.dumps([{"x": x, "y": y, "psi": c} for x, y, c in rows])], args.output)
@@ -204,7 +194,8 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class ScanSpec:
     """Grid specification for a bound-ratio scan: x/y/q grids, residue
-    selection (fixed, or k seeded random units per cell), exponent, seed.
+    selection (fixed, or k seeded random units per cell), exponent, seed,
+    and the budget of summed terms.
     """
 
     x_grid: tuple[str, object]
@@ -214,6 +205,7 @@ class ScanSpec:
     random_a: int  # 0 selects the fixed residue
     nu: int
     seed: int
+    budget: float
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "ScanSpec":
@@ -225,29 +217,35 @@ class ScanSpec:
             random_a=args.random_a,
             nu=args.nu,
             seed=args.seed,
+            budget=args.budget,
         )
 
     def cells(self) -> list[sums.SumParams]:
         """Grid cells in emission order; random residues are drawn from a
         per-cell stream, so the list is independent of any scheduling.
-        Raises ValueError for a bad (x, y) grid (see grid_cells), before any sum.
+
+        Before any residue is drawn, raises ValueError for a bad grid or cell
+        (see grid_cells and SumParams), then ResourceLimitError when the
+        cells' estimated terms, the sum of floor(x) over them, exceed budget.
         """
+        # a random unit is coprime to q, so a = 1 checks its cell as the draw
+        # would; a fixed a keeps only the q coprime to it
+        a = 1 if self.random_a else self.fixed_a
+        xyq = ((x, y, max(1, floor_int(q))) for x, y in grid_cells(self.x_grid, self.y_grid)
+               for q in resolve_grid(self.q_grid, x))
+        laid = [(index, sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
+                for index, (x, y, q) in enumerate(xyq) if math.gcd(a, q) == 1]
+        cost = sum(floor_int(p.x) for _, p in laid) * (self.random_a or 1)
+        if cost > self.budget:
+            raise ResourceLimitError(
+                f"scan needs an estimated {cost} summed terms, past the budget "
+                f"{self.budget:.17g} (raise --budget to override)")
+        if not self.random_a:
+            return [p for _, p in laid]
         out: list[sums.SumParams] = []
-        index = 0
-        for x, y in grid_cells(self.x_grid, self.y_grid):
-            for q_raw in resolve_grid(self.q_grid, x):
-                q = max(1, floor_int(q_raw))
-                if self.random_a:
-                    rng = cell_rng(self.seed, index)
-                    a_values = [rng.unit_mod(q) for _ in range(self.random_a)]
-                else:
-                    if math.gcd(self.fixed_a, q) != 1:
-                        index += 1
-                        continue  # q values are coprime-filtered against a
-                    a_values = [self.fixed_a]
-                index += 1
-                for a in a_values:
-                    out.append(sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
+        for index, p in laid:
+            rng = cell_rng(self.seed, index)
+            out += [replace(p, a=rng.unit_mod(p.q)) for _ in range(self.random_a)]
         return out
 
 
@@ -264,20 +262,7 @@ def _diag_lines(rows: list[dict[str, str]]) -> list[str]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        cells = ScanSpec.from_args(args).cells()
-    except ValueError as exc:
-        print(f"invalid scan spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    budget_cost = sum(floor_int(p.x) for p in cells)
-    if budget_cost > args.budget:
-        print(
-            f"scan refused: estimated {budget_cost} summed terms exceed budget "
-            f"{int(args.budget)} (raise --budget to override)",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-
+    cells = ScanSpec.from_args(args).cells()
     # ScanSpec.cells emits the residues of a cell side by side; each run of
     # cells sharing (x, y, q, nu) is one pass of the sieve, bins and powers
     groups = [list(g) for _, g in itertools.groupby(cells, lambda p: (p.x, p.y, p.q, p.nu))]
@@ -407,13 +392,15 @@ def _suite_regroup(args) -> tuple[bool, str]:
 
 def _suite_weil(args) -> tuple[bool, str]:
     q_max = int(_given(args.x, 199))
-    qs = primes_upto(q_max)  # refuses q_max past MAX_SEGMENT
+    # the primes up to 2^12 already pass the budget (from q = 3221 on), so a
+    # larger q_max is refused from them without sieving up to it
+    qs = primes_upto(min(q_max, 1 << 12))
     # each prime q takes 5 powers nu of min(q - 1, 20) residues a, q - 1 phases each
     terms = float((5.0 * np.minimum(qs - 1, 20) * (qs - 1)).sum())
     if terms > _WEIL_TERMS:
         raise ResourceLimitError(
-            f"weil suite up to q={q_max} needs {terms:.3g} phase terms, past the "
-            f"{_WEIL_TERMS}-term budget")
+            f"weil suite up to q={q_max} needs at least {terms:.3g} phase terms, past "
+            f"the {_WEIL_TERMS}-term budget")
     for q in qs.tolist():
         # one pass over the classes mod q per nu serves every a
         counts, avals = sums._complete_counts(q), range(1, min(q - 1, 20) + 1)
@@ -454,12 +441,11 @@ SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    failed = False
-    for name in names:
-        ok, detail = SUITES[name](args)
+    # every suite runs before any line prints, so a refused run prints none
+    results = [(name, *SUITES[name](args)) for name in names]
+    for name, ok, detail in results:
         print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
-        failed = failed or not ok
-    return EXIT_VERIFY_FAIL if failed else EXIT_OK
+    return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_VERIFY_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +473,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(json.dumps({"alpha": args.alpha, "beta": args.beta, "trivial": True,
                           "reason": str(exc)}))
         return EXIT_OK
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     payload = {"alpha": args.alpha, "beta": args.beta, "omega": omega, "kappa": kap,
                "trivial": False}
     if args.beta <= 1.0:
@@ -522,29 +505,30 @@ def build_parser() -> argparse.ArgumentParser:
         "envelopes, identity verification, and exponent optimization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    emit = argparse.ArgumentParser(add_help=False)  # options of sum, sieve and scan
+    emit.add_argument("--format", choices=("csv", "json"), default="csv")
+    emit.add_argument("--output", default=None)
+    report = argparse.ArgumentParser(add_help=False)  # options of sum and scan
+    report.add_argument("--nu", type=int, default=1)
+    report.add_argument("--eps", type=float, default=0.01)
+    report.add_argument("--delta", type=float, default=0.05)
+    report.add_argument("--threads", type=_at_least(1, "threads"), default=1)
 
-    sp = sub.add_parser("sum", help="evaluate one sum and its bound report")
+    sp = sub.add_parser("sum", parents=[report, emit], help="evaluate one sum and its bound report")
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y", type=float, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--a", type=int, default=1)
-    sp.add_argument("--nu", type=int, default=1)
     sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=0.01)
-    sp.add_argument("--delta", type=float, default=0.05)
-    sp.add_argument("--threads", type=_at_least(1, "threads"), default=1)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_sum)
 
-    sp = sub.add_parser("sieve", help="emit a psi(x, y) table")
+    sp = sub.add_parser("sieve", parents=[emit], help="emit a psi(x, y) table")
     sp.add_argument("--x-grid", required=True)
     sp.add_argument("--y-grid", required=True)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_sieve)
 
-    sp = sub.add_parser("scan", help="bound-ratio scan over an (x, y, q, a) grid")
+    sp = sub.add_parser("scan", parents=[report, emit],
+                        help="bound-ratio scan over an (x, y, q, a) grid")
     sp.add_argument("--x-grid", required=True)
     sp.add_argument("--y-grid", required=True)
     sp.add_argument("--q-grid", required=True)
@@ -553,15 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--random-a", type=_at_least(0, "random-a"), default=0, metavar="K",
         help="draw K seeded random units mod q per cell instead of --a",
     )
-    sp.add_argument("--nu", type=int, default=1)
-    sp.add_argument("--eps", type=float, default=0.01)
-    sp.add_argument("--delta", type=float, default=0.05)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_at_least(1, "threads"), default=1)
     sp.add_argument("--budget", type=_at_least(-math.inf, "budget", float), default=1e10,
                     help="refuse scans whose summed term estimate exceeds this")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("verify", help="run the identity verification suites")
@@ -605,14 +583,14 @@ def _one_malloc_arena() -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command; the only place an error becomes an exit code and a
+    stderr line."""
     _one_malloc_arena()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its help or usage error
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET

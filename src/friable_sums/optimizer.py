@@ -17,9 +17,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import _exponent
+from .sieve import ResourceLimitError
 
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, Fraction]
+# the most points region_grid_mismatches' lattice may have; its 8.0M-point
+# lattice at eps_grid 5e-4 takes about 770 MiB
+LATTICE_POINTS = 1 << 23
 
 
 class TrivialRegimeError(ValueError):
@@ -319,10 +323,17 @@ def region_grid_mismatches(
       triangle reaching up to beta = 2).
 
     Grid points within `margin` of any polygon edge are skipped; panels
-    claim nothing on their shared boundaries.
+    claim nothing on their shared boundaries.  A lattice of more than
+    LATTICE_POINTS points is refused with ResourceLimitError before
+    anything is allocated.
     """
     n_a = int(round(1 / eps_grid))
     n_b = int(round(2 / eps_grid))
+    points = (n_a + 1) * (n_b + 1)
+    if points > LATTICE_POINTS:
+        raise ResourceLimitError(
+            f"a lattice of step {eps_grid} has {points} points, past the "
+            f"{LATTICE_POINTS}-point budget")
     av = np.linspace(0.0, 1.0, n_a + 1)
     bv = np.linspace(0.0, 2.0, n_b + 1)
     a, b = (g.ravel() for g in np.meshgrid(av, bv))

@@ -119,8 +119,9 @@ def test_envelope_e4_exponent_arithmetic():
 
 
 def test_envelope_e4_validates_parameters():
-    with pytest.raises(ValueError):
-        envelope_e(4, 1e6, 10, 101, eps=0.0)
+    for eps in (0.0, math.nan, math.inf):  # NaN passes an "eps <= 0" test
+        with pytest.raises(ValueError, match="finite eps"):
+            envelope_e(4, 1e6, 10, 101, eps=eps)
     with pytest.raises(ValueError):
         envelope_e(4, 1e6, 10, 101, delta=1.5)
     with pytest.raises(ValueError):

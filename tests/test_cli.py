@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -509,6 +510,32 @@ def test_scan_budget_nan_is_refused(capsys):
     assert code == 0 and out.startswith("# friable-sums v1")
 
 
+@pytest.mark.parametrize("argv, cost", [
+    (["--x-grid", "1e3,2e3", "--q-grid", "7", "--random-a", "3"], 9000),  # 3 draws a cell
+    (["--x-grid", "1e3", "--q-grid", "10,11", "--a", "5"], 1000),  # q = 10 is dropped
+])
+def test_scan_charges_floor_x_per_emitted_cell(capsys, argv, cost):
+    argv = ["scan", "--y-grid", "8", *argv, "--budget"]
+    assert run(capsys, argv + [str(cost)])[0] == 0
+    code, out, err = run(capsys, argv + [str(cost - 1)])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"budget refusal: scan needs an estimated {cost} summed terms")
+
+
+def test_scan_charges_its_budget_before_drawing_a_residue(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a residue was drawn before the budget was charged")
+
+    monkeypatch.setattr(cli, "cell_rng", fail)
+    argv = ["scan", "--x-grid", "1e5", "--y-grid", "10", "--q-grid", "7"]
+    code, out, err = run(capsys, argv + ["--random-a", "100000000"])
+    assert (code, out) == (3, "") and "budget refusal" in err
+    # a spec that is invalid is refused as such, over budget or not
+    argv[-1] = "1e30"
+    code, out, err = run(capsys, argv + ["--random-a", "2", "--budget", "1"])
+    assert (code, out) == (2, "") and "q < 2^63" in err
+
+
 def test_scan_coprime_filters_fixed_a(tmp_path):
     path = tmp_path / "scan.csv"
     code = main(
@@ -590,6 +617,29 @@ def test_verify_weil_refuses_a_huge_x_at_once(x):
 ])
 def test_verify_weil_lines(capsys, argv, line):
     assert run(capsys, ["verify", "--suite", "weil", *argv])[:2] == (0, line)
+
+
+def test_verify_weil_refuses_from_primes_up_to_two_to_the_12(capsys, monkeypatch):
+    sizes = []
+
+    def primes(n):
+        sizes.append(n)
+        return sieve.primes_upto(n)
+
+    class PassStarted(Exception):
+        pass
+
+    def started(q):
+        raise PassStarted
+
+    monkeypatch.setattr(cli, "primes_upto", primes)
+    monkeypatch.setattr(cli.sums, "_complete_counts", started)
+    for x in ("3221", "6e7", "1e30"):
+        code, out, err = run(capsys, ["verify", "--suite", "weil", "--x", x])
+        assert (code, out) == (3, "") and "budget refusal" in err
+    assert max(sizes) <= 1 << 12
+    with pytest.raises(PassStarted):  # 3220 is within the budget
+        main(["verify", "--suite", "weil", "--x", "3220"])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -741,3 +791,88 @@ def test_optimize_trivial_regime(capsys):
     code, out, _ = run(capsys, ["optimize", "--alpha", "0.9", "--beta", "1.5"])
     assert code == 0
     assert json.loads(out)["trivial"] is True
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sum", "--x", "1e6", "--y", "10", "--q", "7", "--eps", "nan"], 2, "finite eps"),
+    (["scan", "--x-grid", "1e4", "--y-grid", "10", "--q-grid", "7", "--eps", "nan"], 2, "finite eps"),
+    (["regions", "--eps-grid", "1e-6"], 3, "point budget"),
+    (["verify", "--x=-1"], 2, "need 1 <= lo <= hi"),  # after buchstab passes at x = -1
+])
+def test_refusals_print_nothing_on_stdout(capsys, argv, code, message):
+    got, out, err = run(capsys, argv)
+    assert (got, out) == (code, "") and message in err
+
+
+_EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400", "", "abc"]
+_EDGE_OPTIONS = [
+    (["sum", "--x", "1e3", "--y", "10", "--q", "7"],
+     ["x", "y", "q", "a", "nu", "theta", "eps", "delta", "threads"]),
+    (["sieve", "--x-grid", "1e3", "--y-grid", "10"], ["x-grid", "y-grid"]),
+    (["scan", "--x-grid", "1e3", "--y-grid", "10", "--q-grid", "7"],
+     ["x-grid", "y-grid", "q-grid", "a", "random-a", "nu", "eps", "delta", "seed", "threads",
+      "budget"]),
+    (["regions"], ["eps-grid"]),
+    (["optimize", "--alpha", "0.5", "--beta", "0.8"], ["alpha", "beta"]),
+    # each verify suite with the options it reads
+    (["verify", "--suite", "buchstab"], ["x", "y", "r", "seed"]),
+    (["verify", "--suite", "wsplit"], ["x"]),
+    (["verify", "--suite", "partition"], ["x", "y"]),
+    (["verify", "--suite", "vaughan"], ["x"]),
+    (["verify", "--suite", "heath-brown"], ["x"]),
+    (["verify", "--suite", "regroup"], ["x", "y"]),
+    (["verify", "--suite", "weil"], ["x"]),
+    (["verify", "--suite", "optimizer"], ["seed"]),
+]
+
+
+@pytest.mark.parametrize("argv", [
+    base + [f"--{option}={value}"]
+    for base, options in _EDGE_OPTIONS for option in options for value in _EDGE_VALUES
+], ids=" ".join)
+def test_edge_values_are_answered_or_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)  # an uncaught exception fails the test
+    assert time.perf_counter() - start < 5
+    assert code in (0, 2, 3) or (code == 1 and "FAIL" in out)
+    assert code == 0 or out == ""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sum", "--x", "1e3", "--y", "10", "--q", "7"],
+     {"x": 1e3, "y": 10.0, "q": 7, "a": 1, "theta": None, "nu": 1, "eps": 0.01, "delta": 0.05,
+      "threads": 1, "format": "csv", "output": None}),
+    (["sum", "--x", "5", "--y", "2", "--q", "3", "--a", "2", "--theta", "0.1", "--nu", "-1",
+      "--eps", "0.2", "--delta", "1", "--threads", "2", "--format", "json", "--output", "o"],
+     {"x": 5.0, "y": 2.0, "q": 3, "a": 2, "theta": 0.1, "nu": -1, "eps": 0.2, "delta": 1.0,
+      "threads": 2, "format": "json", "output": "o"}),
+    (["sieve", "--x-grid", "1e3", "--y-grid", "10"],
+     {"x_grid": "1e3", "y_grid": "10", "format": "csv", "output": None}),
+    (["sieve", "--x-grid", "1", "--y-grid", "2", "--format", "json", "--output", "-"],
+     {"x_grid": "1", "y_grid": "2", "format": "json", "output": "-"}),
+    (["scan", "--x-grid", "1e3", "--y-grid", "10", "--q-grid", "7"],
+     {"x_grid": "1e3", "y_grid": "10", "q_grid": "7", "a": 1, "random_a": 0, "nu": 1,
+      "eps": 0.01, "delta": 0.05, "seed": 0, "threads": 1, "budget": 1e10, "format": "csv",
+      "output": None}),
+    (["scan", "--x-grid", "1", "--y-grid", "2", "--q-grid", "x^0.5", "--a", "3",
+      "--random-a", "4", "--nu", "3", "--eps", "0.1", "--delta", "0.5", "--seed", "9",
+      "--threads", "2", "--budget", "5", "--format", "json", "--output", "o"],
+     {"x_grid": "1", "y_grid": "2", "q_grid": "x^0.5", "a": 3, "random_a": 4, "nu": 3,
+      "eps": 0.1, "delta": 0.5, "seed": 9, "threads": 2, "budget": 5.0, "format": "json",
+      "output": "o"}),
+    (["verify"],
+     {"suite": "all", "x": None, "y": None, "r": None, "seed": 0, "sabotage": False}),
+    (["verify", "--suite", "weil", "--x", "499", "--y", "3", "--r", "2", "--seed", "1",
+      "--sabotage"],
+     {"suite": "weil", "x": 499.0, "y": 3.0, "r": 2, "seed": 1, "sabotage": True}),
+    (["regions"], {"eps_grid": 0.01, "output": None}),
+    (["regions", "--eps-grid", "0.005", "--output", "r.json"],
+     {"eps_grid": 0.005, "output": "r.json"}),
+    (["optimize", "--alpha", "0.5", "--beta", "0.8"], {"alpha": 0.5, "beta": 0.8}),
+])
+def test_parser_names_types_and_defaults(argv, expected):
+    ns = vars(cli.build_parser().parse_args(argv))
+    assert ns.pop("command") == argv[0]
+    assert ns.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert ns == expected
+    assert all(type(ns[k]) is type(v) for k, v in expected.items())

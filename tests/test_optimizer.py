@@ -20,6 +20,7 @@ from friable_sums.optimizer import (
     saving_exponents,
     two_peaks_regime,
 )
+from friable_sums.sieve import ResourceLimitError
 
 
 def eta_grid_min(omega, alpha, beta, step=1e-5):
@@ -281,6 +282,19 @@ def test_saving_exponent_signs_at_reference_points():
 def test_figure1_regions_validates_grid_argument():
     with pytest.raises(ValueError):
         figure1_regions(eps_grid=0.1)
+
+
+def test_region_lattice_past_its_point_budget_is_refused_before_allocating(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the lattice was allocated before its size was checked")
+
+    monkeypatch.setattr(np, "linspace", fail)
+    regions = RegionSet(polygons=dict(REGION_VERTICES))
+    # 2,000,001 x 1,000,001 points at 1e-6; the 5e-4 lattice (8.0M) still runs
+    for call in (lambda: figure1_regions(eps_grid=1e-6),
+                 lambda: region_grid_mismatches(regions, eps_grid=4.8e-4)):
+        with pytest.raises(ResourceLimitError, match="point budget"):
+            call()
 
 
 def test_e1_region_is_strict_power_saving_and_best():
