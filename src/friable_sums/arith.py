@@ -16,6 +16,8 @@ import itertools
 import math
 from typing import Iterable
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -108,13 +110,14 @@ def floor_int(x: float) -> int:
     return math.floor(x)
 
 
-def floor_quotient(x: float, d: int) -> int:
-    """Largest integer k with k*d <= x, exact for real x and int d >= 1.
+def floor_quotient(x: float, d: int | np.ndarray) -> int | np.ndarray:
+    """Largest integer k with k*d <= x, exact for real x and int d >= 1;
+    elementwise for an int64 array of d, when floor(x) is below 2^63.
 
     k*d is an integer, so k*d <= x exactly when k*d <= floor(x): the
     quotient is floor(floor(x) / d), taken in integers.
     """
-    if d < 1:
+    if np.any(np.asarray(d) < 1):
         raise ValueError(f"divisor must be positive, got {d}")
     return floor_int(x) // d
 

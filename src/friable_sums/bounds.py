@@ -95,9 +95,14 @@ def envelope_e(
     terms = _term_values(f"E{i}", x, y, q)
     if i < 4:
         return sum(terms)
+    _check_e4(eps, delta)
+    return (terms[0] + terms[1] * q**eps) ** delta
+
+
+def _check_e4(eps: float, delta: float) -> None:
+    """Refuse the E4 parameters unless eps is finite and > 0 and delta in (0, 1]."""
     if not 0 < eps < np.inf or not 0 < delta <= 1:
         raise ValueError(f"E4 needs a finite eps > 0 and delta in (0, 1], got {eps}, {delta}")
-    return (terms[0] + terms[1] * q**eps) ** delta
 
 
 def nontrivial_range_cor14(x: float, y: float, eps: float) -> tuple[float, float]:
@@ -140,6 +145,7 @@ def report(
     """
     if not (p.x > 0 and p.y > 0):
         raise ValueError(f"envelopes need x > 0 and y > 0, got x={p.x}, y={p.y}")
+    _check_e4(eps, delta)
     exact_sum = sum_power if p.theta is None else sum_theta
     return _with_envelopes(p, exact_sum(p, segment=segment, threads=threads), eps, delta)
 

@@ -262,6 +262,7 @@ def _diag_lines(rows: list[dict[str, str]]) -> list[str]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    bounds._check_e4(args.eps, args.delta)
     cells = ScanSpec.from_args(args).cells()
     # ScanSpec.cells emits the residues of a cell side by side; each run of
     # cells sharing (x, y, q, nu) is one pass of the sieve, bins and powers

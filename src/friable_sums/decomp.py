@@ -20,8 +20,11 @@ m = 1 .. floor(x) of the empty tuple, whose product is 1: it is read by
 reads gamma and its diagonal count off the multinomials.
 
 The split counts of every n <= N come from one array pass too
-(`_split_counts`): each admissible k takes its run of m <= N // k, laid
-out flat by `sieve._runs`, and k * m is counted by a single bincount.
+(`_split_counts`, the one enumeration of splits): each admissible k takes
+its run of m <= N // k, laid out flat by `sieve._runs`, and each chunk's
+products k * m are added into the int64 counts in place.
+`split_partition_sums` reads them for its regrouped side, the sum of
+c[n] * f(n) over the y-smooth n, taking only the k with P(k) <= y.
 `count_admissible_splits`, one n at a time, is its oracle.
 """
 
@@ -112,22 +115,27 @@ def count_admissible_splits(n: int, w: float, sieve: Optional[FactorSieve] = Non
     return sum(1 for k, pk, pm in splits if w <= k < w * pk and pk <= pm)
 
 
-def _split_counts(n_max: int, w: float, sieve: FactorSieve) -> np.ndarray:
+def _split_counts(n_max: int, w: float, sieve: FactorSieve, y: float = math.inf) -> np.ndarray:
     """count_admissible_splits(n, w) for every 0 <= n <= n_max, as int64
-    counts c[n], in one array pass over a sieve covering [1, n_max].
+    counts c[n], in one array pass over a sieve covering [1, n_max]; with
+    y given only the k with P(k) <= y are taken, which keeps c[n] exact at
+    every y-smooth n.
 
     Each admissible k (w <= k < w*P(k), compared in float64 as above) takes
     m = 1 and every m in [P(k), n_max // k] with p(m) >= P(k); the (k, m)
-    runs are laid out flat by `_runs` and every k*m counted by one bincount.
+    runs are laid out flat by `_runs`, and each chunk's products k*m are
+    added into the counts in place.
     """
+    lpf = sieve.lpf[:n_max]
     ks = np.arange(1, n_max + 1, dtype=np.int64)
-    ks = ks[(w <= ks) & (ks < w * sieve.lpf[:n_max])]
-    pk = sieve.lpf[ks - 1]
-    hits = [ks]  # m = 1
-    for t, i in _runs(np.maximum(n_max // ks - pk + 1, 0)):
+    ks = ks[(w <= ks) & (ks < w * lpf) & (lpf <= y)]
+    pk = lpf[ks - 1]
+    counts = np.zeros(n_max + 1, dtype=np.int64)
+    counts[ks] = 1  # m = 1
+    for t, i in _runs(np.maximum(floor_quotient(n_max, ks) - pk + 1, 0)):
         m = pk[t] + i - 1
-        hits.append((ks[t] * m)[sieve.spf[m - 1] >= pk[t]])
-    return np.bincount(np.concatenate(hits), minlength=n_max + 1)
+        np.add.at(counts, (ks[t] * m)[sieve.spf[m - 1] >= pk[t]], 1)
+    return counts
 
 
 def split_partition_sums(
@@ -140,33 +148,20 @@ def split_partition_sums(
     """(direct, regrouped) where direct sums f over n in S(x, y), n >= w, and
     regrouped sums f(k*m) over the split fibers: w <= k < w*P(k), P(k) <= y,
     and m in S(x/k, y) with p(m) >= P(k).  The two agree exactly for w > 1.
+
+    The fibers are the splits `_split_counts` lays out: their sum is that of
+    c[n] * f(n) over the n in S(x, y), c[n] the number of fibers through n.
     """
-    x_floor = floor_int(x)
+    x_floor = max(floor_int(x), 0)
     if sieve is None:
         sieve = build_sieve(1, max(x_floor, 1))
     if sieve.lo != 1 or sieve.hi < x_floor:
         raise ValueError("partition sums need a factor sieve covering [1, floor(x)]")
     y_floor = floor_int(y)
-    n_all = np.arange(1, x_floor + 1, dtype=np.int64)
-    smooth = sieve.lpf[: x_floor] <= y_floor
-    members = n_all[smooth]
-    direct = complex(np.sum(f(members[members >= w])))
-
-    parts: list[complex] = []
-    k_hi = min(x_floor, floor_int(w * y_floor))
-    lpf = sieve.lpf
-    spf = sieve.spf
-    for k in range(max(2, math.ceil(w)), k_hi + 1):
-        pk = int(lpf[k - 1])
-        if pk > y_floor or not (w <= k < w * pk):
-            continue
-        z = floor_quotient(x, k)
-        m_all = np.arange(1, z + 1, dtype=np.int64)
-        ok = (lpf[:z] <= y_floor) & ((spf[:z] >= pk) | (m_all == 1))
-        ms = m_all[ok]
-        if ms.size:
-            parts.append(complex(np.sum(f(k * ms))))
-    return direct, fsum_complex(parts)
+    members = np.flatnonzero(sieve.lpf[:x_floor] <= y_floor) + 1
+    values = f(members)
+    counts = _split_counts(x_floor, w, sieve, y_floor)[members]
+    return complex(np.sum(values[members >= w])), complex(np.sum(counts * values))
 
 
 # ---------------------------------------------------------------------------

@@ -168,15 +168,23 @@ def _tuple_walk(
                     np.zeros(1, dtype=np.int64))
 
 
-def _runs(lengths: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _runs(
+    lengths: np.ndarray, chunk: Optional[int] = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(t, m) for m = 1 .. lengths[t], every length >= 0, laid out flat and
-    cut into chunks of at most _TUPLE_CHUNK terms; nothing for no lengths."""
+    cut into chunks of at most `chunk` terms, _TUPLE_CHUNK when omitted;
+    nothing for no lengths."""
+    step = _TUPLE_CHUNK if chunk is None else chunk
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, _TUPLE_CHUNK):
-        k = np.arange(lo, min(lo + _TUPLE_CHUNK, total), dtype=np.int64)
-        t = np.searchsorted(ends, k, side="right")
-        yield t, k - (ends[t] - lengths[t]) + 1
+    for lo in range(0, total, step):
+        hi = min(lo + step, total)
+        # the runs first .. last meet [lo, hi); each t repeats for its overlap
+        first, last = np.searchsorted(ends, [lo, hi - 1], "right")
+        t = np.arange(first, last + 1)
+        cover = np.minimum(ends[t], hi) - np.maximum(ends[t] - lengths[t], lo)
+        t = np.repeat(t, cover.astype(np.int64))
+        yield t, np.arange(lo, hi, dtype=np.int64) - (ends[t] - lengths[t]) + 1
 
 
 def tuple_primes(y: float, x: float, j: int) -> np.ndarray:

@@ -16,7 +16,8 @@ its mask, listing no member, and they are added in place into one int64
 histogram.  A histogram holds counts only: a twisted sum, like any sum
 with a larger q, sums each segment's weighted phases per term as the
 segment arrives, through `_term_sum`, the one per-term tail, which
-`sum_bilinear` shares for its pairs m * n <= x.  `_monomial_sum` takes
+`sum_bilinear` shares for its pairs m * n <= x: they are laid out by
+`sieve._runs` and summed 2^16 at a time.  `_monomial_sum` takes
 one or more residues a that share (x, y, q, nu): the listing, the bins
 and the powers r^nu mod q are made once, and only a * r^nu mod q and the
 phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
@@ -37,13 +38,14 @@ chunks and segments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import TWO_PI, factorize, floor_int, fsum_complex, is_prime
+from .arith import TWO_PI, factorize, floor_int, floor_quotient, fsum_complex, is_prime
 from .sieve import (DEFAULT_SEGMENT, ResourceLimitError, _runs, _tuple_walk, smooth_segments,
                     tuple_primes)
 
@@ -127,6 +129,13 @@ def _pow_vec(base: np.ndarray, nu: int, q: int) -> np.ndarray:
     return result
 
 
+@functools.lru_cache(maxsize=64)
+def _prime_divisors(q: int) -> tuple[int, ...]:
+    """The primes dividing q, factored once per q rather than once per
+    chunk of a nu < 0 sum."""
+    return tuple(p for p, _ in factorize(q))
+
+
 def _monomial_residues(r: np.ndarray, q: int, nu: int) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """r^nu mod q per int64 residue r in [0, q), which `_scaled` multiplies
     by each a; for nu < 0 the second item masks the invertible r, the only
@@ -142,7 +151,7 @@ def _monomial_residues(r: np.ndarray, q: int, nu: int) -> tuple[np.ndarray, Opti
     units = None
     if nu < 0:  # a unit r has r^-1 = r^(phi(q) - 1); it is prime to every p | q
         phi, units = q, np.ones(r.shape, dtype=bool)
-        for p, _ in factorize(q):
+        for p in _prime_divisors(q):
             phi = phi // p * (p - 1)
             units &= r % p != 0
         nu = -nu * (phi - 1)
@@ -335,35 +344,33 @@ def sum_bilinear(
     nu: int = 1,
 ) -> SumValue:
     """Double sum of alpha_m beta_n e_q(a (m n)^nu) under the hyperbola
-    m * n <= x.  Weights must satisfy |w| <= 1; zero weights are skipped.
-    The pairs are listed per m, against the sorted beta keys up to
-    floor(x) // m, and summed by the per-term kernel.
+    m * n <= x.  Keys must be integers >= 1 and weights satisfy |w| <= 1;
+    zero weights are skipped.  Each m takes the sorted beta keys up to
+    floor(x) // m; the (m, n) pairs are laid out by `sieve._runs` in chunks
+    of _CHUNK, each summed by the per-term kernel as it is made.
     """
     _check_phase(q, a, nu)
     for name, seq in (("alpha", alpha), ("beta", beta)):
         for key, w in seq.items():
-            if key < 1:
-                raise ValueError(f"{name} support must be positive, got index {key}")
+            if not isinstance(key, (int, np.integer)) or key < 1:
+                raise ValueError(f"{name} support must be positive integers, got index {key!r}")
             if abs(w) > 1 + 1e-12:
                 raise ValueError(f"|{name}[{key}]| = {abs(w)} exceeds 1")
     # no product passes max(alpha) * max(beta), so x is capped there exactly
-    top = max(alpha, default=0) * max(beta, default=0)
+    top = int(max(alpha, default=0)) * int(max(beta, default=0))
     x_floor = top if x >= top else floor_int(x)
     if x_floor >= 1 << 63:
         raise ValueError(f"pairs m * n <= x must stay below 2^63, got x={x}")
     ns = np.array(sorted(n for n, bn in beta.items() if bn and n <= x_floor), dtype=np.int64)
     bs = np.array([beta[n] for n in ns.tolist()], dtype=np.complex128)
-    mn, w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.complex128)]
-    for m, am in alpha.items():
-        if am and m <= x_floor:
-            k = int(np.searchsorted(ns, x_floor // m, side="right"))
-            mn.append(m * ns[:k])
-            w.append(am * bs[:k])
-    mn = np.concatenate(mn)
-    v = _term_sum(mn, q, [a], nu, np.concatenate(w))[0]
-    if v.terms < mn.size:
-        raise ValueError(f"nu={nu} < 0 needs every m * n <= x invertible modulo {q}")
-    return v
+    ms = np.array([m for m, am in alpha.items() if am and m <= x_floor], dtype=np.int64)
+    am = np.array([alpha[m] for m in ms.tolist()], dtype=np.complex128)
+    parts = []
+    for t, i in _runs(np.searchsorted(ns, floor_quotient(x_floor, ms), "right"), _CHUNK):
+        parts.append(_term_sum(ms[t] * ns[i - 1], q, [a], nu, am[t] * bs[i - 1])[0])
+        if parts[-1].terms < t.size:
+            raise ValueError(f"nu={nu} < 0 needs every m * n <= x invertible modulo {q}")
+    return _total(parts)
 
 
 def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:

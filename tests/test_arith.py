@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from friable_sums.arith import (
@@ -149,6 +150,15 @@ def test_floor_quotient_equals_the_exact_rational_floor():
 
 
 def test_floor_quotient_refuses_a_divisor_below_one():
-    for d in (0, -3):
+    for d in (0, -3, np.array([3, 0, 5]), np.array([-1])):
         with pytest.raises(ValueError, match="divisor must be positive"):
             floor_quotient(10.5, d)
+
+
+def test_floor_quotient_takes_an_int64_array_of_divisors():
+    d = np.array([1, 2, 3, 7, 10**6, 2**40], dtype=np.int64)
+    for x in (0, 29.999999999999996, 30.0, 10.5, 1e12 + 0.5, 2**62):
+        got = floor_quotient(x, d)
+        assert got.dtype == np.int64
+        assert got.tolist() == [floor_quotient(x, int(v)) for v in d.tolist()]
+    assert floor_quotient(5, np.empty(0, dtype=np.int64)).size == 0

@@ -804,6 +804,21 @@ def test_refusals_print_nothing_on_stdout(capsys, argv, code, message):
     assert (got, out) == (code, "") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sum", "--x", "3e7", "--y", "1e3", "--q", "1000003", "--eps", "nan"],
+    ["sum", "--x", "1e6", "--y", "10", "--q", "7", "--delta", "1.5"],
+    ["scan", "--x-grid", "1e6", "--y-grid", "10", "--q-grid", "7", "--delta", "0"],
+    ["scan", "--x-grid", "1e6", "--y-grid", "10", "--q-grid", "7", "--eps", "inf"],
+])
+def test_bad_eps_or_delta_is_refused_before_the_first_sum(capsys, monkeypatch, argv):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a sum ran before --eps/--delta were checked")
+
+    monkeypatch.setattr(sums, "_monomial_sum", no_sum)
+    got, out, err = run(capsys, argv)
+    assert (got, out) == (2, "") and "E4 needs" in err
+
+
 _EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e400", "", "abc"]
 _EDGE_OPTIONS = [
     (["sum", "--x", "1e3", "--y", "10", "--q", "7"],

@@ -125,11 +125,16 @@ def test_admissible_splits_agree_with_and_without_sieve(n, w):
         assert w_split(n, w) == w_split(n, w, _SPLIT_SIEVE)
 
 
-@pytest.mark.parametrize("w", [1.0, 2.5, 3.0, 7.5, 10.0, 50.0, 2999.5])
-def test_split_counts_match_the_per_n_oracle(w):
-    counts = decomp._split_counts(3000, w, _SPLIT_SIEVE)
+@pytest.mark.parametrize("w, y", [pytest.param(w, math.inf, id=str(w))
+                                  for w in (1.0, 2.5, 3.0, 7.5, 10.0, 50.0, 2999.5)]
+                         + [(2.5, 2), (10.0, 7), (10.0, 30.5), (50.0, 13), (7.5, 3000)])
+def test_split_counts_match_the_per_n_oracle(w, y):
+    # with y the counts stay exact at every y-smooth n, the ones a sum reads
+    counts = decomp._split_counts(3000, w, _SPLIT_SIEVE, y)
     assert counts.dtype == np.int64 and counts.shape == (3001,)
-    assert counts.tolist() == [0] + [count_admissible_splits(n, w, _SPLIT_SIEVE) for n in range(1, 3001)]
+    smooth = [n for n in range(1, 3001) if _SPLIT_SIEVE.lpf_of(n) <= y]
+    assert counts[smooth].tolist() == [count_admissible_splits(n, w, _SPLIT_SIEVE) for n in smooth]
+    assert counts[0] == 0
 
 
 @pytest.mark.parametrize("n_max, w", [(1, 1.0), (1, 3.0), (2, 3.0), (40, 50.0), (2999, 2999.5)])
@@ -157,6 +162,37 @@ def test_split_partition_identity_exact():
     for x, y, w in [(5000, 10.0, 10.0), (5000, 50.0, 31.5), (3000, 100.0, 100.0)]:
         direct, regrouped = split_partition_sums(phase_map(101, 7), x, y, w)
         assert abs(direct - regrouped) <= 1e-9 * max(1.0, abs(direct))
+
+
+def naive_fiber_sum(f, x, y, w):
+    """Oracle: f(k * m) summed fiber by fiber, k then m, with P and p from
+    factorize: w <= k < w * P(k), P(k) <= y, m <= x / k y-smooth with
+    p(m) >= P(k) (m = 1 always)."""
+    x_floor = math.floor(x)
+    primes = {n: [p for p, _ in factorize(n)] for n in range(2, x_floor + 1)}
+    parts = []
+    for k in range(2, x_floor + 1):
+        pk = primes[k][-1]
+        if not (w <= k < w * pk and pk <= y):
+            continue
+        for m in range(1, x_floor // k + 1):
+            if m == 1 or (primes[m][-1] <= y and primes[m][0] >= pk):
+                parts.append(complex(f(np.array([k * m]))[0]))
+    return fsum_complex(parts), len(parts)
+
+
+@pytest.mark.parametrize("x", [2000.5, 1500])
+@pytest.mark.parametrize("w", [2.5, 10.0, 31.5])
+@pytest.mark.parametrize("y_of", [lambda w, x: w / 2, lambda w, x: 2 * w, lambda w, x: x,
+                                  lambda w, x: 10 * x], ids=["below-w", "above-w", "x", "past-x"])
+def test_split_partition_regrouped_side_matches_the_fiber_oracle(x, w, y_of):
+    y = y_of(w, x)
+    want, fibers = naive_fiber_sum(phase_map(101, 7), x, y, w)
+    direct, regrouped = split_partition_sums(phase_map(101, 7), x, y, w)
+    assert abs(regrouped - want) <= 1e-12 * max(1, fibers)
+    assert abs(direct - want) <= 1e-12 * max(1, fibers)
+    # f = 1 counts the fibers exactly
+    assert split_partition_sums(ones_map, x, y, w)[1] == fibers
 
 
 def test_split_partition_counting_form():

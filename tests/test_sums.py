@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -725,6 +726,40 @@ def test_bilinear_drops_keys_above_floor_x():
     assert_bilinear_matches_naive(small, {2: -1.0, 5: 1.0}, math.inf, 11, 2, 3)
     with pytest.raises(ValueError, match="2\\^63"):
         sum_bilinear(alpha, beta, 1e40, 11, 2, 3)
+
+
+def test_bilinear_refuses_a_noninteger_key():
+    with pytest.raises(ValueError, match="positive integers"):
+        sum_bilinear({2.5: 1.0}, {3: 1.0}, 100, 7, 1, 1)
+    with pytest.raises(ValueError, match="positive integers"):
+        sum_bilinear({2: 1.0}, {Fraction(3): 1.0}, 100, 7, 1, 1)
+    # numpy integer keys are integers
+    alpha, beta = {np.int64(2): 1.0, np.int32(5): 1j}, {np.int64(3): -1.0, 4: 0.5}
+    got = sum_bilinear(alpha, beta, 100, 7, 1, 1)
+    as_int = [{int(k): w for k, w in d.items()} for d in (alpha, beta)]
+    assert got == sum_bilinear(*as_int, 100, 7, 1, 1) and got.terms == 4
+
+
+def test_bilinear_holds_one_chunk_of_pairs_at_a_time():
+    units = {m: 1.0 for m in range(1, 1001)}
+    tracemalloc.start()
+    try:
+        v = sum_bilinear(units, units, 1e6, 10007, 3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.terms == 10**6
+    assert peak < 16 * 2**20
+
+
+def test_bilinear_refuses_a_noninvertible_pair_in_a_later_chunk():
+    # q = 90001 is prime: every m * n <= 300^2 < q is a unit, and (q, 1),
+    # the last of 90001 pairs, falls in the second chunk of 2^16
+    q = 90001
+    units = {m: 1.0 for m in range(1, 301)}
+    assert sum_bilinear(units, units, q, q, 3, -1).terms == 90000 > sums._CHUNK
+    with pytest.raises(ValueError, match="invertible"):
+        sum_bilinear({**units, q: 1.0}, units, q, q, 3, -1)
 
 
 # every entry that takes a phase e_q(a * n^nu), as a call (q, a, nu) -> value;

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from friable_sums import sieve, sums
 from friable_sums.arith import floor_int, floor_quotient, fsum_complex
@@ -126,6 +128,19 @@ def test_runs_list_each_tuples_terms_once(sizes, ps, x_floor, depth, distinct, l
             assert 0 < t.size == m.size <= sieve._TUPLE_CHUNK
             got += [(k, int(pr[i]), mi, int(z[i])) for i, mi in zip(t.tolist(), m.tolist())]
     assert sorted(got) == sorted(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(0, 20), max_size=40),
+       chunk=st.integers(1, 70) | st.just(1 << 16))
+def test_runs_take_a_chunk_size(lengths, chunk):
+    # the chunk overrides _TUPLE_CHUNK: full chunks but the last, the runs in order
+    got = list(_runs(np.array(lengths, dtype=np.int64), chunk))
+    assert all(0 < t.size == m.size <= chunk for t, m in got)
+    assert all(t.size == chunk for t, _ in got[:-1])
+    assert all(t.dtype == m.dtype == np.int64 for t, m in got)
+    flat = [(int(t), int(m)) for ts, ms in got for t, m in zip(ts, ms)]
+    assert flat == [(t, m) for t, n in enumerate(lengths) for m in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("lengths", [[], [0], [0, 0, 0]])

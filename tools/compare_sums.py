@@ -21,7 +21,10 @@ products of four primes past 2^80; `buchstab_expand` (each correction, in
 both orderings, up to r = 6, and at (1e6, 100, r = 3), whose prime-tuple
 walk spans many chunks) and `relaxed_tuple_sum`, whose `terms` is the
 number of values of f the call took; `bilinear_regroup` (beta, gamma and
-diagonal_terms, at j = 2, 3 and 4); `sum_bilinear`;
+diagonal_terms, at j = 2, 3 and 4); `sum_bilinear`, also on 600 x 600
+pairs, more than three chunks of 2^16, at q = 10007 and 2^31 - 1;
+`split_partition_sums` (direct and regrouped, with the numbers of their
+terms);
 `moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
 envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
 and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
@@ -141,6 +144,17 @@ def evaluate(src: str) -> dict[str, dict]:
         for nu in NU_GRID:
             v = sums.sum_bilinear(*units, 5000, q, 7, nu)
             put(f"bilinear/q={q}/nu={nu}", v.value, v.terms)
+    alpha = {m: cmath.exp(0.7j * m) for m in range(1, 601)}
+    beta = {n: (-1) ** n * (0.5 if n % 3 else 1j) for n in range(1, 601)}
+    for q in (10007, (1 << 31) - 1):  # primes above 600: no product of two keys is a multiple of q
+        for nu in (-1, 1, 3):
+            v = sums.sum_bilinear(alpha, beta, 360000, q, 7, nu)
+            put(f"bilinear/600x600/q={q}/nu={nu}", v.value, v.terms)
+    for x, y, w in ((1e5, 10, 10), (20000.5, 50, 31.5)):
+        counts = decomp.split_partition_sums(lambda n: np.ones(n.size, dtype=complex), x, y, w)
+        sides = decomp.split_partition_sums(phases, x, y, w)
+        for side, v, c in zip(("direct", "regrouped"), sides, counts):
+            put(f"partition/x={x}/y={y}/w={w}/{side}", v, round(c.real))
     for k, nu, q, m in ((2, -1, 1009, 40), (2, 3, 3600, 60), (3, -2, 997, 20),
                         (4, 3, 1009, 1 << 16)):
         put(f"moment/k={k}/nu={nu}/q={q}/M={m}", 0j, sums.moment_count(k, nu, q, m), "exact")
