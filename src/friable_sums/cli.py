@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import bounds, decomp, optimizer, sums
+from . import bounds, decomp, optimizer, sieve, sums
 from .arith import floor_int
 from .sieve import ResourceLimitError, build_sieve, primes_upto, psi, usable_cpus
 
@@ -81,8 +81,9 @@ def _fmt(v: float) -> str:
 
 
 def parse_grid(spec: str) -> tuple[str, object]:
-    """Grid syntax: explicit "1e5,1e6,1e7", geometric "geom:lo:hi:count",
-    or x-linked "x^0.6" (value derived from the row's x).
+    """Grid syntax: explicit "1e5,1e6,1e7", geometric "geom:lo:hi:count"
+    (1 <= count <= MAX_LIST), or x-linked "x^0.6" (value derived from the
+    row's x).
     """
     spec = spec.strip()
     if spec.startswith("x^"):
@@ -90,7 +91,7 @@ def parse_grid(spec: str) -> tuple[str, object]:
     if spec.startswith("geom:"):
         _, lo, hi, count = spec.split(":")
         lo_f, hi_f, n = float(lo), float(hi), int(count)
-        if n < 1 or lo_f <= 0 or hi_f < lo_f:
+        if not 1 <= n <= sieve.MAX_LIST or lo_f <= 0 or hi_f < lo_f:
             raise ValueError(f"bad geometric grid {spec!r}")
         if n == 1:
             return "values", [lo_f]
@@ -109,14 +110,23 @@ def resolve_grid(grid: tuple[str, object], x: float) -> list[float]:
     return list(payload)
 
 
+def _grid_size(grid: tuple[str, object]) -> int:
+    """The number of values a parsed grid gives each x."""
+    return 1 if grid[0] == "powx" else len(grid[1])
+
+
 def grid_cells(
-    x_grid: tuple[str, object], y_grid: tuple[str, object]
+    x_grid: tuple[str, object], y_grid: tuple[str, object], rows_per_cell: int = 1
 ) -> list[tuple[float, float]]:
     """The (x, y) cells of two parsed grids, x-major.  Raises ValueError for
-    an x-linked x grid or a cell with x <= 0 or y <= 0, before any work.
+    an x-linked x grid, then ResourceLimitError when the cells, at
+    `rows_per_cell` output rows each, would make more than MAX_LIST rows,
+    then ValueError for a cell with x <= 0 or y <= 0, before any work.
     """
     if x_grid[0] == "powx":
         raise ValueError("the x grid cannot be x-linked")
+    rows = _grid_size(x_grid) * _grid_size(y_grid) * rows_per_cell
+    sieve._check_entries(rows, "a grid's row list", sieve.MAX_LIST)
     cells = []
     for x in resolve_grid(x_grid, 0.0):
         if not x > 0:  # checked before an x-linked y grid raises x to a power
@@ -224,15 +234,17 @@ class ScanSpec:
         """Grid cells in emission order; random residues are drawn from a
         per-cell stream, so the list is independent of any scheduling.
 
-        Before any residue is drawn, raises ValueError for a bad grid or cell
-        (see grid_cells and SumParams), then ResourceLimitError when the
-        cells' estimated terms, the sum of floor(x) over them, exceed budget.
+        Before any residue is drawn, raises ResourceLimitError for more than
+        MAX_LIST rows, counted over the whole (x, y, q) grid times
+        max(1, random_a), then ValueError for a bad cell (see grid_cells and
+        SumParams), then ResourceLimitError when the cells' estimated terms,
+        the sum of floor(x) over them, exceed budget.
         """
         # a random unit is coprime to q, so a = 1 checks its cell as the draw
         # would; a fixed a keeps only the q coprime to it
         a = 1 if self.random_a else self.fixed_a
-        xyq = ((x, y, max(1, floor_int(q))) for x, y in grid_cells(self.x_grid, self.y_grid)
-               for q in resolve_grid(self.q_grid, x))
+        xy = grid_cells(self.x_grid, self.y_grid, _grid_size(self.q_grid) * max(1, self.random_a))
+        xyq = ((x, y, max(1, floor_int(q))) for x, y in xy for q in resolve_grid(self.q_grid, x))
         laid = [(index, sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
                 for index, (x, y, q) in enumerate(xyq) if math.gcd(a, q) == 1]
         cost = sum(floor_int(p.x) for _, p in laid) * (self.random_a or 1)
@@ -403,10 +415,10 @@ def _suite_weil(args) -> tuple[bool, str]:
             f"weil suite up to q={q_max} needs at least {terms:.3g} phase terms, past "
             f"the {_WEIL_TERMS}-term budget")
     for q in qs.tolist():
-        # one pass over the classes mod q per nu serves every a
-        counts, avals = sums._complete_counts(q), range(1, min(q - 1, 20) + 1)
+        avals = range(1, min(q - 1, 20) + 1)
         for nu in range(2, 7):
-            for a, s in zip(avals, sums._binned_sum(counts, q, avals, nu)):
+            # one pass over n = 1 .. q-1 per nu serves every a
+            for a, s in zip(avals, sums._complete_sum(q, avals, nu)):
                 excess = sums._weil_excess(s, q, nu)
                 if excess is not None:
                     return False, f"q={q} nu={nu} a={a}: envelope exceeded by {excess:.3g}"

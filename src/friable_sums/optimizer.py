@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import _exponent
-from .sieve import ResourceLimitError
+from .sieve import ResourceLimitError, _check_entries
 
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, Fraction]
@@ -126,8 +126,9 @@ def oracle_optimal_omega(alpha: float, beta: float, step: float = 1e-4) -> tuple
     oracle returns the smallest grid omega whose kappa lies within step/4
     (which covers the grid's sampling error) of the grid maximum.
     """
-    if step > 1e-3:
-        raise ValueError(f"oracle step must be <= 1e-3, got {step}")
+    if not 0 < step <= 1e-3:
+        raise ValueError(f"oracle step must be in (0, 1e-3], got {step}")
+    _check_entries(5 * (int(1 / step) + 1), "an oracle omega grid")
     omegas = np.arange(0.0, 1.0 + step / 2, step)
     kappas = eta(_window_points(omegas, alpha, beta), beta).min(axis=0)
     best = int(np.argmax(kappas >= np.max(kappas) - step / 4.0))

@@ -66,7 +66,10 @@ import numpy as np
 from .arith import floor_int, is_prime
 
 DEFAULT_SEGMENT = 1 << 22
+# An array sized from an argument holds at most MAX_SEGMENT entries, and a
+# Python list sized from one at most MAX_LIST items (see _check_entries).
 MAX_SEGMENT = 1 << 26
+MAX_LIST = 1 << 20
 # The listing cost model (2-core Xeon, numpy 2.4): nanoseconds per integer
 # swept by the sieve, and per member per prime built by the generator.  The
 # sieve's 13 ns predates its blocked kernel and is kept as the threshold
@@ -87,6 +90,16 @@ class ResourceLimitError(RuntimeError):
     """A requested table or scan exceeds the configured memory/work budget."""
 
 
+def _check_entries(count: int, what: str, limit: int = MAX_SEGMENT) -> None:
+    """Refuse `what`, an array (or, with limit MAX_LIST, a list) of `count`
+    entries sized from an argument, with ResourceLimitError when count
+    passes `limit`: the one table-size rule, checked before anything is
+    allocated."""
+    if count > limit:
+        raise ResourceLimitError(
+            f"{what} needs {count} entries, past the {limit}-entry budget (a memory budget)")
+
+
 def usable_cpus() -> int:
     """How many CPUs this process may run on: its affinity mask where the
     platform has one, else the machine's CPU count.
@@ -104,14 +117,11 @@ def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array (classic sieve of Eratosthenes).
 
     The sieve holds a bool mask of n + 1 entries, so n is held to the
-    MAX_SEGMENT budget that build_sieve enforces.
+    MAX_SEGMENT budget (see _check_entries).
     """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    if n > MAX_SEGMENT:
-        raise ResourceLimitError(
-            f"prime table up to {n} exceeds the {MAX_SEGMENT}-entry budget"
-        )
+    _check_entries(n, "a prime table")
     mask = np.ones(n + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -265,10 +275,7 @@ def build_sieve(lo: int, hi: int) -> FactorSieve:
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     count = hi - lo + 1
-    if count > MAX_SEGMENT:
-        raise ResourceLimitError(
-            f"segment of {count} entries exceeds the {MAX_SEGMENT}-entry budget"
-        )
+    _check_entries(count, "a sieve segment")
     lpf = np.ones(count, dtype=np.int64)
     spf = np.zeros(count, dtype=np.int64)
     small = primes_upto(math.isqrt(hi))
@@ -467,8 +474,8 @@ def smooth_plan(
     <= min(y, isqrt(x)) either way.  Members are int64, so floor(x) >= 2^63
     is refused with ValueError, as is a segment that is not an integer >= 1.
     A sieved plan whose segments would exceed MAX_SEGMENT entries (none is
-    longer than floor(x)) is refused with ResourceLimitError before
-    anything is sieved.
+    longer than floor(x)), or that would list more than MAX_LIST segments,
+    is refused with ResourceLimitError before anything is sieved or listed.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
@@ -483,9 +490,8 @@ def smooth_plan(
     primes = primes_upto(min(y_floor, math.isqrt(x_floor)))
     if _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
-    if min(segment, x_floor) > MAX_SEGMENT:
-        raise ResourceLimitError(
-            f"sieve segments of {min(segment, x_floor)} entries exceed the {MAX_SEGMENT}-entry budget")
+    _check_entries(min(segment, x_floor), "a sieve segment")
+    _check_entries(-(-x_floor // segment), "a sieved plan's segment list", MAX_LIST)
     return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
             y_floor, primes)
 

@@ -22,9 +22,11 @@ one or more residues a that share (x, y, q, nu): the listing, the bins
 and the powers r^nu mod q are made once, and only a * r^nu mod q and the
 phase pass are made per a.  One tail, `_binned_sum`, turns exact counts
 per class r mod q into the sum of e_q(a * r^nu) over the occupied
-classes, for one or more residues a; three callers end in it:
-`_monomial_sum` (its histogram path), `sum_prime_convolution` and
-`complete_monomial_sum` (one count per r = 1 .. q-1).  The convolution
+classes, for one or more residues a; two callers end in it:
+`_monomial_sum` (its histogram path) and `sum_prime_convolution`.
+Complete sums mod a prime q, for `complete_monomial_sum` and the weil
+suite, are per-term sums over n = 1 .. q-1 through `_term_sum`, which
+holds no histogram (`_complete_sum`).  The convolution
 counts the m <= z = x // (p_1...p_j) of each prime tuple by class of
 m * p_1...p_j mod q, as each m <= min(z, q) standing for (z - m) // q + 1
 values; it takes the tuples in array chunks from the one prime-tuple walk,
@@ -46,8 +48,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .arith import TWO_PI, factorize, floor_int, floor_quotient, fsum_complex, is_prime
-from .sieve import (DEFAULT_SEGMENT, ResourceLimitError, _runs, _tuple_walk, smooth_segments,
-                    tuple_primes)
+from .sieve import DEFAULT_SEGMENT, _check_entries, _runs, _tuple_walk, smooth_segments, tuple_primes
 
 # Plain sums bin residues up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables, as twisted sums do at
@@ -56,9 +57,6 @@ HIST_LIMIT = 1 << 23
 # Vectorized modular powers need q*q below 2^63, or a power-of-two q,
 # which uint64 products reduce exactly as they wrap modulo 2^64.
 _VEC_MOD_LIMIT = 1 << 31
-# The moment count, the prime convolution and the complete sum hold one
-# int64 bin per residue.
-MAX_MOMENT_MODULUS = 1 << 26
 # Residues are reduced in int64 arrays.
 MAX_MODULUS = 1 << 63
 # Terms per chunk of the phase kernel _phase_sum.
@@ -74,10 +72,9 @@ def _check_phase(q: int, a: int, nu: int) -> None:
 
 
 def _bins(q: int) -> np.ndarray:
-    """One zeroed int64 count per residue mod q; past MAX_MOMENT_MODULUS the
-    bins are refused before anything is allocated."""
-    if q > MAX_MOMENT_MODULUS:
-        raise ResourceLimitError(f"bins over q={q} residues exceed the memory budget")
+    """One zeroed int64 count per residue mod q, held to the table budget
+    (see sieve._check_entries)."""
+    _check_entries(q, "a residue histogram")
     return np.zeros(q, dtype=np.int64)
 
 
@@ -376,17 +373,16 @@ def sum_bilinear(
 def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
     """Sum over n = 1 .. q-1 of e_q(a * n^nu) for prime q, gcd(a, q) = 1."""
     _check_phase(q, a, nu)
-    counts = _complete_counts(q)
+    return _complete_sum(q, [a], nu)[0]
+
+
+def _complete_sum(q: int, avals: Sequence[int], nu: int) -> list[SumValue]:
+    """S over n = 1 .. q-1 of e_q(a * n^nu) for each a in avals, summed per
+    term; q is held to the table budget before it is tested for primality."""
+    _check_entries(q, "a complete sum")
     if not is_prime(q):
         raise ValueError(f"complete monomial sums need a prime modulus, got q={q}")
-    return _binned_sum(counts, q, [a], nu)[0]
-
-
-def _complete_counts(q: int) -> np.ndarray:
-    """One count per class r = 1 .. q-1, the n of a complete sum mod q."""
-    counts = _bins(q)
-    counts[1:] = 1
-    return counts
+    return _term_sum(np.arange(1, q, dtype=np.int64), q, avals, nu)
 
 
 def weil_envelope_violation(
@@ -411,6 +407,7 @@ def moment_count(k: int, nu: int, q: int, M: int) -> int:
     if k < 1 or M < 1:
         raise ValueError(f"need k, M >= 1, got k={k}, M={M}")
     _check_phase(q, 1, nu)
+    _check_entries(M + 1, "a moment range")
     h = _bins(q)
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
     pw, units = _monomial_residues(m % q, q, nu)

@@ -629,11 +629,11 @@ def test_verify_weil_refuses_from_primes_up_to_two_to_the_12(capsys, monkeypatch
     class PassStarted(Exception):
         pass
 
-    def started(q):
+    def started(q, avals, nu):
         raise PassStarted
 
     monkeypatch.setattr(cli, "primes_upto", primes)
-    monkeypatch.setattr(cli.sums, "_complete_counts", started)
+    monkeypatch.setattr(cli.sums, "_complete_sum", started)
     for x in ("3221", "6e7", "1e30"):
         code, out, err = run(capsys, ["verify", "--suite", "weil", "--x", x])
         assert (code, out) == (3, "") and "budget refusal" in err
@@ -802,6 +802,40 @@ def test_optimize_trivial_regime(capsys):
 def test_refusals_print_nothing_on_stdout(capsys, argv, code, message):
     got, out, err = run(capsys, argv)
     assert (got, out) == (code, "") and message in err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # past 2^20 sieve segments, where the list of their bounds alone passes 100 MiB
+    (["sum", "--x", "1e17", "--y", "1e5", "--q", "7"], 3, "segment list"),
+    (["sieve", "--x-grid", "1e17", "--y-grid", "1e5"], 3, "segment list"),
+    # past 2^20 values in one grid, or 2^20 output rows
+    (["scan", "--x-grid", "geom:1:10:10000000", "--y-grid", "10", "--q-grid", "7", "--budget", "1"],
+     2, "bad geometric grid"),
+    (["sieve", "--x-grid", "geom:1:10:1048577", "--y-grid", "10"], 2, "bad geometric grid"),
+    (["sieve", "--x-grid", "geom:1:10:1048576", "--y-grid", "2,3"], 3, "row list"),
+    (["scan", "--x-grid", "geom:1:10:1024", "--y-grid", "x^0.5", "--q-grid", "7",
+      "--random-a", "1025"], 3, "row list"),
+    (["scan", "--x-grid", "geom:1:10:1024", "--y-grid", "geom:1:2:1024", "--q-grid", "7,11"],
+     3, "row list"),
+    # each cell is charged floor(0.5) = 0 terms against --budget
+    (["scan", "--x-grid", "0.5", "--y-grid", "10", "--q-grid", "7", "--random-a", "100000000"],
+     3, "row list"),
+])
+def test_lists_sized_from_arguments_are_refused_at_once(capsys, argv, code, message):
+    start = time.perf_counter()
+    got, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert (got, out) == (code, "") and message in err
+
+
+def test_grid_row_budget_boundary():
+    one = ("values", [1.0])
+    assert cli.grid_cells(one, one, sieve.MAX_LIST) == [(1.0, 1.0)]
+    with pytest.raises(sieve.ResourceLimitError, match="row list"):
+        cli.grid_cells(one, one, sieve.MAX_LIST + 1)
+    assert len(parse_grid(f"geom:1:2:{sieve.MAX_LIST}")[1]) == sieve.MAX_LIST
+    with pytest.raises(ValueError, match="bad geometric grid"):
+        parse_grid(f"geom:1:2:{sieve.MAX_LIST + 1}")
 
 
 @pytest.mark.parametrize("argv", [

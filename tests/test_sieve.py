@@ -106,6 +106,8 @@ def test_sieve_segments_past_the_budget_are_refused_before_sieving():
     # a segment longer than x is cut to x; the generator's plan ignores it
     assert psi(1e5, 100, segment=1 << 30) == psi(1e5, 100) == 17442
     assert smooth_plan(1e8, 100, segment=2**27)[0] == [(1, 10**8)]
+    # a generated plan is one segment, far past the sieved plans' 2^20
+    assert psi(1e18, 2) == 60
 
 
 def test_smooth_members_against_trial_division_oracle():

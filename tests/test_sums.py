@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friable_sums import sieve, sums
+from friable_sums import optimizer, sieve, sums
 from friable_sums.arith import eq_phase, fsum_complex
 from friable_sums.sieve import ResourceLimitError
 from friable_sums.sums import (
@@ -800,3 +800,63 @@ def test_binned_entries_refuse_a_modulus_past_the_budget_before_trial_division(e
             mock.patch.object(sums, "_tuple_walk", side_effect=walked):
         with pytest.raises(ResourceLimitError, match="memory budget"):
             PHASE_ENTRIES[entry](q, 3, nu)
+
+
+def _traced_peak(call):
+    """The exception `call` raises and the tracemalloc peak, in bytes, up to it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(Exception) as info:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return info.value, peak
+
+
+_PAST = sieve.MAX_SEGMENT + 1
+_TABLE_SITES = {
+    "primes_upto": lambda: sieve.primes_upto(_PAST),
+    "build_sieve": lambda: sieve.build_sieve(1, _PAST),
+    "smooth_plan segment": lambda: sieve.smooth_plan(1e8, 1e4, segment=_PAST),
+    "smooth_plan x": lambda: sieve.smooth_plan(_PAST, 1e4, segment=1 << 30),
+    # y = x keeps the plan on the sieve; one more segment than the list budget
+    "smooth_plan segment list": lambda: sieve.smooth_plan(
+        sieve.MAX_LIST * 16 + 1, sieve.MAX_LIST * 16 + 1, segment=16),
+    "sum_prime_convolution bins": lambda: sum_prime_convolution(2, 1e6, 100, _PAST, 1),
+    "moment_count bins": lambda: moment_count(2, 1, _PAST, 5),
+    "complete_monomial_sum": lambda: complete_monomial_sum(_PAST, 1, 2),
+    "weil_envelope_violation": lambda: weil_envelope_violation(_PAST, 1, 2),
+    "complete sum of the weil suite": lambda: sums._complete_sum(_PAST, range(1, 21), 2),
+    "moment_count range": lambda: moment_count(2, 1, 7, sieve.MAX_SEGMENT),  # M + 1 terms
+    # 5 * (floor(1 / step) + 1) window points, the least floor(1 / step) past the budget
+    "oracle_optimal_omega": lambda: optimizer.oracle_optimal_omega(
+        0.3, 0.5, step=1 / (sieve.MAX_SEGMENT // 5 + 0.5)),
+}
+
+
+@pytest.mark.parametrize("site", _TABLE_SITES)
+def test_every_table_site_refuses_one_past_its_budget_before_allocating(site):
+    exc, peak = _traced_peak(_TABLE_SITES[site])
+    assert isinstance(exc, ResourceLimitError)
+    assert "entry budget" in str(exc) and "memory budget" in str(exc)
+    assert peak < 2**20
+
+
+def test_complete_sum_refuses_a_composite_modulus_before_allocating():
+    # 2^26 - 1 = 3 * 2731 * 8191 is within the table budget; its range of
+    # terms would take 512 MiB, and none of it is made before the refusal
+    exc, peak = _traced_peak(lambda: complete_monomial_sum((1 << 26) - 1, 1, 2))
+    assert isinstance(exc, ValueError) and "prime modulus" in str(exc)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 65537])
+@pytest.mark.parametrize("nu", [-3, -1, 2, 5])
+def test_complete_sum_equals_the_per_class_loop(q, nu):
+    avals = [1, 3] if q > 3 else [1]
+    got = sums._complete_sum(q, avals, nu)
+    for a, s in zip(avals, got):
+        want = [eq_phase(a * pow(n, nu, q), q) for n in range(1, q)]
+        assert s.terms == q - 1
+        assert abs(s.value - fsum_complex(want)) <= 1e-9 * q

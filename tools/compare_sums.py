@@ -16,7 +16,9 @@ only the n prime to q;
 `sum_twisted` on both paths; `sum_theta` at theta of either sign, with
 denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
-`complete_monomial_sum`; `sum_prime_convolution`, one cell of it with
+`complete_monomial_sum`, bit-identical at q = 65537 and 100003 (one and
+more phase chunks of 2^16 terms), nu in {-3, -1, 2, 5} and a in {1, 3};
+`sum_prime_convolution`, one cell of it with
 products of four primes past 2^80; `buchstab_expand` (each correction, in
 both orderings, up to r = 6, and at (1e6, 100, r = 3), whose prime-tuple
 walk spans many chunks) and `relaxed_tuple_sum`, whose `terms` is the
@@ -32,8 +34,8 @@ and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
-* the prime convolutions, the moment counts and the regrouping weights are
-  bit-identical, and the exponents equal as floats
+* the prime convolutions, those complete sums, the moment counts and the
+  regrouping weights are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
@@ -103,6 +105,11 @@ def evaluate(src: str) -> dict[str, dict]:
         for nu in NU_GRID:
             v = sums.complete_monomial_sum(q, 3, nu)
             put(f"complete/q={q}/nu={nu}", v.value, v.terms)
+    for q in (65537, 100003):  # as long as one phase chunk of 2^16 terms, and longer
+        for nu in (-3, -1, 2, 5):
+            for a in (1, 3):
+                v = sums.complete_monomial_sum(q, a, nu)
+                put(f"complete/q={q}/a={a}/nu={nu}", v.value, v.terms, "exact")
     for j, x, y in ((1, 20000, 50), (2, 1e5, 30), (3, 1e5, 10)):
         for q in (1, 3600, 10007):
             for nu in NU_GRID:
