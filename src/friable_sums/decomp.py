@@ -38,14 +38,15 @@ import numpy as np
 
 from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
+    MAX_LIST,
     FactorSieve,
+    _check_entries,
     _powers,
     _runs,
     _tuple_walk,
     build_sieve,
-    next_primes_above,
     primes_between,
-    primes_upto,
+    psi,
     spf_factorization,
     tuple_primes,
 )
@@ -191,14 +192,16 @@ class BuchstabExpansion:
         return out
 
 
-def _expansion_depth_ok(x_floor: int, y: float, r: int, ordering: str) -> bool:
-    """True when no n <= x can carry r+1 prime factors above y (counted per
-    the ordering: distinct primes when strict, with multiplicity otherwise),
-    so the alternating series terminates within r corrections.
+def _expansion_depth_ok(ps: np.ndarray, x_floor: int, r: int, ordering: str) -> bool:
+    """True when no n <= x can carry r+1 prime factors from `ps`, the
+    primes in (y, x], so the alternating series terminates within r
+    corrections.  Factors count per the ordering: as distinct primes when
+    strict (never r+1 of them when ps holds r or fewer), with multiplicity
+    otherwise.
     """
     if ordering == "strict":
-        return math.prod(next_primes_above(y, r + 1)) > x_floor
-    return next_primes_above(y, 1)[0] ** (r + 1) > x_floor
+        return ps.size <= r or math.prod(ps[: r + 1].tolist()) > x_floor
+    return int(ps[0]) ** (r + 1) > x_floor
 
 
 def buchstab_expand(
@@ -224,7 +227,7 @@ def buchstab_expand(
         raise ValueError(f"unknown ordering {ordering!r}")
     x_floor = floor_int(x)
     ps = primes_between(y, x)
-    if ps.size and not _expansion_depth_ok(x_floor, y, r, ordering):
+    if ps.size and not _expansion_depth_ok(ps, x_floor, r, ordering):
         raise ValueError(
             f"incomplete expansion: r={r} corrections cannot terminate at x={x}, y={y}"
         )
@@ -257,9 +260,8 @@ class ArithTables:
 
 
 def arith_tables(n_max: int) -> ArithTables:
-    sieve = build_sieve(1, n_max)
-    spf = np.concatenate([[0], sieve.spf]).astype(np.int64)
-    ps = primes_upto(n_max).tolist()
+    spf = np.concatenate([[0], build_sieve(1, n_max).spf]).astype(np.int64)
+    ps = np.flatnonzero(spf == np.arange(n_max + 1))[2:].tolist()  # spf[n] = n at 0, 1 and the primes
     # mu flips sign once per prime factor and vanishes on multiples of p^2
     mobius = np.ones(n_max + 1, dtype=np.int64)
     mobius[0] = 0
@@ -392,6 +394,11 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
         raise ValueError(f"need j >= 2, got {j}")
     x_floor = floor_int(x)
     ps = primes_between(y, x)
+    # beta's keys are the l <= x with a prime factor above y, floor(x) - Psi(x, y)
+    # of them (Psi counts n = 1 from y = 1 on), and gamma's keys are such l too,
+    # so this one count holds both dicts to the list budget
+    if ps.size:
+        _check_entries(x_floor - psi(x, max(y, 1)), "regroup weights", MAX_LIST)
     # distinct primes above y dividing l: at most 8 below the 2^26 prime-table budget
     counts = np.zeros(max(x_floor, 0) + 1, dtype=np.uint8)
     for p in ps.tolist():

@@ -197,7 +197,7 @@ def test_regions_refuses_zero_grid_step(capsys):
 
 _PRIMES_PROBE = """
 import resource, sys
-cap = 3 << 29  # 1.5 GiB of address space: the prime mask for 3e9 needs 2.8 GiB
+cap = 3 << 29  # 1.5 GiB of address space: the old prime mask for 3e9 needed 2.8 GiB
 resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 from friable_sums.cli import main
 sys.exit(main(["verify", "--suite", sys.argv[1], "--x", "3e9"]))
@@ -559,6 +559,21 @@ def test_verify_default_suites_pass(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 8
     assert all(": PASS" in l for l in lines)
+
+
+def test_verify_regroup_refuses_weights_past_the_list_budget_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--suite", "regroup", "--x", "6e7"])
+    assert (code, out) == (3, "") and "budget refusal" in err and "regroup weights" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_verify_regroup_with_y_past_x_is_empty_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["verify", "--suite", "regroup", "--y", "1e20"])
+    assert (code, out) == (0, "regroup: PASS (x=2000.0 y=1e+20: separable regrouping exact "
+                               "(0 diagonal terms))\n")
+    assert time.perf_counter() - start < 2
 
 
 def test_verify_single_suite(capsys):

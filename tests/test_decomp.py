@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friable_sums import decomp
+from friable_sums import decomp, sieve
 from friable_sums.arith import divisors_from, factorize, fsum_complex
 from friable_sums.decomp import (
     arith_tables,
@@ -23,7 +24,7 @@ from friable_sums.decomp import (
     vaughan_lambda_check,
     w_split,
 )
-from friable_sums.sieve import build_sieve, next_primes_above
+from friable_sums.sieve import ResourceLimitError, build_sieve, next_primes_above, primes_between, psi
 from friable_sums.sums import SumParams, sum_linear, sum_power, sum_prime_convolution
 
 
@@ -276,6 +277,40 @@ def test_buchstab_recombines_monomial_phases():
     exp = buchstab_expand(f, 5000, 16, 3)
     direct = sum_power(SumParams(x=5000, y=16, q=q, a=a, nu=2)).value
     assert abs(exp.recombined() - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_buchstab_depth_rule_matches_the_primes_above_y():
+    # the old rule searched the r + 1 least primes above y by trial division
+    for x in (2, 10, 30, 200, 1155, 1156, 3 * 10**4, 10**5):
+        for y in (-1.5, 1, 2, 2.5, 7, 12, 100, 5000):
+            ps = primes_between(y, x)
+            for r in range(1, 9):
+                for ordering in ("strict", "nondecreasing"):
+                    if ordering == "strict":
+                        want = math.prod(next_primes_above(y, r + 1)) > x
+                    else:
+                        want = next_primes_above(y, 1)[0] ** (r + 1) > x
+                    got = not ps.size or decomp._expansion_depth_ok(ps, x, r, ordering)
+                    assert got == want, (x, y, r, ordering)
+
+
+def test_arith_tables_match_factorization_and_list_no_second_table():
+    real, tops = sieve.primes_between, []
+
+    def spy(lo, hi):
+        tops.append(hi)
+        return real(lo, hi)
+
+    for n_max in (1, 2, 3, 4, 97, 1000):
+        tops.clear()
+        with mock.patch.object(sieve, "primes_between", side_effect=spy):
+            t = arith_tables(n_max)
+        assert max(tops, default=0) <= math.isqrt(n_max)  # build_sieve's own primes only
+        for n in range(1, n_max + 1):
+            fac = factorize(n)
+            mu = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+            lam = math.log(fac[0][0]) if len(fac) == 1 else 0.0
+            assert t.mobius[n] == mu and t.von_mangoldt[n] == lam, n
 
 
 def test_buchstab_rejects_bad_arguments():
@@ -607,6 +642,36 @@ def test_relaxed_tuple_sum_refuses_terms_past_int64_before_listing_primes():
         for xv in (x, 1 << 63, float(1 << 63)):
             with pytest.raises(ValueError, match="2\\^63"):
                 relaxed_tuple_sum(3, xv, 1 << 21, ones_map)
+
+
+@pytest.mark.parametrize("j, x, y", [(2, 3000, 7.0), (3, 4000, 5.0), (4, 5000, 2), (3, 20000.5, 5),
+                                     (2, 3000, 0.5), (2, 3000, -math.inf)])
+def test_regroup_gamma_keys_are_beta_keys(j, x, y):
+    # why one count holds both dicts: gamma's keys are products of primes above y
+    w = bilinear_regroup(j, x, y)
+    assert set(w.gamma) <= set(w.beta)
+    assert len(w.beta) == math.floor(x) - psi(x, max(y, 1))
+
+
+def test_regroup_weights_are_held_to_the_list_budget(monkeypatch):
+    x, y = 3000.5, 7.0
+    entries = 3000 - psi(x, y)
+    monkeypatch.setattr(decomp, "MAX_LIST", entries)
+    assert len(bilinear_regroup(2, x, y).beta) == entries
+    monkeypatch.setattr(decomp, "MAX_LIST", entries - 1)
+    with mock.patch.object(decomp, "_tuple_walk", side_effect=AssertionError("walked")):
+        with pytest.raises(ResourceLimitError, match=f"regroup weights needs {entries} entries"):
+            bilinear_regroup(2, x, y)
+
+
+def test_regroup_refuses_past_the_list_budget_at_once():
+    # beta has 998,727 entries at (1e6, 7), and passes 2^20 just above x = 1.05e6
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="regroup weights needs 1058709 entries"):
+        bilinear_regroup(2, 1.06e6, 7)
+    with pytest.raises(ResourceLimitError, match="regroup weights needs 59996894 entries"):
+        bilinear_regroup(3, 6e7, 7)
+    assert time.perf_counter() - start < 4
 
 
 def test_regroup_rejects_small_j():

@@ -1,7 +1,9 @@
 import cmath
+import functools
 import itertools
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -95,7 +97,15 @@ def test_segment_below_one_is_refused(segment):
 
 
 def test_sieve_segments_past_the_budget_are_refused_before_sieving():
-    with mock.patch.object(sieve, "_smooth_part", side_effect=AssertionError("sieved")):
+    # the kernel may list the plan's primes, those up to min(y, isqrt(x)) = 10^4,
+    # and sieve nothing else
+    real = sieve._smooth_part
+
+    def kernel(lo, hi, primes, top):
+        assert hi <= 10**4, "sieved"
+        return real(lo, hi, primes, top)
+
+    with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
         with pytest.raises(ResourceLimitError, match="entry budget"):
             psi(1e8, 1e4, segment=2**27)
         with pytest.raises(ResourceLimitError, match="entry budget"):
@@ -190,6 +200,74 @@ def test_primes_helpers():
     assert primes_upto(20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
     assert primes_between(4, 10).tolist() == [5, 7]
     assert primes_between(10, 10.9).tolist() == []
+
+
+@functools.cache
+def eratosthenes(n: int) -> np.ndarray:
+    """Independent oracle: the primes <= n from a bool mask of n + 1 entries."""
+    mask = np.ones(max(n + 1, 2), dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.flatnonzero(mask[: n + 1]).astype(np.int64)
+
+
+def trial_prime(n: int) -> bool:
+    return n >= 2 and trial_largest_prime_factor(n) == n
+
+
+def test_prime_tables_match_trial_division_up_to_2000():
+    want = []
+    for n in range(2001):
+        if trial_prime(n):
+            want.append(n)
+        got = primes_upto(n)
+        assert got.dtype == np.int64 and got.tolist() == want, n
+
+
+@pytest.mark.parametrize("n", [(1 << 22) - 1, 1 << 22, (1 << 22) + 1, 3 * (1 << 22) + 5])
+def test_prime_tables_across_segment_edges(n):
+    got = primes_upto(n)
+    assert got.dtype == np.int64 and np.array_equal(got, eratosthenes(n))
+    # the last 3000 integers, around the segment edge, by trial division
+    tail = [m for m in range(n - 3000, n + 1) if trial_prime(m)]
+    assert got[got > n - 3001].tolist() == tail
+
+
+def test_prime_table_at_the_budget_and_past_it():
+    tracemalloc.start()
+    try:
+        got = primes_upto(MAX_SEGMENT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.size == 3_957_809 and got[-1] == 67_108_859
+    assert peak < MAX_SEGMENT  # the bytes of the n + 1 entry bool mask it replaced
+    for call in (lambda: primes_upto(MAX_SEGMENT + 1),
+                 lambda: primes_between(0, MAX_SEGMENT + 1.5),
+                 lambda: primes_between(MAX_SEGMENT + 5, MAX_SEGMENT + 1)):
+        with pytest.raises(ResourceLimitError, match="a prime table needs 67108865 entries.*entry budget"):
+            call()
+
+
+# 8388593 = 2^23 - 15 is prime: from lo = 8388593 - 2^22 it ends the window's
+# first segment, and one below that it starts the second
+@pytest.mark.parametrize("lo", [math.nan, -math.inf, math.inf, -7, -0.5, 0, 1, 1.5, 2, 2.5, 96.99,
+                                97, (1 << 22) - 0.5, (1 << 22) + 1, 4194288, 4194289])
+@pytest.mark.parametrize("hi", [1.99, 2, 97, 97.5, (1 << 22) + 40.5, (1 << 23) + 3])
+def test_primes_between_is_the_table_cut_above_lo(lo, hi):
+    ps = eratosthenes(math.floor(hi))
+    got = primes_between(lo, hi)
+    assert got.dtype == np.int64 and np.array_equal(got, ps[ps > lo])
+
+
+def test_primes_between_refuses_a_hi_that_is_not_finite_as_before():
+    with pytest.raises(ValueError):
+        primes_between(0, math.nan)
+    for hi in (math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            primes_between(0, hi)
 
 
 def test_factorize_from_sieve():

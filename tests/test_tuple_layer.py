@@ -13,6 +13,8 @@ import bisect
 import functools
 import itertools
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,6 +199,25 @@ def test_convolution_matches_the_per_tuple_loop_bit_for_bit(sizes, j, x, y, q, n
     a = 7 if math.gcd(7, q) == 1 else 1
     got = sum_prime_convolution(j, x, y, q, a, nu, strict=strict)
     assert got == oracle_convolution(j, x, y, q, a, nu, strict)
+
+
+@pytest.mark.parametrize("j, x, y", [(2, 1e6, 1e16), (1, 2000, 1e20), (3, 1e12, 1e6 - 1),
+                                     (2, 1e20, 1e10), (4, 2**70, 2**18)])
+def test_tuple_primes_is_empty_before_any_search_when_no_prime_above_y_fits(j, x, y):
+    with mock.patch.object(sieve, "next_primes_above", side_effect=AssertionError("searched")):
+        assert tuple_primes(y, x, j).size == 0
+    start = time.perf_counter()
+    for strict in (True, False):
+        assert sum_prime_convolution(j, x, y, 7, 1, strict=strict).terms == 0
+    assert time.perf_counter() - start < 2
+
+
+def test_tuple_primes_keeps_the_least_prime_bound():
+    for j in (1, 2, 3, 4):
+        for x in (0.5, 2, 97.5, 1000, 30031, 10**5):
+            for y in (-3, 0.5, 2, 7, 30.5, 97, 150, 1000):
+                want = primes_between(y, math.floor(x) // next_primes_above(y, 1)[0] ** (j - 1))
+                assert np.array_equal(tuple_primes(y, x, j), want), (j, x, y)
 
 
 @pytest.mark.parametrize("strict, terms", [(True, 3926), (False, 6955)])

@@ -29,13 +29,20 @@ pairs, more than three chunks of 2^16, at q = 10007 and 2^31 - 1;
 terms);
 `moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
 envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
-and the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
-401 (alpha, beta) grid over [0, 1] x [0, 2].  The run passes when
+the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
+401 (alpha, beta) grid over [0, 1] x [0, 2]; and the prime tables,
+`primes_upto` at every n up to 2000, around the sieve's segment edges
+(2^22 - 1, 2^22, 2^22 + 1, 3 * 2^22 + 5) and at the 2^26 budget and one
+past it, and `primes_between` on windows with NaN, infinite, negative,
+fractional and segment-straddling ends, each as its size, dtype and
+SHA-256 digest, or as the exception it raises, with the planner's Rankin
+bound over four of them.  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
-* the prime convolutions, those complete sums, the moment counts and the
-  regrouping weights are bit-identical, and the exponents equal as floats
+* the prime convolutions, those complete sums, the moment counts, the
+  regrouping weights, the prime tables (and their refusals) and the
+  Rankin bounds are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
@@ -46,6 +53,7 @@ Prints one line per failing cell and a summary; exits 1 on any failure.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 import subprocess
@@ -74,7 +82,7 @@ def evaluate(src: str) -> dict[str, dict]:
     sys.path.insert(0, src)
     import numpy as np
 
-    from friable_sums import bounds, decomp, optimizer, sums
+    from friable_sums import bounds, decomp, optimizer, sieve, sums
 
     out: dict[str, dict] = {}
 
@@ -175,6 +183,32 @@ def evaluate(src: str) -> dict[str, dict]:
     alpha, beta = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 2.0, 401))
     for name, e in optimizer.saving_exponents(alpha, beta).items():
         out[f"exponents/{name}"] = {"value": e.ravel().tolist(), "terms": 0, "check": "exact"}
+
+    def table(call):  # a prime table as its size, dtype and digest, or what it raises
+        try:
+            ps = call()
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return [ps.size, str(ps.dtype), hashlib.sha256(ps.tobytes()).hexdigest()]
+
+    for x in (10**6, 10**8, 10**12, 10**17):  # the planner's bound, read off those tables
+        for y in (7, 100, 10**4, 6 * 10**7):
+            out[f"rankin/x={x}/y={y}"] = {"value": sieve._rankin_bound(x, sieve.primes_upto(y)),
+                                          "terms": 0, "check": "exact"}
+    out["primes/upto/n=0..2000"] = {
+        "value": [table(lambda: sieve.primes_upto(n)) for n in range(2001)],
+        "terms": 0, "check": "exact"}
+    for n in ((1 << 22) - 1, 1 << 22, (1 << 22) + 1, 3 * (1 << 22) + 5, 1 << 26, (1 << 26) + 1):
+        out[f"primes/upto/n={n}"] = {
+            "value": table(lambda: sieve.primes_upto(n)), "terms": 0, "check": "exact"}
+    # the prime 2^23 - 15 ends a window's first segment from lo = 4194289 on
+    # and starts its second from lo = 4194288
+    for lo in (math.nan, -math.inf, math.inf, -7, -0.5, 0, 1.5, 2, 96.99, (1 << 22) - 0.5,
+               (1 << 22) + 1, 4194288, 4194289):
+        for hi in (1.99, 97.5, (1 << 22) + 40.5, (1 << 23) + 3, math.nan, math.inf,
+                   (1 << 26) + 1):
+            out[f"primes/between/lo={lo!r}/hi={hi!r}"] = {
+                "value": table(lambda: sieve.primes_between(lo, hi)), "terms": 0, "check": "exact"}
     return out
 
 
