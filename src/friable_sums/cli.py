@@ -23,15 +23,13 @@ import numpy as np
 
 from . import bounds, decomp, optimizer, sieve, sums
 from .arith import floor_int
-from .sieve import ResourceLimitError, build_sieve, primes_upto, psi, usable_cpus
+from .sieve import ResourceLimitError, _check_budget, build_sieve, primes_upto, psi, usable_cpus
 
 CSV_VERSION_LINE = "# friable-sums v1"
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-# The weil suite's phase terms (e_q values it sums), refused past this budget.
-_WEIL_TERMS = 1 << 26
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -126,7 +124,7 @@ def grid_cells(
     if x_grid[0] == "powx":
         raise ValueError("the x grid cannot be x-linked")
     rows = _grid_size(x_grid) * _grid_size(y_grid) * rows_per_cell
-    sieve._check_entries(rows, "a grid's row list", sieve.MAX_LIST)
+    _check_budget(rows, "a grid's row list", sieve.MAX_LIST)
     cells = []
     for x in resolve_grid(x_grid, 0.0):
         if not x > 0:  # checked before an x-linked y grid raises x to a power
@@ -248,10 +246,7 @@ class ScanSpec:
         laid = [(index, sums.SumParams(x=x, y=y, q=q, a=a, nu=self.nu))
                 for index, (x, y, q) in enumerate(xyq) if math.gcd(a, q) == 1]
         cost = sum(floor_int(p.x) for _, p in laid) * (self.random_a or 1)
-        if cost > self.budget:
-            raise ResourceLimitError(
-                f"scan needs an estimated {cost} summed terms, past the budget "
-                f"{self.budget:.17g} (raise --budget to override)")
+        _check_budget(cost, "scan", self.budget, "summed-term")
         if not self.random_a:
             return [p for _, p in laid]
         out: list[sums.SumParams] = []
@@ -405,15 +400,12 @@ def _suite_regroup(args) -> tuple[bool, str]:
 
 def _suite_weil(args) -> tuple[bool, str]:
     q_max = int(_given(args.x, 199))
-    # the primes up to 2^12 already pass the budget (from q = 3221 on), so a
-    # larger q_max is refused from them without sieving up to it
-    qs = primes_upto(min(q_max, 1 << 12))
+    # the primes up to 2^12 already pass the work budget (from q = 3221 on), so
+    # a larger q_max is refused from their terms without sieving up to it
+    qs = primes_upto(top := min(q_max, 1 << 12))
     # each prime q takes 5 powers nu of min(q - 1, 20) residues a, q - 1 phases each
-    terms = float((5.0 * np.minimum(qs - 1, 20) * (qs - 1)).sum())
-    if terms > _WEIL_TERMS:
-        raise ResourceLimitError(
-            f"weil suite up to q={q_max} needs at least {terms:.3g} phase terms, past "
-            f"the {_WEIL_TERMS}-term budget")
+    terms = int((5 * np.minimum(qs - 1, 20) * (qs - 1)).sum())
+    _check_budget(terms, f"the weil suite up to q={top}", sieve.MAX_WORK, "phase-term")
     for q in qs.tolist():
         avals = range(1, min(q - 1, 20) + 1)
         for nu in range(2, 7):
@@ -551,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw K seeded random units mod q per cell instead of --a",
     )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=_at_least(-math.inf, "budget", float), default=1e10,
+    sp.add_argument("--budget", type=_at_least(-math.inf, "budget", float), default=sieve.SCAN_TERMS,
                     help="refuse scans whose summed term estimate exceeds this")
     sp.set_defaults(func=cmd_scan)
 

@@ -40,7 +40,7 @@ from .arith import factorize, floor_int, floor_quotient, fsum_complex
 from .sieve import (
     MAX_LIST,
     FactorSieve,
-    _check_entries,
+    _check_budget,
     _powers,
     _runs,
     _tuple_walk,
@@ -396,9 +396,11 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
     ps = primes_between(y, x)
     # beta's keys are the l <= x with a prime factor above y, floor(x) - Psi(x, y)
     # of them (Psi counts n = 1 from y = 1 on), and gamma's keys are such l too,
-    # so this one count holds both dicts to the list budget
+    # so this one count holds both dicts to the list budget; when ps[0]^2 > x no
+    # l has two such factors, and the count is the sum of floor(x / p), unsieved
     if ps.size:
-        _check_entries(x_floor - psi(x, max(y, 1)), "regroup weights", MAX_LIST)
+        keys = x_floor - psi(x, max(y, 1)) if ps[0] ** 2 <= x_floor else int((x_floor // ps).sum())
+        _check_budget(keys, "regroup weights", MAX_LIST)
     # distinct primes above y dividing l: at most 8 below the 2^26 prime-table budget
     counts = np.zeros(max(x_floor, 0) + 1, dtype=np.uint8)
     for p in ps.tolist():
@@ -439,9 +441,9 @@ def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
     bs = np.array([weights.beta[ell] for ell in keys], dtype=np.float64)
     x_floor = floor_int(weights.x)
     parts: list[complex] = []
-    for n, g in weights.gamma.items():
-        # l * n <= x exactly for the ascending prefix l <= floor(x) // n
-        cut = int(np.searchsorted(ells, x_floor // n, "right"))
+    # l * n <= x exactly for the ascending prefix l <= floor(x) // n
+    cuts = np.searchsorted(ells, [x_floor // n for n in weights.gamma], "right").tolist()
+    for (n, g), cut in zip(weights.gamma.items(), cuts):
         if cut:
             parts.append(g * complex(np.sum(bs[:cut] * f(ells[:cut] * n))))
     return fsum_complex(parts)

@@ -17,13 +17,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import _exponent
-from .sieve import ResourceLimitError, _check_entries
+from .sieve import LATTICE_POINTS, _check_budget
 
 Rational = Union[Fraction, int]
 Point = tuple[Fraction, Fraction]
-# the most points region_grid_mismatches' lattice may have; its 8.0M-point
-# lattice at eps_grid 5e-4 takes about 770 MiB
-LATTICE_POINTS = 1 << 23
 
 
 class TrivialRegimeError(ValueError):
@@ -128,7 +125,7 @@ def oracle_optimal_omega(alpha: float, beta: float, step: float = 1e-4) -> tuple
     """
     if not 0 < step <= 1e-3:
         raise ValueError(f"oracle step must be in (0, 1e-3], got {step}")
-    _check_entries(5 * (int(1 / step) + 1), "an oracle omega grid")
+    _check_budget(5 * (int(1 / step) + 1), "an oracle omega grid")
     omegas = np.arange(0.0, 1.0 + step / 2, step)
     kappas = eta(_window_points(omegas, alpha, beta), beta).min(axis=0)
     best = int(np.argmax(kappas >= np.max(kappas) - step / 4.0))
@@ -331,10 +328,7 @@ def region_grid_mismatches(
     n_a = int(round(1 / eps_grid))
     n_b = int(round(2 / eps_grid))
     points = (n_a + 1) * (n_b + 1)
-    if points > LATTICE_POINTS:
-        raise ResourceLimitError(
-            f"a lattice of step {eps_grid} has {points} points, past the "
-            f"{LATTICE_POINTS}-point budget")
+    _check_budget(points, f"a lattice of step {eps_grid}", LATTICE_POINTS, "point")
     av = np.linspace(0.0, 1.0, n_a + 1)
     bv = np.linspace(0.0, 2.0, n_b + 1)
     a, b = (g.ravel() for g in np.meshgrid(av, bv))

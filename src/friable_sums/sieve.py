@@ -16,8 +16,8 @@ from 0.91 to 0.63 s at y = 10^3 and from 1.34 to 0.97 s at y = 10^4
 (medians of 6 in-process runs, 2-core Xeon, numpy 2.4).  Members are
 int64, so x is held below 2^63.
 
-S(x, y) is listed in one of two ways, chosen once per (x, y) by a cost
-rule (`_generates`):
+S(x, y) is listed in one of two ways, chosen once per (x, y) by the
+listing price (`_generates`):
 
 * the segment sieve, which costs about 6 ns per integer up to x at
   y = 10^3 and 12 ns at y = 10^4 (x = 10^8; 2-core Xeon, numpy 2.4),
@@ -26,16 +26,14 @@ rule (`_generates`):
   the products built so far, which costs about 2.6 ns per member per
   prime, so O(Psi(x, y) * pi(y)) whatever x is.
 
-Psi is not known in advance, so the rule takes Rankin's upper bound for
-it, min over sigma of x^sigma * prod_{p <= y} (1 - p^-sigma)^-1.  The
+Psi is not known in advance, so the price takes Rankin's upper bound B
+for it, min over sigma of x^sigma * prod_{p <= y} (1 - p^-sigma)^-1.  The
 generator is taken only when x exceeds one default segment, y <= sqrt(x),
-the bound is at most MAX_SEGMENT entries (so its memory is certified) and
-bound * pi(y) * 2.6 ns is at most x * 13 ns.  The plan is then the single
-segment [1, floor(x)]; `segment` sizes sieve segments only.  The 13 ns is
-the sieve's cost before its kernel was blocked, kept as the decision
-threshold on purpose: the bound runs up to 11x above Psi, so at a price
-below 6.6 ns, about what the sieve now costs at y = 10^3, the rule would
-send (1e8, 100) to the sieve, which is over 10x slower there.
+B is at most MAX_SEGMENT entries (so its memory is certified) and
+B * pi(y) <= _GENERATE_RATIO * x.  The plan is then the single segment
+[1, floor(x)]; `segment` sizes sieve segments only.  The ratio, and every
+budget a call is refused by (with `_check_budget`, before anything is
+allocated or run), sit in one commented block below.
 
 Tables and the sieve rest on one division-free kernel, `_smooth_part`:
 the smooth part sp(n) = prod of p^v_p(n) over the sieving primes, built
@@ -76,16 +74,34 @@ import numpy as np
 from .arith import floor_int, is_prime
 
 DEFAULT_SEGMENT = 1 << 22
-# An array sized from an argument holds at most MAX_SEGMENT entries, and a
-# Python list sized from one at most MAX_LIST items (see _check_entries).
+# The one work rule: every budget and the listing price.  A call past a
+# budget is refused by _check_budget, with ResourceLimitError (CLI exit 3),
+# before anything the budget guards is allocated or run.
+# Memory: an array sized from an argument holds at most MAX_SEGMENT entries,
+# a Python list sized from one at most MAX_LIST items, and the optimizer's
+# region lattice at most LATTICE_POINTS points (its 8.0M points at eps_grid
+# 5e-4 take about 770 MiB).
 MAX_SEGMENT = 1 << 26
 MAX_LIST = 1 << 20
-# The listing cost model (2-core Xeon, numpy 2.4): nanoseconds per integer
-# swept by the sieve, and per member per prime built by the generator.  The
-# sieve's 13 ns predates its blocked kernel and is kept as the threshold
-# (see the module docstring), so that no (x, y) changes listing.
-_SIEVE_NS = 13.0
-_GENERATE_NS = 2.6
+LATTICE_POINTS = 1 << 23
+# Work, in phase terms (one e_q value summed, 66-106 ns on a 2-core Xeon):
+# the weil suite sums at most MAX_WORK of them.  An update of moment_count's
+# fold takes 6.9 ns, so _UPDATES_PER_TERM of them cost one phase term, and
+# the fold makes at most 2^30.
+MAX_WORK = 1 << 26
+_UPDATES_PER_TERM = 16
+# scan --budget's default, in summed terms: the sum of floor(x) over its cells.
+SCAN_TERMS = 1e10
+# The listing price: S(x, y) is generated, not sieved, when Rankin's bound
+# B <= MAX_SEGMENT has B * pi(y) <= _GENERATE_RATIO * floor(x).  A generated
+# member costs about 2.6 ns per prime and a sieved integer 6-12 ns, but B
+# overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100) would
+# go to the sieve, which is over 10x slower there.
+_GENERATE_RATIO = 5
+# Each unit a budget counts: its plural and what it guards, as refusals say.
+_UNITS = {"entry": ("entries", "a memory budget"), "point": ("points", "a memory budget"),
+          "phase-term": ("phase terms", "a work budget"), "update": ("updates", "a work budget"),
+          "summed-term": ("summed terms", "raise scan --budget to override")}
 # The sieve kernel's block (1 MiB of uint32, inside a 2 MiB L2), the largest
 # prime power walked per block, and its wheel (see _smooth_part).
 _BLOCK = 1 << 18
@@ -100,14 +116,14 @@ class ResourceLimitError(RuntimeError):
     """A requested table or scan exceeds the configured memory/work budget."""
 
 
-def _check_entries(count: int, what: str, limit: int = MAX_SEGMENT) -> None:
-    """Refuse `what`, an array (or, with limit MAX_LIST, a list) of `count`
-    entries sized from an argument, with ResourceLimitError when count
-    passes `limit`: the one table-size rule, checked before anything is
-    allocated."""
+def _check_budget(count: int, what: str, limit: float = MAX_SEGMENT, unit: str = "entry") -> None:
+    """Refuse `what`, which needs `count` of `unit` (a key of _UNITS), with
+    ResourceLimitError when count passes `limit`, a budget of the block
+    above (or scan's --budget): the one refusal, made before anything is
+    allocated or run."""
     if count > limit:
-        raise ResourceLimitError(
-            f"{what} needs {count} entries, past the {limit}-entry budget (a memory budget)")
+        raise ResourceLimitError(f"{what} needs {count} {_UNITS[unit][0]}, past the "
+                                 f"{limit:.17g}-{unit} budget ({_UNITS[unit][1]})")
 
 
 def usable_cpus() -> int:
@@ -134,12 +150,12 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
     The primes <= isqrt(hi) come from a recursive call; above them the
     window is sieved one DEFAULT_SEGMENT at a time, and n is prime exactly
     when its smooth part over those primes is 1.  floor(hi) is held to the
-    MAX_SEGMENT budget (see _check_entries), whatever lo is.
+    MAX_SEGMENT budget (see _check_budget), whatever lo is.
     """
     top = floor_int(hi)
     if top < 2:
         return np.empty(0, dtype=np.int64)
-    _check_entries(top, "a prime table")
+    _check_budget(top, "a prime table")
     if not lo < top:  # a NaN lo too
         return np.empty(0, dtype=np.int64)
     first, root = 2 if lo < 2 else floor_int(lo) + 1, math.isqrt(top)
@@ -212,12 +228,16 @@ def _runs(
 def tuple_primes(y: float, x: float, j: int) -> np.ndarray:
     """The primes above y that a j-tuple with product <= x can hold: the
     largest is at most floor(x) // p0^(j-1), p0 the least prime above y.
-    Empty, before p0 is searched for, when floor(x) // max(floor(y) + 1,
-    2)^(j-1) <= y: no prime above y fits then.
+    Before p0 is searched for, empty when floor(x) // least^(j-1) <= y,
+    least = max(floor(y) + 1, 2): no prime above y fits then; and refused
+    when floor(x) // (2 * least)^(j-1), which p0 < 2 * least (Bertrand)
+    makes a lower bound on the table's top, passes the table budget.
     """
-    if floor_int(x) // max(floor_int(y) + 1, 2) ** (j - 1) <= y:
+    x_floor, least = floor_int(x), max(floor_int(y) + 1, 2)
+    if x_floor // least ** (j - 1) <= y:
         return np.empty(0, dtype=np.int64)
-    return primes_between(y, floor_int(x) // next_primes_above(y, 1)[0] ** (j - 1))
+    _check_budget(x_floor // (2 * least) ** (j - 1), "a prime table")
+    return primes_between(y, x_floor // next_primes_above(y, 1)[0] ** (j - 1))
 
 
 def next_primes_above(y: float, count: int) -> list[int]:
@@ -291,7 +311,7 @@ def build_sieve(lo: int, hi: int) -> FactorSieve:
     if not (1 <= lo <= hi):
         raise ValueError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     count = hi - lo + 1
-    _check_entries(count, "a sieve segment")
+    _check_budget(count, "a sieve segment")
     lpf = np.ones(count, dtype=np.int64)
     spf = np.zeros(count, dtype=np.int64)
     small = primes_upto(math.isqrt(hi))
@@ -443,7 +463,7 @@ def _generates(x_floor: int, y_floor: int, primes: np.ndarray) -> bool:
     if x_floor <= DEFAULT_SEGMENT or y_floor * y_floor > x_floor:
         return False
     bound = _rankin_bound(x_floor, primes)
-    return bound <= MAX_SEGMENT and bound * primes.size * _GENERATE_NS <= x_floor * _SIEVE_NS
+    return bound <= MAX_SEGMENT and bound * primes.size <= _GENERATE_RATIO * x_floor
 
 
 def _generate(
@@ -511,8 +531,8 @@ def smooth_plan(
     primes = primes_upto(min(y_floor, math.isqrt(x_floor)))
     if _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
-    _check_entries(min(segment, x_floor), "a sieve segment")
-    _check_entries(-(-x_floor // segment), "a sieved plan's segment list", MAX_LIST)
+    _check_budget(min(segment, x_floor), "a sieve segment")
+    _check_budget(-(-x_floor // segment), "a sieved plan's segment list", MAX_LIST)
     return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
             y_floor, primes)
 

@@ -48,7 +48,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .arith import TWO_PI, factorize, floor_int, floor_quotient, fsum_complex, is_prime
-from .sieve import DEFAULT_SEGMENT, _check_entries, _runs, _tuple_walk, smooth_segments, tuple_primes
+from .sieve import (DEFAULT_SEGMENT, MAX_WORK, _UPDATES_PER_TERM, _check_budget, _runs,
+                    _tuple_walk, smooth_segments, tuple_primes)
 
 # Plain sums bin residues up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables, as twisted sums do at
@@ -69,13 +70,6 @@ def _check_phase(q: int, a: int, nu: int) -> None:
         raise ValueError(f"need q >= 1 and gcd(a, q) = 1, got q={q}, a={a}")
     if nu == 0:
         raise ValueError("nu must be nonzero")
-
-
-def _bins(q: int) -> np.ndarray:
-    """One zeroed int64 count per residue mod q, held to the table budget
-    (see sieve._check_entries)."""
-    _check_entries(q, "a residue histogram")
-    return np.zeros(q, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -320,7 +314,8 @@ def sum_prime_convolution(
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
     _check_phase(q, a, nu)
-    counts = _bins(q)
+    _check_budget(q, "a residue histogram")
+    counts = np.zeros(q, dtype=np.int64)
     x_floor = floor_int(x)
     for level, pr, _ in _tuple_walk(tuple_primes(y, x, j), x_floor, j, strict):
         if level == j:
@@ -379,7 +374,7 @@ def complete_monomial_sum(q: int, a: int, nu: int) -> SumValue:
 def _complete_sum(q: int, avals: Sequence[int], nu: int) -> list[SumValue]:
     """S over n = 1 .. q-1 of e_q(a * n^nu) for each a in avals, summed per
     term; q is held to the table budget before it is tested for primality."""
-    _check_entries(q, "a complete sum")
+    _check_budget(q, "a complete sum")
     if not is_prime(q):
         raise ValueError(f"complete monomial sums need a prime modulus, got q={q}")
     return _term_sum(np.arange(1, q, dtype=np.int64), q, avals, nu)
@@ -403,12 +398,17 @@ def _weil_excess(s: SumValue, q: int, nu: int, slack: float = 1e-6) -> Optional[
 def moment_count(k: int, nu: int, q: int, M: int) -> int:
     """Number of solutions of m_1^nu + ... + m_k^nu = m_{k+1}^nu + ... +
     m_{2k}^nu (mod q) with M <= m_i <= 2M, by a k-fold residue histogram.
+    Its fold's (k - 1) * q * min(q, M + 1) updates are held to the work
+    budget (see sieve._check_budget) before any array is made.
     """
     if k < 1 or M < 1:
         raise ValueError(f"need k, M >= 1, got k={k}, M={M}")
     _check_phase(q, 1, nu)
-    _check_entries(M + 1, "a moment range")
-    h = _bins(q)
+    _check_budget(M + 1, "a moment range")
+    _check_budget(q, "a residue histogram")
+    updates = (k - 1) * q * min(q, M + 1)  # the fold: k - 1 passes of q per occupied class
+    _check_budget(updates, "moment_count's fold", MAX_WORK * _UPDATES_PER_TERM, "update")
+    h = np.zeros(q, dtype=np.int64)
     m = np.arange(M, 2 * M + 1, dtype=np.int64)
     pw, units = _monomial_residues(m % q, q, nu)
     if units is not None and not units.all():

@@ -519,7 +519,8 @@ def test_scan_charges_floor_x_per_emitted_cell(capsys, argv, cost):
     assert run(capsys, argv + [str(cost)])[0] == 0
     code, out, err = run(capsys, argv + [str(cost - 1)])
     assert (code, out) == (3, "")
-    assert err.startswith(f"budget refusal: scan needs an estimated {cost} summed terms")
+    assert err.startswith(
+        f"budget refusal: scan needs {cost} summed terms, past the {cost - 1}-summed-term budget")
 
 
 def test_scan_charges_its_budget_before_drawing_a_residue(capsys, monkeypatch):

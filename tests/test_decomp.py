@@ -664,6 +664,35 @@ def test_regroup_weights_are_held_to_the_list_budget(monkeypatch):
             bilinear_regroup(2, x, y)
 
 
+@pytest.mark.parametrize("x, y", [(2000, 44.8), (2000, 44), (2000, 43.5), (2100, 44.8),
+                                  (2209, 46.9), (2208, 46.9), (3000.5, 7), (3000.5, 60),
+                                  (1e4, 99.5), (1e4, 100), (1e4, 101), (10, 0.5), (3, -math.inf)])
+def test_regroup_counts_its_keys_without_a_sieve_when_no_l_has_two_primes_above_y(x, y):
+    # when the least prime above y squared passes x, floor(x) - Psi(x, y) is the
+    # sum of floor(x / p) over the primes above y, and psi is not called
+    seen, real_check = [], decomp._check_budget
+
+    def check(count, *args):
+        seen.append(count)
+        real_check(count, *args)
+
+    no_two = next_primes_above(max(y, 1), 1)[0] ** 2 > math.floor(x)
+    sieved = AssertionError("sieved") if no_two else psi
+    with mock.patch.object(decomp, "_check_budget", side_effect=check), \
+            mock.patch.object(decomp, "psi", side_effect=sieved):
+        w = bilinear_regroup(2, x, y)
+    assert seen == [math.floor(x) - psi(x, max(y, 1))] == [len(w.beta)]
+
+
+def test_regroup_of_a_large_y_reads_its_count_off_its_primes():
+    # at (6.7e7, 6e7) a sieve of [1, x] for the count would be about half the call
+    start = time.perf_counter()
+    with mock.patch.object(decomp, "psi", side_effect=AssertionError("sieved")):
+        w = bilinear_regroup(2, 6.7e7, 6e7)
+    assert len(w.beta) == 389652 and w.diagonal_terms == 0
+    assert time.perf_counter() - start < 3
+
+
 def test_regroup_refuses_past_the_list_budget_at_once():
     # beta has 998,727 entries at (1e6, 7), and passes 2^20 just above x = 1.05e6
     start = time.perf_counter()

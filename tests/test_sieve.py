@@ -550,12 +550,20 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
     ],
 )
 def test_planner_keeps_its_choice_on_dense_and_sparse_cells(x, y, generated):
-    # the rule prices the generator by Rankin's bound, 11x over Psi at
-    # (1e8, 100), against a sieve cost of 13 ns per integer; a faster kernel
-    # must not talk the rule into sieving these sparse cells, which would be
-    # over 10x slower there
+    # the rule takes the generator when Rankin's bound B, 11x over Psi at
+    # (1e8, 100), has B * pi(y) <= 5 * x; a ratio priced from the kernel's
+    # ns per integer alone would send these sparse cells to the sieve, which
+    # is over 10x slower there
     bounds, _, _ = smooth_plan(x, y)
     assert (bounds == [(1, math.floor(x))]) == generated
+
+
+@pytest.mark.parametrize("x, y, ratio", [(202715677, 141, 5.05), (6956747, 74, 5.04)])
+def test_planner_sieves_the_cells_just_past_its_ratio(x, y, ratio):
+    # B * pi(y) / x just above the ratio 5, so these cells stay on the sieve
+    primes = primes_upto(y)
+    assert round(sieve._rankin_bound(x, primes) * primes.size / x, 2) == ratio
+    assert smooth_plan(x, y)[0][0] == (1, DEFAULT_SEGMENT)
 
 
 # ---------------------------------------------------------------------------

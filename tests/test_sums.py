@@ -1,6 +1,8 @@
+import argparse
 import cmath
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from friable_sums import optimizer, sieve, sums
+from friable_sums import cli, optimizer, sieve, sums
 from friable_sums.arith import eq_phase, fsum_complex
 from friable_sums.sieve import ResourceLimitError
 from friable_sums.sums import (
@@ -841,6 +843,82 @@ def test_every_table_site_refuses_one_past_its_budget_before_allocating(site):
     assert isinstance(exc, ResourceLimitError)
     assert "entry budget" in str(exc) and "memory budget" in str(exc)
     assert peak < 2**20
+
+
+def _weil_at(limit, monkeypatch):
+    # 5 powers nu of min(q - 1, 20) residues a, q - 1 phases each, over the
+    # primes q <= 31: 12,405 phase terms
+    monkeypatch.setattr(sieve, "MAX_WORK", limit)
+    return lambda: cli._suite_weil(argparse.Namespace(x=31.0))
+
+
+def _lattice_at(limit, monkeypatch):
+    monkeypatch.setattr(optimizer, "LATTICE_POINTS", limit)  # 11 x 21 points at step 0.1
+    regions = optimizer.RegionSet(polygons=dict(optimizer.REGION_VERTICES))
+    return lambda: optimizer.region_grid_mismatches(regions, eps_grid=0.1)
+
+
+def _scan_at(limit, monkeypatch):
+    # floor(x) = 1000 and 2000 summed terms, for each of 3 residues
+    grid = ("values", [1e3, 2e3]), ("values", [8.0]), ("values", [7.0])
+    return lambda: cli.ScanSpec(*grid, fixed_a=1, random_a=3, nu=1, seed=0, budget=limit).cells()
+
+
+def _moment_at(limit, monkeypatch):
+    # (k - 1) * q * min(q, M + 1) = 2 * 101 * 10 updates, priced one to a term
+    monkeypatch.setattr(sums, "_UPDATES_PER_TERM", 1)
+    monkeypatch.setattr(sums, "MAX_WORK", limit)
+    return lambda: moment_count(3, 1, 101, 9)
+
+
+# each site's budget set to what its call needs, and to one less
+_WORK_SITES = {"weil suite": (_weil_at, 12405), "region lattice": (_lattice_at, 231),
+               "scan --budget": (_scan_at, 9000), "moment_count fold": (_moment_at, 2020)}
+
+
+@pytest.mark.parametrize("site", _WORK_SITES)
+def test_every_budget_site_runs_at_its_budget_and_refuses_one_past_it(site, monkeypatch):
+    at, need = _WORK_SITES[site]
+    at(need, monkeypatch)()
+    exc, peak = _traced_peak(at(need - 1, monkeypatch))
+    assert isinstance(exc, ResourceLimitError) and f"needs {need} " in str(exc)
+    assert peak < 2**20
+
+
+def test_the_weil_suite_sums_the_terms_it_is_charged():
+    terms, real = [], sums._complete_sum
+
+    def counted(q, avals, nu):
+        terms.append(len(avals) * (q - 1))
+        return real(q, avals, nu)
+
+    with mock.patch.object(cli.sums, "_complete_sum", side_effect=counted):
+        assert cli._suite_weil(argparse.Namespace(x=31.0))[0]
+    assert sum(terms) == 12405
+
+
+def test_moment_count_is_refused_by_its_price_before_any_array():
+    # 1,000,003 * 1,000,001 updates, about two hours of folding at 6.9 ns
+    start = time.perf_counter()
+    exc, peak = _traced_peak(lambda: moment_count(2, 1, 1000003, 10**6))
+    assert time.perf_counter() - start < 2 and peak < 2**20
+    assert isinstance(exc, ResourceLimitError)
+    assert str(exc) == ("moment_count's fold needs 1000004000003 updates, past the "
+                        "1073741824-update budget (a work budget)")
+
+
+@pytest.mark.parametrize("k, q, M", [(2, 20011, 20000), (2, 2**15, 2**15 - 1), (5, 1, 10**6),
+                                     (2, 2**10, 2**20)])
+def test_moment_count_within_its_price_reaches_its_fold(k, q, M):
+    # (2, 20011, 20000) makes 4.0e8 updates, about 2.4 s, and 2^15 * 2^15 is
+    # exactly the 2^30 limit; at most q classes are occupied, however large M
+    # is; so the residues of m are taken, and stopped there
+    class Folding(Exception):
+        pass
+
+    with mock.patch.object(sums, "_monomial_residues", side_effect=Folding):
+        with pytest.raises(Folding):
+            moment_count(k, 1, q, M)
 
 
 def test_complete_sum_refuses_a_composite_modulus_before_allocating():

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -218,6 +219,44 @@ def test_tuple_primes_keeps_the_least_prime_bound():
             for y in (-3, 0.5, 2, 7, 30.5, 97, 150, 1000):
                 want = primes_between(y, math.floor(x) // next_primes_above(y, 1)[0] ** (j - 1))
                 assert np.array_equal(tuple_primes(y, x, j), want), (j, x, y)
+
+
+@pytest.mark.parametrize("j, x, y", [(1, 1e16, 1e15), (1, 1e18, 1e17), (2, 1e30, 1e14),
+                                     (3, 1e40, 1e12)])
+def test_tuple_primes_refuses_a_table_past_the_budget_before_any_search(j, x, y):
+    # p0 < 2 * (floor(y) + 1) by Bertrand, so floor(x) // (2 * (floor(y) + 1))^(j - 1),
+    # exactly floor(x) at j = 1, is at most the table's top, so the table is
+    # refused before the trial-division search for p0 (1.7 s at (1, 1e16, 1e15))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sieve, "next_primes_above", side_effect=AssertionError("searched")):
+            with pytest.raises(sieve.ResourceLimitError, match="a prime table .*entry budget"):
+                sum_prime_convolution(j, x, y, 7, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2 and peak < 2**20
+
+
+@pytest.mark.parametrize("j, y", [(1, 7), (2, 7), (2, 1000.5), (3, 100), (4, 2)])
+def test_tuple_primes_refuses_exactly_the_tables_past_the_budget(j, y, monkeypatch):
+    # its check before the search is a lower bound on the table's top, so it
+    # refuses no table within the budget; the table's own check, here without
+    # the table, refuses the rest
+    tops = []
+
+    def table(lo, hi):
+        tops.append(hi)
+        sieve._check_budget(hi, "a prime table")
+
+    monkeypatch.setattr(sieve, "primes_between", table)
+    power = next_primes_above(y, 1)[0] ** (j - 1)
+    x = (sieve.MAX_SEGMENT + 1) * power - 1  # the top is exactly the budget
+    tuple_primes(y, x, j)
+    with pytest.raises(sieve.ResourceLimitError, match=f"needs {sieve.MAX_SEGMENT + 1} entries"):
+        tuple_primes(y, x + 1, j)
+    assert tops[0] == sieve.MAX_SEGMENT  # at j = 1 the check before the search is exact
 
 
 @pytest.mark.parametrize("strict, terms", [(True, 3926), (False, 6955)])

@@ -36,13 +36,17 @@ the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
 past it, and `primes_between` on windows with NaN, infinite, negative,
 fractional and segment-straddling ends, each as its size, dtype and
 SHA-256 digest, or as the exception it raises, with the planner's Rankin
-bound over four of them.  The run passes when
+bound over four of them; and `smooth_plan`'s plans (segment count, first
+and last bounds, floor(y) and the number of sieving primes) on an (x, y)
+grid across its listing price, with the cells whose B * pi(y) / x lies
+within 0.1 of the ratio 5, as (202715677, 141) at 5.05 and (6956747, 74)
+at 5.04.  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
 * the prime convolutions, those complete sums, the moment counts, the
-  regrouping weights, the prime tables (and their refusals) and the
-  Rankin bounds are bit-identical, and the exponents equal as floats
+  regrouping weights, the prime tables (and their refusals), the Rankin
+  bounds and the plans are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
 * in each tree, threads 1 and 2 give bit-identical sums.
@@ -69,6 +73,12 @@ SEGMENT = 1 << 14
 # one more entry, so it ends in a block of one
 XY_GRID = ((20000, 30, SEGMENT), (150000, 100, SEGMENT), (5_000_000, 11, SEGMENT),
            (1_200_000, 100, (1 << 20) + 1))
+# (x, y) cells for smooth_plan: a grid across the generator's reach, and the
+# cells found with B * pi(y) / x within 0.1 of the listing price's ratio 5
+PLAN_GRID = [(x, y) for x in (4194305, 10**7, 10**8, 3 * 10**8, 10**9, 5 * 10**9, 10**10)
+             for y in (2, 30, 100, 1000, 10**4)]
+PLAN_GRID += [(202715677, 141), (6956747, 74), (6862522, 75), (12685812, 88), (7198712, 73),
+              (253453421, 149), (478432243, 164), (214184230, 142)]
 TOLERANCE = 1e-14
 ENVELOPE_TOLERANCE = 1e-15
 
@@ -195,6 +205,10 @@ def evaluate(src: str) -> dict[str, dict]:
         for y in (7, 100, 10**4, 6 * 10**7):
             out[f"rankin/x={x}/y={y}"] = {"value": sieve._rankin_bound(x, sieve.primes_upto(y)),
                                           "terms": 0, "check": "exact"}
+    for x, y in PLAN_GRID:
+        bounds, y_floor, primes = sieve.smooth_plan(x, y)
+        out[f"plan/x={x}/y={y}"] = {"value": [len(bounds), bounds[0], bounds[-1], y_floor,
+                                              primes.size], "terms": 0, "check": "exact"}
     out["primes/upto/n=0..2000"] = {
         "value": [table(lambda: sieve.primes_upto(n)) for n in range(2001)],
         "terms": 0, "check": "exact"}
