@@ -17,7 +17,9 @@ chunks each summed pairwise by numpy and combined across chunks with fsum.
 The expansion's main term, the full sum over n <= x, is the run
 m = 1 .. floor(x) of the empty tuple, whose product is 1: it is read by
 `sieve._runs` in the same chunks as every correction.  The regrouping
-reads gamma and its diagonal count off the multinomials.
+reads gamma and its diagonal count off the multinomials, and counts
+beta's prime factors from the multiples m * p of the primes above y, laid
+out by `sieve._runs` and added with one np.add.at per chunk.
 
 The split counts of every n <= N come from one array pass too
 (`_split_counts`, the one enumeration of splits): each admissible k takes
@@ -401,11 +403,14 @@ def bilinear_regroup(j: int, x: float, y: float) -> RegroupWeights:
     if ps.size:
         keys = x_floor - psi(x, max(y, 1)) if ps[0] ** 2 <= x_floor else int((x_floor // ps).sum())
         _check_budget(keys, "regroup weights", MAX_LIST)
-    # distinct primes above y dividing l: at most 8 below the 2^26 prime-table budget
+    # distinct primes above y dividing l: at most 8 below the 2^26 prime-table budget;
+    # the multiples m * p <= x of all of them, sum(floor(x / p)) <= 8 * keys, are
+    # laid out by _runs and added a chunk at a time (a uint8 one keeps add.at fast)
     counts = np.zeros(max(x_floor, 0) + 1, dtype=np.uint8)
-    for p in ps.tolist():
-        counts[p::p] += 1
-    beta = {ell: int(counts[ell]) for ell in np.flatnonzero(counts).tolist()}
+    for t, m in _runs(x_floor // ps):
+        np.add.at(counts, m * ps[t], np.uint8(1))
+    ells = np.flatnonzero(counts)
+    beta = dict(zip(ells.tolist(), counts[ells].tolist()))
 
     gamma: dict[int, int] = {}
     diagonal = 0

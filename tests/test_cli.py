@@ -824,6 +824,8 @@ def test_refusals_print_nothing_on_stdout(capsys, argv, code, message):
     # past 2^20 sieve segments, where the list of their bounds alone passes 100 MiB
     (["sum", "--x", "1e17", "--y", "1e5", "--q", "7"], 3, "segment list"),
     (["sieve", "--x-grid", "1e17", "--y-grid", "1e5"], 3, "segment list"),
+    # refused before the 3.5 million primes up to y are listed
+    (["sieve", "--x-grid", "1e17", "--y-grid", "6e7"], 3, "segment list"),
     # past 2^20 values in one grid, or 2^20 output rows
     (["scan", "--x-grid", "geom:1:10:10000000", "--y-grid", "10", "--q-grid", "7", "--budget", "1"],
      2, "bad geometric grid"),

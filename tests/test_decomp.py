@@ -626,6 +626,21 @@ def test_regroup_beta_counts_distinct_primes_above_y():
     assert w.beta == want and list(w.beta) == sorted(want)
 
 
+@pytest.mark.parametrize("x, y", [(1e4, 99), (1e4, 100), (1e4, 101), (1e5, 316), (1e5, 317),
+                                  (99856.5, 316), (2e4, 7), (1e6, 7)])
+def test_regroup_beta_equals_the_strided_count_per_prime(x, y):
+    # cells either side of y = sqrt(x), and (1e6, 7), just under the list budget:
+    # one strided add per prime above y, as beta was counted before its multiples
+    # were laid out in chunks
+    x_floor = math.floor(x)
+    counts = np.zeros(x_floor + 1, dtype=np.uint8)
+    for p in primes_between(y, x).tolist():
+        counts[p::p] += 1
+    w = bilinear_regroup(2, x, y)
+    assert list(w.beta) == np.flatnonzero(counts).tolist()
+    assert list(w.beta.values()) == counts[counts > 0].tolist()
+
+
 def test_relaxed_tuple_sum_lists_primes_only_up_to_x_over_least_prime_power():
     # two primes above 1e4 have a product above 1e8, and no prime table up
     # to x (past the 2^26 budget) is built to find that out

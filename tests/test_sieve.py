@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -743,3 +744,37 @@ def test_smooth_scans_hold_x_below_two_to_the_63():
             with pytest.raises(ValueError, match="2\\^63"):
                 smooth_plan(x, 2)
     assert psi(2**63 - 1, 2) == 63
+
+
+@pytest.mark.parametrize("x, y", [(1e17, 6e7), (1e17, 2e5), (1e12, 1e7), (1e9, 1e5)])
+def test_a_sieved_plan_past_its_budget_is_refused_before_the_prime_table(x, y):
+    # y > sqrt(x), or (y / ln y)^2 / 2 > MAX_SEGMENT: the generator cannot take
+    # the plan, so its segment list is refused before any prime is listed
+    # (3.5 million of them at y = 6e7) or Rankin's bound is priced
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sieve, "primes_upto", side_effect=AssertionError("listed")), \
+                pytest.raises(ResourceLimitError, match="segment list needs"):
+            smooth_plan(x, y, segment=16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2 and peak < 2**20
+
+
+@pytest.mark.parametrize("x, y", [(1e17, 1e5), (1e12, 1e4)])
+def test_a_plan_the_generator_might_take_still_lists_its_primes_first(x, y):
+    # (y / ln y)^2 / 2 <= MAX_SEGMENT and y <= sqrt(x): only Rankin's bound can
+    # tell, so the primes are listed before the refusal, as before
+    listed = []
+    real = sieve.primes_upto
+
+    def spy(n):
+        listed.append(n)
+        return real(n)
+
+    with mock.patch.object(sieve, "primes_upto", side_effect=spy), \
+            pytest.raises(ResourceLimitError, match="segment list needs"):
+        smooth_plan(x, y, segment=1 << 10)
+    assert listed[0] == int(y)  # then its own recursion down to sqrt(y)

@@ -170,6 +170,68 @@ def test_monomial_residues_equal_python_pow_on_units(q, nu):
             assert got == 7 * pow(v, nu, q) % q
 
 
+_TREE_MODULI = [1, 2, 4, 510510, 720720, (1 << 31) - 1, (1 << 31) + 11, (1 << 32) + 15, 1 << 40,
+                1 << 62]
+# 0 to 3 residues, and odd sizes either side of a power of two, whose tree
+# levels are odd and padded with a 1
+_TREE_SIZES = [0, 1, 2, 3, 7, 9, 15, 17, 1023, 1025]
+
+
+@pytest.mark.parametrize("q", _TREE_MODULI)
+@pytest.mark.parametrize("size", _TREE_SIZES)
+def test_product_tree_inverts_every_unit(q, size):
+    draws = np.random.default_rng(size).integers(0, q, 4 * size + 8).tolist()
+    u = ([v for v in draws if math.gcd(v, q) == 1] + [1] * size)[:size]
+    wide = q > sums._VEC_MOD_LIMIT and q & (q - 1)
+    got = sums._inverses(np.array(u, dtype=object if wide else np.uint64), q)
+    assert got.size == size
+    assert [int(v) for v in got.tolist()] == [pow(v, -1, q) for v in u]
+
+
+@pytest.mark.parametrize("q", _TREE_MODULI)
+@pytest.mark.parametrize("size", _TREE_SIZES)
+@pytest.mark.parametrize("nu", [-6, -3, -2, -1])
+def test_negative_powers_by_the_tree_equal_python_pow(q, size, nu):
+    # residue 0 first, then random residues: non-units among them wherever q
+    # has small prime factors
+    r = np.concatenate([np.zeros(min(size, 1), dtype=np.int64),
+                        np.random.default_rng(size).integers(0, q, max(size - 1, 0))])
+    pw, units = sums._monomial_residues(r, q, nu)
+    assert units.tolist() == [math.gcd(v, q) == 1 for v in r.tolist()]
+    got = sums._scaled(1, pw, q)[units].tolist()
+    assert got == [pow(v, nu, q) for v in r.tolist() if math.gcd(v, q) == 1]
+
+
+@pytest.mark.parametrize("q", [1_000_003, 720720, (1 << 32) + 15, 1 << 40])
+@pytest.mark.parametrize("nu", [-3, -1])
+def test_negative_powers_take_no_phi_chain_and_no_pow_per_residue(monkeypatch, q, nu):
+    # the exponent handed to _pow_vec is |nu|, never |nu| * (phi(q) - 1), and
+    # the builtin pow runs once per call (the tree's root), not once per residue
+    exponents, pows = [], [0]
+    real_pow_vec = sums._pow_vec
+
+    def pow_vec(b, e, m):
+        exponents.append(e)
+        return real_pow_vec(b, e, m)
+
+    def counted_pow(*args):
+        pows[0] += 1
+        return pow(*args)
+
+    monkeypatch.setattr(sums, "_pow_vec", pow_vec)
+    monkeypatch.setattr(sums, "pow", counted_pow, raising=False)
+    r = np.random.default_rng(1).integers(0, q, 10**4)
+    pw, units = sums._monomial_residues(r, q, nu)
+    assert exponents == [-nu] and pows[0] == 1
+    assert sums._scaled(1, pw[units][:50], q).tolist() == [
+        pow(v, nu, q) for v in r[units][:50].tolist()]
+    exponents.clear()
+    pows[0] = 0
+    monkeypatch.setattr(sums, "HIST_LIMIT", 0)
+    v = sum_power(SumParams(x=2e4, y=30, q=q, a=1, nu=nu), segment=1 << 12)
+    assert v.terms > 0 and max(exponents) == -nu and pows[0] == len(exponents) == 5
+
+
 @pytest.mark.parametrize("hist_limit", [sums.HIST_LIMIT, 0])
 @pytest.mark.parametrize("q, nu", [(1009, 1), (3600, 3), (720720, -1), ((1 << 32) + 15, -2)])
 def test_one_pass_for_several_residues_matches_one_pass_each(monkeypatch, hist_limit, q, nu):

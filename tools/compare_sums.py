@@ -23,7 +23,11 @@ products of four primes past 2^80; `buchstab_expand` (each correction, in
 both orderings, up to r = 6, and at (1e6, 100, r = 3), whose prime-tuple
 walk spans many chunks) and `relaxed_tuple_sum`, whose `terms` is the
 number of values of f the call took; `bilinear_regroup` (beta, gamma and
-diagonal_terms, at j = 2, 3 and 4); `sum_bilinear`, also on 600 x 600
+diagonal_terms, at j = 2, 3 and 4, and as a digest at (1e6, 7), just
+under its list budget); the powers r^nu mod q of `sums._monomial_residues`
+at nu = -3 and -1 for q = 1 and 2^31 + 11, on 1 to 4097 residues (odd
+counts either side of a power of two leave product-tree nodes unpaired),
+and `sum_power` there, bit-identical; `sum_bilinear`, also on 600 x 600
 pairs, more than three chunks of 2^16, at q = 10007 and 2^31 - 1;
 `split_partition_sums` (direct and regrouped, with the numbers of their
 terms);
@@ -44,8 +48,8 @@ at 5.04.  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
-* the prime convolutions, those complete sums, the moment counts, the
-  regrouping weights, the prime tables (and their refusals), the Rankin
+* the prime convolutions, those complete sums, the residue powers and
+  their sums, the moment counts, the regrouping weights, the prime tables (and their refusals), the Rankin
   bounds and the plans are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
@@ -162,6 +166,21 @@ def evaluate(src: str) -> dict[str, dict]:
         out[f"regroup/j={j}/x={x}/y={y}"] = {
             "value": [sorted(w.beta.items()), sorted(w.gamma.items()), w.diagonal_terms],
             "terms": w.diagonal_terms, "check": "exact"}
+    w = decomp.bilinear_regroup(2, 1e6, 7)  # 998,727 keys, just under the list budget
+    weights = json.dumps([sorted(w.beta.items()), sorted(w.gamma.items())]).encode()
+    out["regroup/j=2/x=1e6/y=7"] = {"value": [hashlib.sha256(weights).hexdigest(), w.diagonal_terms],
+                                    "terms": w.diagonal_terms, "check": "exact"}
+    for q in (1, (1 << 31) + 11):
+        for nu in (-3, -1):
+            # odd residue counts either side of a power of two: unpaired tree nodes
+            for size in (1, 2, 3, 1023, 1025, 4097):
+                r = np.random.default_rng(size).integers(0, q, size)
+                pw, units = sums._monomial_residues(r, q, nu)
+                out[f"residues/q={q}/nu={nu}/n={size}"] = {
+                    "value": sums._scaled(1, pw, q)[units].tolist(), "terms": int(units.sum()),
+                    "check": "exact"}
+            v = sums.sum_power(sums.SumParams(x=30011, y=50, q=q, a=1, nu=nu), segment=SEGMENT)
+            put(f"power/exact/x=30011/y=50/q={q}/nu={nu}", v.value, v.terms, "exact")
     alpha = {m: cmath.exp(0.3j * m) for m in range(1, 120)}
     beta = {n: (-1) ** n * 0.5 for n in range(1, 90) if n % 4}
     for q in (1, 3600, 10007):
