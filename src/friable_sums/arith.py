@@ -82,14 +82,6 @@ def divisor_count(n: int) -> int:
     return tau
 
 
-def divisors_from(fac: Iterable[tuple[int, int]]) -> list[int]:
-    """All divisors of the integer factored as [(p, e), ...], unsorted."""
-    ds = [1]
-    for p, e in fac:
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return ds
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

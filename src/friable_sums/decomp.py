@@ -447,7 +447,7 @@ def regrouped_tuple_sum(weights: RegroupWeights, f: VectorizedMap) -> complex:
     x_floor = floor_int(weights.x)
     parts: list[complex] = []
     # l * n <= x exactly for the ascending prefix l <= floor(x) // n
-    cuts = np.searchsorted(ells, [x_floor // n for n in weights.gamma], "right").tolist()
+    cuts = np.searchsorted(ells, x_floor // np.fromiter(weights.gamma, np.int64), "right").tolist()
     for (n, g), cut in zip(weights.gamma.items(), cuts):
         if cut:
             parts.append(g * complex(np.sum(bs[:cut] * f(ells[:cut] * n))))

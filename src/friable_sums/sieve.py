@@ -5,22 +5,30 @@ window [lo, hi], the largest prime factor P(n) and smallest prime factor
 p(n) of each n, plus a streaming enumerator of the y-smooth set
 S(x, y) = {n <= x : P(n) <= y} that never materializes a table of size x.
 
-One driver, `smooth_segments`, runs every smooth scan: it plans the
-segments once and hands each segment's members (and weights) to a caller's
-function, on a thread pool when asked.  Given a modulus q, it hands over
-each segment's residue counts mod q instead, and a sieved segment never
-lists its members: entry j of a block that starts at n0 has residue
-(n0 + j) mod q, so the block's smoothness mask, folded over q, is its
-histogram (see `_fold`).  At x = 10^8, q = 10^6 + 3 that took a dense sum
-from 0.91 to 0.63 s at y = 10^3 and from 1.34 to 0.97 s at y = 10^4
-(medians of 6 in-process runs, 2-core Xeon, numpy 2.4).  Members are
-int64, so x is held below 2^63.
+Every smooth scan plans its segments once and runs them in segment order,
+on a thread pool when asked (`_scan`), under one of two drivers.
+`smooth_segments` hands each segment's members (and weights) to a
+caller's function.  `smooth_histogram` counts S(x, y) by residue class
+mod q and lists no member.  For y >= 2, S(x, y) is the disjoint union of
+the 2^a * S_odd(x / 2^a), so its histogram is H = sum over a of
+sigma_2^a P(floor(x / 2^a)), where P(c) counts the odd members up to c by
+class and sigma_2 moves class r to 2r mod q (Bernstein, "Enumerating and
+counting smooth integers", 1998).  Each segment sweeps the odd n only,
+half the integers, and folds its smoothness mask over q (see
+_odd_counts); the driver lifts the counts by one Horner pass
+T <- P(c) + sigma_2 T over the cutoffs c = floor(x / 2^a), in segment
+order, so 1 and 2 threads agree bit for bit.  At x = 10^8,
+q = 10^6 + 3, one thread, that took the histogram from 0.53-0.71 to
+0.31-0.43 s at y = 10^3 and from 0.91-0.99 to 0.49-0.55 s at y = 10^4
+(medians of 5 in-process runs, 2-core Xeon, numpy 2.4).  Psi(x, y) is
+the histogram mod 1.  Members are int64, so x is held below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
 
-* the segment sieve, which costs about 6 ns per integer up to x at
-  y = 10^3 and 12 ns at y = 10^4 (x = 10^8; 2-core Xeon, numpy 2.4),
+* the segment sieve, which costs about 8 ns per integer up to x at
+  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 3-4 and 5 ns
+  on the odd sweep of a histogram (x = 10^8; 2-core Xeon, numpy 2.4),
   however few of them are smooth;
 * a generator that multiplies each prime p <= y, with its powers, into
   the products built so far, which costs about 2.6 ns per member per
@@ -48,10 +56,14 @@ segment's largest operand is below 2^32 (uint64 otherwise).  The segment
 is sieved one block of 2^18 entries (1 MiB of uint32, which stays in L2)
 at a time: sp starts from a wheel pattern of period 720720 =
 2^4 3^2 5 7 11 13, which holds those prime powers, and the prime powers up
-to 2^10 walk the block.  The cofactor n / sp is <= y exactly when
-sp >= ceil(n / y), one contiguous division by a scalar per block.  The
-kernel builds smooth parts only: the weights of a twisted scan take one
-more strided walk, `_walk` over every prime power, outside it.
+to 2^10 walk the block.  On the odd sweep entry i is n = lo + 2i: 2 drops
+out, an odd prime power t hits every t-th entry, and the wheel is one
+pattern of period 45045 = 3^2 5 7 11 13 in index space, laid down in one
+pass.  The cofactor n / sp is <= y exactly when sp >= ceil(n / y), one
+contiguous division by a scalar per block, the ceilings stepping by 2 on
+the odd sweep.  The kernel builds smooth parts only: the weights of a
+twisted scan take one more strided walk, `_walk` over every prime power,
+outside it.
 
 Prime tables come from the same kernel, with no second sieve:
 `primes_between(lo, hi)` takes the primes up to isqrt(hi) from itself and
@@ -100,9 +112,9 @@ _UPDATES_PER_TERM = 16
 SCAN_TERMS = 1e10
 # The listing price: S(x, y) is generated, not sieved, when Rankin's bound
 # B <= MAX_SEGMENT has B * pi(y) <= _GENERATE_RATIO * floor(x).  A generated
-# member costs about 2.6 ns per prime and a sieved integer 6-12 ns, but B
-# overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100) would
-# go to the sieve, which is over 10x slower there.
+# member costs about 2.6 ns per prime and a listed integer 8-11 ns (3-5 ns on
+# a histogram's odd sweep), but B overstates Psi by 5-22x, so the ratio is 5:
+# priced lower, (1e8, 100) would go to the sieve, which is over 10x slower there.
 _GENERATE_RATIO = 5
 # Each unit a budget counts: its plural and what it guards, as refusals say.
 _UNITS = {"entry": ("entries", "a memory budget"), "point": ("points", "a memory budget"),
@@ -349,23 +361,25 @@ class SmoothSet:
 
 
 @functools.cache
-def _wheel_factors(k: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """The wheel seed of the first k (p, e) of _WHEEL_POWERS as two
+def _wheel_factors(powers: tuple, dtype: type, odd: bool = False) -> tuple[np.ndarray, ...]:
+    """The wheel seed of `powers`, leading (p, e) of _WHEEL_POWERS, as two
     patterns, over 5 to 13 and over 2 and 3, whose periods divide 5005 and
     144: pattern[n % pattern.size] = prod of p^min(v_p(n), e) over its
-    primes.  Each is tiled to at least 4096 entries, so that a block takes
-    it in few long rows.  Cached, as every segment and prime table takes
-    one (at most 14 pairs), and read-only.
+    primes.  With `odd` (powers from (3, 2) on), as one pattern over the
+    index j of n = 2j + 1, period dividing 45045 = 3^2 5 7 11 13.  Each is
+    tiled to at least 4096 entries, so that a block takes it in few long
+    rows.  Cached, as every segment and prime table takes one, and
+    read-only.
     """
     factors = []
-    for powers in (_WHEEL_POWERS[2:k], _WHEEL_POWERS[: min(k, 2)]):
-        pattern = np.ones(math.prod(p**e for p, e in powers), dtype=dtype)
-        for p, e in powers:
-            for j in range(1, e + 1):
-                pattern[:: p**j] *= p
+    for group in (powers,) if odd else (powers[2:], powers[:2]):
+        pattern = np.ones(math.prod(p**e for p, e in group), dtype=dtype)
+        for p, e in group:
+            for j in range(1, e + 1):  # 2j + 1 is a multiple of p^j from j = p^j >> 1 on
+                pattern[(p**j >> 1) * odd :: p**j] *= p
         factors.append(np.tile(pattern, -(-4096 // pattern.size)))
-    factors[0].flags.writeable = factors[1].flags.writeable = False  # shared by the cache
-    return factors[0], factors[1]
+        factors[-1].flags.writeable = False  # shared by the cache
+    return tuple(factors)
 
 
 def _periodic(
@@ -379,9 +393,10 @@ def _periodic(
     return (blk[:whole].reshape(-1, size), rolled), (blk[whole:], rolled[: blk.size - whole])
 
 
-def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int) -> np.ndarray:
+def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = False) -> np.ndarray:
     """sp[n - lo] = prod of p^v_p(n) over `primes`, for n in [lo, hi]: the
-    one sieve kernel.
+    one sieve kernel.  With `odd` (lo odd), entry i is n = lo + 2i instead,
+    for the odd n in [lo, hi] only, and the prime 2 is left out.
 
     p goes into every multiple of each power p^k <= hi, so n gets it v_p(n)
     times and sp stays a divisor of n.  sp is uint32 when `top` (>= hi, the
@@ -389,30 +404,33 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int) -> np.ndarray:
 
     Each block of _BLOCK entries starts from the wheel seed of the wheel
     primes that lead `primes` (period 720720 = 5005 * 144, laid down as
-    the product of its two factors), and those primes walk on from their
+    the product of its two factors; odd, one pattern of period 45045 in
+    index space, laid down once), and those primes walk on from their
     next power.  The powers up to _BLOCKED_STRIDE then walk the block
     while it is in cache; larger powers hit a block too rarely to pay for
     a call per block, so they walk the whole segment once.
     """
-    count = hi - lo + 1
+    count = (hi - lo) // (1 + odd) + 1
     dtype = np.uint32 if top < 1 << 32 else np.uint64
-    sp = np.empty(count, dtype=dtype)
-    ps = primes.tolist()
+    sp = np.empty(max(count, 0), dtype=dtype)
+    ps = primes.tolist()[1:] if odd and primes.size and primes[0] == 2 else primes.tolist()
+    wheel = _WHEEL_POWERS[odd:]  # the odd sweep's wheel leaves 2 out
     k = 0
-    while k < min(len(ps), len(_WHEEL_POWERS)) and ps[k] == _WHEEL_POWERS[k][0]:
+    while k < min(len(ps), len(wheel)) and ps[k] == wheel[k][0]:
         k += 1
-    seeded = {p: p**e for p, e in _WHEEL_POWERS[:k]}  # the power the seed holds
+    seeded = {p: p**e for p, e in wheel[:k]}  # the power the seed holds
     strides = [(t, p) for t, p in _powers(ps, hi) if t > seeded.get(p, 1)]
-    wheel_5_13, wheel_2_3 = _wheel_factors(k, dtype)
+    seed, *factors = _wheel_factors(wheel[:k], dtype, odd)
+    first = lo >> odd  # entry 0's index: n = first, or n = 2 * first + 1
     blocked = [s for s in strides if s[0] <= _BLOCKED_STRIDE]
-    for b0 in range(0, count, _BLOCK):
+    for b0 in range(0, sp.size, _BLOCK):
         blk = sp[b0 : b0 + _BLOCK]
-        for view, values in _periodic(blk, wheel_5_13, lo + b0):
+        for view, values in _periodic(blk, seed, first + b0):
             view[...] = values
-        for view, values in _periodic(blk, wheel_2_3, lo + b0):
+        for view, values in _periodic(blk, factors[0], lo + b0) if factors else ():
             view *= values
-        _walk(blk, lo + b0, blocked)
-    _walk(sp, lo, [s for s in strides if s[0] > _BLOCKED_STRIDE])
+        _walk(blk, first + b0, blocked, odd)
+    _walk(sp, first, [s for s in strides if s[0] > _BLOCKED_STRIDE], odd)
     return sp
 
 
@@ -425,11 +443,12 @@ def _powers(ps: Iterable[int], hi: int) -> Iterator[tuple[int, int]]:
             t *= p
 
 
-def _walk(a: np.ndarray, first: int, strides: list[tuple[int, complex]]) -> None:
+def _walk(a: np.ndarray, first: int, strides: list[tuple[int, complex]], odd: bool = False) -> None:
     """For each (t, v) of `strides`, multiply v into a[j] at every multiple
-    first + j of t, 0 <= j < a.size."""
+    first + j of t, 0 <= j < a.size; with `odd` (t odd), at every multiple
+    2 * (first + j) + 1 of t, which starts at first + j = t >> 1 mod t."""
     for t, v in strides:
-        a[-first % t :: t] *= v
+        a[((t >> 1) * odd - first) % t :: t] *= v
 
 
 def _rankin_bound(x_floor: int, primes: np.ndarray) -> float:
@@ -509,7 +528,7 @@ def _generate(
 
 
 def smooth_plan(
-    x: float, y: float, segment: int = DEFAULT_SEGMENT
+    x: float, y: float, segment: int = DEFAULT_SEGMENT, lifted: bool = False
 ) -> tuple[list[tuple[int, int]], int, np.ndarray]:
     """(segment bounds, floor(y), dividing primes) for a smooth scan of
     S(x, y); segments are independent, so callers may process them in any
@@ -524,6 +543,9 @@ def smooth_plan(
     longer than floor(x)), or that would list more than MAX_LIST segments,
     is refused with ResourceLimitError before anything is sieved or listed,
     and before the prime table where x and y alone rule the generator out.
+    A `lifted` plan, for smooth_histogram, also ends a sieved segment at
+    each cutoff floor(x / 2^a) above `segment` (see _cutoffs), so every
+    bound after [1, segment] lies between two cutoffs.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
@@ -544,9 +566,20 @@ def smooth_plan(
     if primes is not None and _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
     _check_budget(min(segment, x_floor), "a sieve segment")
-    _check_budget(-(-x_floor // segment), "a sieved plan's segment list", MAX_LIST)
-    return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
+    cuts = [c for c in _cutoffs(x_floor, y_floor) if lifted and c > segment]
+    edges = sorted({min(segment, x_floor), x_floor, *cuts})
+    _check_budget(sum(-(-(e - s) // segment) for s, e in zip([0, *edges], edges)),
+                  "a sieved plan's segment list", MAX_LIST)
+    return ([(lo, min(lo + segment - 1, e)) for s, e in zip([0, *edges], edges)
+             for lo in range(s + 1, e + 1, segment)],
             y_floor, primes_upto(top) if primes is None else primes)
+
+
+def _cutoffs(x_floor: int, y_floor: int) -> list[int]:
+    """The cutoffs floor(x / 2^a), a >= 0, ascending from 1: for y >= 2,
+    S(x, y) is the disjoint union of 2^a * (its odd members <= x / 2^a).
+    Only x itself for y < 2, where 2 is not smooth."""
+    return [x_floor >> a for a in range(x_floor.bit_length())][::-1] if y_floor >= 2 else [x_floor]
 
 
 def smooth_in_range(
@@ -556,51 +589,70 @@ def smooth_in_range(
     primes: np.ndarray,
     prime_value: Optional[Callable[[int], complex]] = None,
     q: Optional[int] = None,
+    x_floor: Optional[int] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Smooth members of one planned segment [lo, hi] (see smooth_plan),
     optionally with multiplicative weights; or, with q and no prime_value,
-    (counts, None), counts[r] the number of members n = r mod q.
+    (counts, lift): the residue counts mod q of the segment's odd members,
+    and for lo = 1 the partial lift of the plan of x_floor (hi when
+    omitted), else None.
 
     `primes` must hold every prime <= min(y_floor, isqrt(global x)).  A
     segment [1, hi] for which smooth_plan's cost rule picks the generator
-    is generated (its counts are one int64 bincount).  Otherwise it is
-    sieved: the cofactor cof = n / sp(n) is then 1, a single prime (sieving
-    bound isqrt) or a product of primes above y (sieving bound y), so
-    `cof <= y` is exactly the smoothness test.  As sp | n, cof <= n <= hi,
-    so with y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff),
-    made one kernel block at a time.  The ceilings share sp's dtype; their
-    largest numerator is hi + y_eff - 1.  Counts are each block's mask
-    folded over q (see _fold), int32 as a planned segment holds at most
-    MAX_SEGMENT entries, so no member is listed.  Weights take their own
-    walk over every prime power, by ascending p (see _walk), then a member
-    whose cofactor is a prime takes its value: prime_value is called once
-    per sieving prime and once per distinct cofactor.
+    is generated; with q only as the whole plan (hi = x_floor), whose
+    residue counts (one int64 bincount, or the member count for q = 1) are
+    then both its counts and its lift.  Otherwise it is sieved: the
+    cofactor cof = n / sp(n) is then 1, a single prime (sieving bound
+    isqrt) or a product of primes above y (sieving bound y), so `cof <= y`
+    is exactly the smoothness test.  As sp | n, cof <= n <= hi, so with
+    y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff), made one
+    kernel block at a time into the segment's mask.  The ceilings share
+    sp's dtype; their largest numerator is hi + y_eff - 1.  Weights take
+    their own walk over every prime power, by ascending p (see _walk),
+    then a member whose cofactor is a prime takes its value: prime_value
+    is called once per sieving prime and once per distinct cofactor.
+
+    With q the kernel sweeps the odd n only, and no member is listed: the
+    mask (2 MiB of bools for 2^21 odd n) is kept, the smooth parts freed,
+    and only then are counts allocated and the mask folded over q (see
+    _odd_counts).  Counts and lifts are int32 while x_floor < 2^31 (int64
+    past it), in a window of min(q, hi + 1) classes, as no n above hi is
+    counted.  The lift of [1, hi] is T = P(c) + sigma_2 T taken over the
+    cutoffs c <= hi (see _cutoffs), P(c) the odd members' counts up to c
+    and sigma_2 the class map r -> 2r mod q (see _spread): the histogram
+    of S(c, y) for the last of them, which smooth_histogram carries on.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
-    if lo == 1 and _generates(hi, y_floor, primes):
+    x_floor = hi if x_floor is None else x_floor
+    if lo == 1 and (q is None or hi == x_floor) and _generates(hi, y_floor, primes):
         members, weights = _generate(hi, primes, prime_value)
-        return (members, weights) if q is None else (np.bincount(members % q, minlength=q), None)
-    y_eff = min(y_floor, hi)
-    counts = None if q is None else np.zeros(q, dtype=np.int32)
-    if y_eff < 1:
-        empty = np.empty(0, dtype=np.int64)
-        return empty if counts is None else counts, empty.astype(np.complex128) if prime_value else None
-    sp = _smooth_part(lo, hi, primes, hi + y_eff)
-    parts = []
+        h = q and (np.bincount(members % q, minlength=q) if q > 1 else np.full(1, members.size))
+        return (members, weights) if q is None else (h, h)
+    y_eff, odd = min(y_floor, hi), q is not None
+    # the first n swept: the first odd one with q; past hi (none) for y < 1
+    first = lo | odd if y_eff >= 1 else hi + 1
+    sp = _smooth_part(first, hi, primes, hi + y_eff, odd)
+    mask = np.empty(sp.size, dtype=bool) if odd else None
+    parts = [np.empty(0, dtype=np.int64)]
     for b0 in range(0, sp.size, _BLOCK):
         b1 = min(b0 + _BLOCK, sp.size)
-        ceil = np.arange(lo + b0 + y_eff - 1, lo + b1 + y_eff - 1, dtype=sp.dtype)
+        ceil = np.arange(first + (b0 << odd) + y_eff - 1, first + (b1 << odd) + y_eff - 1,
+                         1 + odd, dtype=sp.dtype)
         ceil //= y_eff
-        mask = sp[b0:b1] >= ceil
-        if counts is not None:
-            _fold(mask.view(np.uint8), (lo + b0) % q, counts)
-            continue
-        part = np.flatnonzero(mask)
-        part += lo + b0
-        parts.append(part)
-    if counts is not None:
-        return counts, None
+        hit = np.greater_equal(sp[b0:b1], ceil, out=mask[b0:b1] if odd else None)
+        if not odd:
+            parts.append(np.flatnonzero(hit))
+            parts[-1] += lo + b0
+    if odd:
+        del sp  # the smooth parts go before any count is allocated
+        nil = np.zeros(0, dtype=np.int32 if x_floor < 1 << 31 else np.int64)  # P and T start empty
+        # pieces of the mask, each up to a cutoff c <= hi (only for lo = 1) or to hi
+        cuts = [c for c in _cutoffs(x_floor, y_floor) if c <= hi] if lo == 1 else []
+        ends = [0, *((c + 1) // 2 for c in cuts), mask.size]
+        parts = ((_odd_counts(mask[a:b], first + 2 * a, q, min(q, c + 1), nil.dtype), k < len(cuts))
+                 for k, (a, b, c) in enumerate(zip(ends, ends[1:], cuts + [hi])))
+        return _horner(nil, nil if lo == 1 else None, parts, q)
     members = np.concatenate(parts)
     if prime_value is None:
         return members, None
@@ -615,6 +667,53 @@ def smooth_in_range(
         cof, at = np.unique(rest[large], return_inverse=True)
         w[large] *= np.array([prime_value(c) for c in cof.tolist()])[at]
     return members, w
+
+
+def _odd_counts(mask: np.ndarray, n0: int, q: int, size: int, dtype: type) -> np.ndarray:
+    """counts[r] = the number of set mask[i] with n = n0 + 2i = r mod q, n0
+    odd, in `size` >= min(q, n + 1) classes for every such n.
+
+    Below q each n is its own class: one strided add.  Otherwise the mask
+    is folded in index coordinates j, which repeat with period q / gcd(q,
+    2): n = 2j mod q for odd q (j = n * (q + 1) / 2), and n = 2j + 1 mod q
+    for even q (j = (n - 1) / 2), one _fold per kernel block; two slices
+    then map the index counts to residues (for odd q, by _spread).
+    """
+    last = n0 + 2 * mask.size - 2
+    if last < q or not mask.size:
+        counts = np.zeros(size, dtype=dtype)
+        counts[n0 : last + 1 : 2] += mask
+        return counts
+    at = np.zeros(q if q & 1 else q // 2, dtype=dtype)
+    j0 = n0 * ((q + 1) // 2) % q if q & 1 else n0 // 2 % at.size
+    for b0 in range(0, mask.size, _BLOCK):
+        _fold(mask[b0 : b0 + _BLOCK].view(np.uint8), (j0 + b0) % at.size, at)
+    return _spread(at, q, q) if q & 1 else np.column_stack((np.zeros_like(at), at)).ravel()
+
+
+def _spread(t: np.ndarray, q: int, size: int) -> np.ndarray:
+    """sigma_2 t, the counts t moved from class r to 2r mod q, as a new
+    array of `size` classes: class r < h = ceil(q / 2) goes to 2r, and
+    r >= h to 2(r - h) + q mod 2.  Two slices; while 2 * t.size <= q the
+    occupied window only spreads, and costs O(t.size), not O(q).
+    """
+    out, h = np.zeros(size, dtype=t.dtype), (q + 1) // 2
+    out[: 2 * min(t.size, h) : 2] = t[:h]
+    out[q & 1 :: 2][: max(t.size - h, 0)] += t[h:]
+    return out
+
+
+def _horner(counts: np.ndarray, lift: Optional[np.ndarray], parts: Iterable, q: int) -> tuple:
+    """(counts, lift) carried over `parts`, (odd counts, ends at a cutoff)
+    in ascending n: each is added into the counts P, and at a cutoff c the
+    lift steps to T <- P(c) + sigma_2 T."""
+    for part, cut in parts:  # a part's window holds its forerunners'
+        part[: counts.size] += counts
+        counts = part
+        if cut:
+            lift = _spread(lift, q, counts.size)
+            lift += counts
+    return counts, lift
 
 
 def _fold(mask: np.ndarray, r0: int, counts: np.ndarray) -> None:
@@ -645,29 +744,54 @@ def smooth_segments(
     segment: int = DEFAULT_SEGMENT,
     threads: int = 1,
     prime_value: Optional[Callable[[int], complex]] = None,
-    q: Optional[int] = None,
 ) -> Iterator:
     """part(members, weights) of each planned segment of S(x, y), in
-    segment order: the one driver of every smooth scan; with q (and no
-    prime_value), part(counts, None) of the segment's residue counts (see
-    smooth_in_range).  The segments run on a pool of min(threads,
-    usable_cpus()) threads when that is above 1.
+    segment order: the one driver of every listing scan (see _scan).
     """
+    return _scan(x, y, segment, threads, lambda span, y_floor, primes: part(
+        *smooth_in_range(*span, y_floor, primes, prime_value)))
+
+
+def smooth_histogram(
+    x: float, y: float, q: int, segment: int = DEFAULT_SEGMENT, threads: int = 1
+) -> np.ndarray:
+    """H[r] = #{n in S(x, y) : n = r mod q} for r < q, exact, listing no
+    member: the driver of every residue count.
+
+    For y >= 2, S(x, y) is the disjoint union of 2^a * S_odd(x / 2^a), so
+    H = sum over a of sigma_2^a P(floor(x / 2^a)), P(c) the counts of the
+    odd members up to c.  The segments of a lifted plan (see smooth_plan)
+    sweep the odd n only (see smooth_in_range) and their counts are taken
+    in segment order: added into P, and at each cutoff c the lift
+    T <- P(c) + sigma_2 T, one Horner step (see _horner), from the first
+    segment's partial lift on.  The state is P and T, with one segment's
+    counts on top: about three q-vectors.
+    """
+    cuts = set(_cutoffs(floor_int(x), floor_int(y)))
+    runs = _scan(x, y, segment, threads, lambda span, y_floor, primes: (
+        span[1], smooth_in_range(*span, y_floor, primes, None, q, floor_int(x))), True)
+    _, first = next(runs, (0, (np.zeros(0, dtype=np.int32),) * 2))  # none for an empty plan
+    lift = _horner(*first, ((part, hi in cuts) for hi, (part, _) in runs), q)[1]
+    return lift if lift.size == q else np.concatenate((lift, np.zeros(q - lift.size, lift.dtype)))
+
+
+def _scan(x: float, y: float, segment: int, threads: int, one: Callable,
+          lifted: bool = False) -> Iterator:
+    """one(bound, floor(y), primes) for each bound of the plan of S(x, y)
+    (see smooth_plan), in order, on a pool of min(threads, usable_cpus())
+    threads when that is above 1."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threads = min(threads, usable_cpus())
-    bounds, y_floor, primes = smooth_plan(x, y, segment)
-
-    def one(span: tuple[int, int]):
-        return part(*smooth_in_range(span[0], span[1], y_floor, primes, prime_value, q))
-
+    bounds, y_floor, primes = smooth_plan(x, y, segment, lifted)
+    run = functools.partial(one, y_floor=y_floor, primes=primes)
     if threads == 1:
-        yield from map(one, bounds)
+        yield from map(run, bounds)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(one, bounds)
+        yield from pool.map(run, bounds)
 
 
 def iter_smooth(
@@ -687,13 +811,11 @@ def iter_smooth(
 def smooth_members(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> SmoothSet:
     """Materialize S(x, y) as an ascending array (use psi() for counts only)."""
     chunks = list(smooth_segments(x, y, lambda members, _: members, segment))
-    if chunks:
-        members = np.concatenate(chunks)
-    else:
-        members = np.empty(0, dtype=np.int64)
+    members = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     return SmoothSet(x=x, y=y, members=members)
 
 
 def psi(x: float, y: float, segment: int = DEFAULT_SEGMENT) -> int:
-    """Psi(x, y) = #S(x, y), counted one planned segment at a time."""
-    return sum(smooth_segments(x, y, lambda members, _: int(members.size), segment))
+    """Psi(x, y) = #S(x, y): the histogram mod 1 (see smooth_histogram),
+    whose generated plans count their members by size."""
+    return int(smooth_histogram(x, y, 1, segment)[0])

@@ -8,14 +8,16 @@ and power-congruence moment counts.
 Every phase argument is reduced modulo q in integer arithmetic before
 the trig call; a real frequency theta is a double, so exactly m / 2^k,
 and its phases are residues modulo 2^k.  One core, `_monomial_sum`, runs
-the sieve's segment driver for the plain, the twisted and the
-real-frequency sums.  A plain sum with q <= HIST_LIMIT bins residues into
-exact integer counts, so large scans stay exact until one final
-floating-point pass: the sieve folds each segment's counts straight from
-its mask, listing no member, and they are added in place into one int64
-histogram.  A histogram holds counts only: a twisted sum, like any sum
-with a larger q, sums each segment's weighted phases per term as the
-segment arrives, through `_term_sum`, the one per-term tail, which
+the sieve's drivers for the plain, the twisted and the real-frequency
+sums.  A plain sum with q <= HIST_LIMIT takes the exact residue histogram
+of S(x, y) from `sieve.smooth_histogram`, so large scans stay exact until
+one final floating-point pass: the sieve sweeps the odd n only, folds
+each segment's counts straight from its mask, listing no member, and
+lifts them to every n = 2^a * m by one Horner pass over the cutoffs
+x / 2^a, in segment order; the histogram is int32 while x < 2^31.  A
+histogram holds counts only: a twisted sum, like any sum with a larger
+q, sums each segment's weighted phases per term as the segment arrives,
+through `_term_sum`, the one per-term tail, which
 `sum_bilinear` shares for its pairs m * n <= x: they are laid out by
 `sieve._runs` and summed 2^16 at a time.  `_monomial_sum` takes
 one or more residues a that share (x, y, q, nu): the listing, the bins
@@ -43,7 +45,8 @@ once by one product tree (`_inverses`, Montgomery's batch inversion):
 about three products mod q per unit and one pow at the root, then the
 power |nu|, where a chain for the exponent |nu| * (phi(q) - 1) took about
 30 passes at q = 2 * 10^6.  Over all r < q that took 0.39 s to 0.10 s at
-q = 1,995,262 (of it, 0.04 s finds the units) and 0.14 to 0.03 s at
+q = 1,995,262 (of it, 0.04 s found the units, one `r % p` per p | q;
+`r // p * p != r` takes 0.02 s) and 0.14 to 0.03 s at
 q = 10^6 + 3; over 400,000 random residues, 0.11 to 0.011 s at 2^31 - 1,
 and at 2^32 + 15, on Python ints instead of one pow per residue, 0.74 to
 0.37 s (best of 7, 2-core Xeon, numpy 2.4).
@@ -60,7 +63,7 @@ import numpy as np
 
 from .arith import TWO_PI, factorize, floor_int, floor_quotient, fsum_complex, is_prime
 from .sieve import (DEFAULT_SEGMENT, MAX_WORK, _UPDATES_PER_TERM, _check_budget, _runs,
-                    _tuple_walk, smooth_segments, tuple_primes)
+                    _tuple_walk, smooth_histogram, smooth_segments, tuple_primes)
 
 # Plain sums bin residues up to this modulus; beyond it sums stream
 # per-member phases instead of building O(q) tables, as twisted sums do at
@@ -171,11 +174,12 @@ def _monomial_residues(r: np.ndarray, q: int, nu: int) -> tuple[np.ndarray, Opti
     b = r.astype(object if wide else np.uint64)
     units = None
     if nu < 0:
-        # the units by r % p per p | q; past the limit by a gcd, as factoring
-        # q could take sqrt(q) steps
+        # the units by r // p * p != r per p | q (numpy's floor-divide by a
+        # scalar is faster than its remainder); past the limit by a gcd, as
+        # factoring q could take sqrt(q) steps
         units = np.gcd(r, q) == 1 if wide else np.ones(r.shape, dtype=bool)
         for p in () if wide else _prime_divisors(q):
-            units &= r % p != 0
+            units &= r // p * p != r
         b[~units] = 1  # a non-unit stands in as 1, so every entry inverts
         b = _inverses(b, q)
     return _pow_vec(b, abs(nu), q), units
@@ -235,26 +239,19 @@ def _monomial_sum(
     share (x, y, q, nu) and differ in a: one pass lists S(x, y) and raises
     its residues to the nu-th power for all of them.
 
-    A plain sum up to HIST_LIMIT takes each segment's exact residue counts
-    from the driver (no member is listed), adds them into one int64
-    histogram and meets the phases once at the end.  Beyond HIST_LIMIT,
+    A plain sum up to HIST_LIMIT takes the exact residue histogram of
+    S(x, y) from `smooth_histogram` (no member is listed) and meets the
+    phases once at the end.  Beyond HIST_LIMIT,
     and for a twisted sum at every q, each segment's phases are summed per
     term as the segment arrives.
     """
-    p, avals = cells[0], [c.a for c in cells]
-    q = p.q
+    p, q, avals = cells[0], cells[0].q, [c.a for c in cells]
     if q > HIST_LIMIT or prime_value is not None:
         parts = list(smooth_segments(
             p.x, p.y, lambda members, w: _term_sum(members, q, avals, p.nu, w),
             segment, threads, prime_value))
         return [_total(part[i] for part in parts) for i in range(len(avals))]
-    acc = None
-    for counts in smooth_segments(p.x, p.y, lambda counts, _: counts, segment, threads, None, q):
-        acc = counts.astype(np.int64, copy=False) if acc is None else np.add(acc, counts, out=acc)
-        del counts  # free this segment's counts before the next one is sieved
-    if acc is None:
-        return [SumValue(0j, 0)] * len(avals)
-    return _binned_sum(acc, q, avals, p.nu)
+    return _binned_sum(smooth_histogram(p.x, p.y, q, segment, threads), q, avals, p.nu)
 
 
 def _binned_sum(counts: np.ndarray, q: int, avals: Sequence[int], nu: int) -> list[SumValue]:

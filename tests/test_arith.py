@@ -7,7 +7,6 @@ import pytest
 
 from friable_sums.arith import (
     divisor_count,
-    divisors_from,
     e_frac,
     eq_phase,
     factorize,
@@ -16,6 +15,7 @@ from friable_sums.arith import (
     is_prime,
     pow_mod,
 )
+from oracles import divisors_from
 
 
 def test_eq_phase_zero_and_half_turn():

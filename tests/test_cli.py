@@ -433,13 +433,13 @@ def test_single_cell_scan_runs_its_pass_on_the_threads(capsys, monkeypatch):
     argv = ["scan", "--x-grid", "1e5", "--y-grid", "100", "--q-grid", "1009",
             "--random-a", "4", "--seed", "3", "--nu", "-1"]
     asked = []
-    segments = sums.smooth_segments
+    histogram = sums.smooth_histogram
 
     def recording(*args):
-        asked.append(args[4])  # x, y, part, segment, threads
-        return segments(*args)
+        asked.append(args[4])  # x, y, q, segment, threads
+        return histogram(*args)
 
-    monkeypatch.setattr(sums, "smooth_segments", recording)
+    monkeypatch.setattr(sums, "smooth_histogram", recording)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     outs = []
     for threads in ("1", "2"):

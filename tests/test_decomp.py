@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friable_sums import decomp, sieve
-from friable_sums.arith import divisors_from, factorize, fsum_complex
+from friable_sums.arith import factorize, fsum_complex
 from friable_sums.decomp import (
     arith_tables,
     bilinear_regroup,
@@ -26,6 +26,7 @@ from friable_sums.decomp import (
 )
 from friable_sums.sieve import ResourceLimitError, build_sieve, next_primes_above, primes_between, psi
 from friable_sums.sums import SumParams, sum_linear, sum_power, sum_prime_convolution
+from oracles import divisors_from
 
 
 def phase_map(q, a):

@@ -24,6 +24,7 @@ from friable_sums.sieve import (
     psi,
     smooth_in_range,
     smooth_members,
+    smooth_histogram,
     smooth_plan,
     smooth_segments,
 )
@@ -509,38 +510,68 @@ def test_psi_never_exceeds_rankin_bound():
             assert psi(x, y) <= sieve._rankin_bound(x, primes_upto(y))
 
 
-@pytest.mark.parametrize("q", [None, 101])
+def odd_bincount(members, q, size):
+    """Counts by class mod q of the odd members, in a window of `size` classes."""
+    odd = members[members % 2 == 1]
+    return np.bincount(odd % q, minlength=q)[:size] if odd.size else np.zeros(size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", [None, 1, 101])
 @pytest.mark.parametrize(
     "x, y, segment, generated",
     [(1e8, 30, DEFAULT_SEGMENT, True), (5e6, 1000, 1 << 20, False)],
 )
 def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q):
-    # perfbench/spans.py reads these: the bounds tile [1, floor(x)] and the
-    # driver calls smooth_in_range exactly once per planned bound, with the
-    # segment's members, or with q its residue counts
-    bounds, y_floor, primes = smooth_plan(x, y, segment)
+    # perfbench/spans.py reads these: the bounds tile [1, floor(x)], the
+    # first is (1, segment), and the driver calls smooth_in_range exactly
+    # once per planned bound, with the segment's members, or with q (a
+    # lifted plan) the residue counts of its odd members, and the first
+    # bound's partial lift
+    x_floor = math.floor(x)
+    bounds, y_floor, primes = smooth_plan(x, y, segment, lifted=q is not None)
     assert (len(bounds) == 1) == generated
-    assert bounds[0][0] == 1 and bounds[-1][1] == math.floor(x)
+    assert bounds[0] == ((1, x_floor) if generated else (1, segment)) and bounds[-1][1] == x_floor
     assert all(b[1] + 1 == c[0] for b, c in zip(bounds, bounds[1:]))
     assert y_floor == math.floor(y)
-    assert primes.tolist() == primes_upto(min(y_floor, math.isqrt(math.floor(x)))).tolist()
+    assert primes.tolist() == primes_upto(min(y_floor, math.isqrt(x_floor))).tolist()
+    if q is not None and not generated:  # every later bound lies between two cutoffs
+        cuts = sieve._cutoffs(x_floor, y_floor)
+        assert len(bounds) > -(-x_floor // segment)
+        for lo, hi in bounds[1:]:
+            assert sum(lo <= c < hi for c in cuts) == 0
     results = []
 
     def counted(*args):
-        out = smooth_in_range(*args)
-        results.append(out)
+        out = smooth_in_range(*args)  # copied: the driver adds into the first bound's counts
+        results.append((args[:2], out[0].copy(), out[1] is out[0], out[1]))
         return out
 
     with mock.patch.object(sieve, "smooth_in_range", counted):
-        total = sum(smooth_segments(x, y, lambda r, w: int(r.size if q is None else r.sum()),
-                                    segment, 1, None, q))
-    assert len(results) == len(bounds)
-    assert all(isinstance(r, tuple) and len(r) == 2 and r[1] is None for r in results)
+        if q is None:
+            total = sum(smooth_segments(x, y, lambda r, w: int(r.size), segment, 1))
+        else:
+            total = int(smooth_histogram(x, y, q, segment, 1).sum())
+    assert [r[0] for r in results] == bounds
     if q is None:
-        assert total == sum(r[0].size for r in results)
-    else:
-        assert all(r[0].size == q for r in results)
-        assert total == psi(x, y, segment)
+        assert all(r[3] is None for r in results)
+        assert total == sum(r[1].size for r in results)
+        return
+    members = smooth_members(x, y).members
+    assert total == members.size == psi(x, y, segment)
+    for (lo, hi), counts, same, lift in results:
+        assert (lift is None) == (lo > 1)
+        if generated:
+            assert same
+            assert np.array_equal(counts, np.bincount(members % q, minlength=q) if q > 1
+                                  else [members.size])
+            continue
+        inside = members[(members >= lo) & (members <= hi)]
+        assert counts.size == min(q, hi + 1)
+        assert np.array_equal(counts, odd_bincount(inside, q, counts.size)), (lo, hi)
+        if lo == 1:  # the partial lift: the histogram of S(c, y), c the last cutoff <= hi
+            c = max(c for c in sieve._cutoffs(x_floor, y_floor) if c <= hi)
+            assert lift.size == min(q, c + 1)
+            assert np.array_equal(lift, np.bincount(members[members <= c] % q, minlength=q)[:lift.size])
 
 
 @pytest.mark.parametrize(
@@ -634,6 +665,38 @@ def test_kernel_matches_plain_walk_in_uint64_across_blocks():
     assert_kernel_matches_plain_walk(lo, hi, y, primes_upto(y))
 
 
+def plain_odd_smooth_part(lo, hi, primes, top):
+    """The smooth parts of the odd n in [lo, hi] over the odd primes, each
+    power t walked from its first odd multiple, the index -n0 / 2 mod t."""
+    n0 = lo | 1
+    sp = np.ones(max((hi - n0) // 2 + 1, 0), dtype=np.uint32 if top < 1 << 32 else np.uint64)
+    for p in primes.tolist():
+        t = p
+        while p > 2 and t <= hi:
+            sp[-n0 * pow(2, -1, t) % t :: t] *= p
+            t *= p
+    return sp
+
+
+@pytest.mark.parametrize("y", [1, 2, 3, 4, 5, 12, 13, 16, 17, 1000])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (BLOCKS_LO, BLOCKS_LO + 4 * sieve._BLOCK + 1000),  # three blocks of odd n
+        (BLOCKS_LO + 1, BLOCKS_LO + 4 * sieve._BLOCK + 1001),  # an even lo and hi
+        (2**32 - 2 * sieve._BLOCK - 5001, 2**32 + 3001),  # uint64, across 2^32
+        (2**32 - 7, 2**32 - 7),  # one odd entry
+        (2**32, 2**32),  # no odd entry
+    ],
+)
+def test_odd_kernel_matches_plain_walk_over_odd_n(lo, hi, y):
+    primes = primes_upto(min(y, math.isqrt(hi)))
+    got = sieve._smooth_part(lo | 1, hi, primes, hi + y, odd=True)
+    want = plain_odd_smooth_part(lo, hi, primes, hi + y)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.size == (hi - (lo | 1)) // 2 + 1
+
+
 @pytest.mark.parametrize(
     "lo, hi", [(BLOCKS_LO, BLOCKS_HI), (2**32 - sieve._BLOCK - 5000, 2**32 + 3000)]
 )
@@ -686,21 +749,25 @@ FOLD_Q = [1, 2, 3, 4095, 4096, 4097, 2**18 - 1, 2**18, 2**18 + 1, 10**6 + 3, 2**
 @pytest.mark.parametrize(
     "lo, hi, y",
     [
-        (BLOCKS_LO + 2, BLOCKS_HI, 1000),  # three blocks, the last one short
+        (BLOCKS_LO + 2, BLOCKS_HI, 1000),  # two blocks of odd n, the second short
         (BLOCKS_LO + 2, BLOCKS_HI, 13),
+        (BLOCKS_LO + 3, BLOCKS_HI - 1, 1000),  # an even lo, an even hi
         (10**6 + 7, 10**6 + 3000, 5000),  # y >= hi - lo, a segment shorter than most q
         (999_983, 10**6 + 500, 2 * 10**6),  # y >= hi: every n is smooth
-        (2**32 - sieve._BLOCK - 4999, 2**32 + 3000, 1000),  # uint64 smooth parts
+        (2**32 - 2 * sieve._BLOCK - 4999, 2**32 + 3000, 1000),  # uint64 smooth parts
     ],
 )
 def test_folded_counts_equal_the_listing_bincount(lo, hi, y):
+    # a later segment of a lifted plan: the counts of its odd members, in
+    # a window of min(q, hi + 1) classes, and no lift
     primes = primes_upto(min(y, math.isqrt(hi)))
     members, _ = smooth_in_range(lo, hi, y, primes)
     for q in FOLD_Q:
-        assert q == 1 or lo % q  # the first block starts inside a row of q
-        counts, weights = smooth_in_range(lo, hi, y, primes, None, q)
-        assert weights is None and counts.dtype == np.int32
-        assert np.array_equal(counts, np.bincount(members % q, minlength=q)), q
+        assert q == 1 or (lo | 1) % q  # the first odd n starts inside a row of q
+        counts, lift = smooth_in_range(lo, hi, y, primes, None, q)
+        assert lift is None and counts.size == min(q, hi + 1)
+        assert counts.dtype == (np.int32 if hi < 2**31 else np.int64)  # x defaults to hi
+        assert np.array_equal(counts, odd_bincount(members, q, counts.size)), q
     if y >= hi:
         assert members.size == hi - lo + 1
 
@@ -711,28 +778,94 @@ def test_folded_counts_of_a_generated_segment_are_its_bincount():
     assert sieve._generates(x, y, primes)
     members, _ = smooth_in_range(1, x, y, primes)
     for q in FOLD_Q:
-        counts, weights = smooth_in_range(1, x, y, primes, None, q)
-        assert weights is None and counts.dtype == np.int64
+        counts, lift = smooth_in_range(1, x, y, primes, None, q)
+        assert lift is counts and counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(members % q, minlength=q)), q
     for lo, hi in ((1, x), (10**6, 10**6 + 100)):  # generated, then sieved
         with pytest.raises(ValueError, match="not both"):
             smooth_in_range(lo, hi, y, primes, imaginary_prime, 101)
 
 
-def test_folded_counts_per_segment_are_the_same_on_one_and_two_threads():
-    # segments of three blocks, the last block of each short, and a short
-    # last segment
+def test_a_first_segment_short_of_its_plan_is_sieved_and_lifted():
+    # [1, hi] that the generator would take, but as the first segment of a
+    # longer plan: sieved, so its counts are its odd members' and its lift
+    # runs over the cutoffs floor(x / 2^a) <= hi only
+    x, hi, y, q = 3 * 10**8, 10**8, 30, 4097
+    primes = primes_upto(y)
+    members, _ = smooth_in_range(1, hi, y, primes)
+    counts, lift = smooth_in_range(1, hi, y, primes, None, q, x)
+    assert np.array_equal(counts, odd_bincount(members, q, q))
+    c = max(c for c in sieve._cutoffs(x, y) if c <= hi)  # 3e8 / 4
+    a0 = (x // c).bit_length() - 1
+    want = sum(np.bincount((members[(members % 2 == 1) & (members << a <= x)] << a - a0) % q,
+                           minlength=q) for a in range(a0, x.bit_length()))
+    assert x >> a0 == c and np.array_equal(lift, want)
+
+
+def test_the_lift_is_int64_from_x_at_two_to_the_31():
+    primes = primes_upto(31)
+    for x_floor, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        for lo in (1, 4001):
+            counts, lift = smooth_in_range(lo, 5000, 1000, primes, None, 10007, x_floor)
+            assert counts.dtype == dtype and (lift is None or lift.dtype == dtype)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 8, 45, 1000, 1001])
+def test_spread_moves_each_class_to_its_double(q):
+    rng = np.random.default_rng(q)
+    for size in sorted(s for s in {1, 2, q // 2, (q + 1) // 2, q} if 1 <= s <= q):
+        t = rng.integers(0, 1000, size)
+        out_size = q if 2 * size - 1 > q else 2 * size - 1
+        want = np.bincount(2 * np.arange(size) % q, weights=t, minlength=q)[:out_size]
+        got = sieve._spread(t, q, out_size)
+        assert got.size == out_size and np.array_equal(got, want)
+
+
+def test_lifted_histogram_is_the_same_on_one_and_two_threads():
+    # segments of three blocks, the last block of each short, a short last
+    # segment, and the cutoffs 650000 and 325000 inside the plan
     x, y, segment = 1_300_000, 1000, sieve._BLOCK + (1 << 19) + 3
     assert x % segment
-    listed = list(smooth_segments(x, y, lambda members, _: members, segment))
+    members = smooth_members(x, y).members
     with mock.patch.object(sieve, "usable_cpus", lambda: 2):
         for q in FOLD_Q:
-            runs = [list(smooth_segments(x, y, lambda c, _: c, segment, threads, None, q))
-                    for threads in (1, 2)]
-            assert len(runs[0]) == len(listed) == -(-x // segment)
-            for one, two, members in zip(*runs, listed):
-                assert np.array_equal(one, two)
-                assert np.array_equal(one, np.bincount(members % q, minlength=q)), q
+            runs = [smooth_histogram(x, y, q, segment, threads) for threads in (1, 2)]
+            assert np.array_equal(runs[0], runs[1])
+            assert np.array_equal(runs[0], np.bincount(members % q, minlength=q)), q
+
+
+LIFT_Q = FOLD_Q + [2**14, 3 * 5 * 7 * 11 * 13 * 17]  # and an odd composite: 255255
+
+
+def lifted_grid(k):
+    """(x, y) for x = 2^k - 1, 2^k, 2^k + 1 and y across the plan's regimes."""
+    for x in (2**k - 1, 2**k, 2**k + 1):
+        r = math.isqrt(x)
+        yield from ((x, y) for y in (1, 2, 3, 12, 13, 17, r, r + 1, x + 1))
+
+
+@pytest.mark.parametrize("x, y", list(lifted_grid(16)))
+def test_lifted_histogram_equals_the_listing_bincount(x, y):
+    # segments of 2^12: the cutoffs 2^16 >> a (and one below them) land on
+    # segment bounds, and 16 of them lie inside the first segment
+    members = smooth_members(x, y, 1 << 12).members
+    with mock.patch.object(sieve, "usable_cpus", lambda: 2):
+        for q in LIFT_Q:
+            want = np.bincount(members % q, minlength=q)
+            for threads in (1, 2):
+                assert np.array_equal(smooth_histogram(x, y, q, 1 << 12, threads), want), q
+    assert psi(x, y, 1 << 12) == members.size
+
+
+@pytest.mark.parametrize("x, y", list(lifted_grid(24)))
+def test_lifted_histogram_at_two_to_the_24(x, y):
+    # the default segment 2^22: the cutoffs 2^23 and 2^24 end segments
+    # exactly, and 2^22 ends the first one
+    members = smooth_members(x, y).members
+    with mock.patch.object(sieve, "usable_cpus", lambda: 2):
+        for q, threads in zip((1, 2**14, 255255, 10**6 + 3), itertools.cycle((1, 2))):
+            want = np.bincount(members % q, minlength=q)
+            assert np.array_equal(smooth_histogram(x, y, q, threads=threads), want), q
 
 
 def test_smooth_scans_hold_x_below_two_to_the_63():

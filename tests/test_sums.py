@@ -310,12 +310,14 @@ def test_sum_theta_matches_a_fraction_oracle_per_term(theta):
     """
     t = Fraction(theta)
     for n in THETA_N:
-        def one_segment(x, y, fn, segment, threads, prime_value=None, q=None):
-            if q is not None:
-                return [fn(np.bincount([n % q], minlength=q), None)]
+        def one_segment(x, y, fn, segment, threads, prime_value=None):
             return [fn(np.array([n], dtype=np.int64), None)]
 
-        with mock.patch.object(sums, "smooth_segments", one_segment):
+        def one_count(x, y, q, segment, threads):
+            return np.bincount([n % q], minlength=q)
+
+        with mock.patch.object(sums, "smooth_segments", one_segment), \
+                mock.patch.object(sums, "smooth_histogram", one_count):
             v = sum_theta(SumParams(x=10, y=2, q=1, a=0, theta=theta))
         turns = t * n % 1
         want = cmath.exp(2j * math.pi * (turns.numerator / turns.denominator))
@@ -323,17 +325,17 @@ def test_sum_theta_matches_a_fraction_oracle_per_term(theta):
         assert abs(v.value - want) <= 1e-14, (theta, n)
 
 
-def test_histogram_adds_int32_segment_counts_in_int64():
-    # each sieved segment's counts are int32; two of 2^31 - 1 in one class
-    # must not wrap in the histogram they are added into
-    def two_segments(x, y, fn, segment, threads, prime_value=None, q=None):
-        assert q == 3 and prime_value is None
-        return [fn(np.array([0, 2**31 - 1, 0], dtype=np.int32), None) for _ in range(2)]
+def test_histogram_adds_int32_counts_without_wrapping():
+    # the histogram is int32 while x < 2^31; two classes of 2^31 - 1 each
+    # must not wrap in the term count or the weights made from them
+    def counts(x, y, q, segment, threads):
+        assert q == 3
+        return np.array([0, 2**31 - 1, 2**31 - 1], dtype=np.int32)
 
-    with mock.patch.object(sums, "smooth_segments", two_segments):
+    with mock.patch.object(sums, "smooth_histogram", counts):
         v = sum_power(SumParams(x=10, y=2, q=3, a=1))
     assert v.terms == 2**32 - 2
-    assert abs(v.value - (2**32 - 2) * cmath.exp(2j * math.pi / 3)) <= 1e-6
+    assert abs(v.value + (2**31 - 1)) <= 1e-6  # e(1/3) + e(2/3) = -1
 
 
 @pytest.mark.parametrize("k", [1, 23, 24, 40, 62])
