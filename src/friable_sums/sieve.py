@@ -15,13 +15,18 @@ sigma_2^a P(floor(x / 2^a)), where P(c) counts the odd members up to c by
 class and sigma_2 moves class r to 2r mod q (Bernstein, "Enumerating and
 counting smooth integers", 1998).  Each segment sweeps the odd n only,
 half the integers, and folds its smoothness mask over q (see
-_odd_counts); the driver lifts the counts by one Horner pass
-T <- P(c) + sigma_2 T over the cutoffs c = floor(x / 2^a), in segment
-order, so 1 and 2 threads agree bit for bit.  At x = 10^8,
-q = 10^6 + 3, one thread, that took the histogram from 0.53-0.71 to
-0.31-0.43 s at y = 10^3 and from 0.91-0.99 to 0.49-0.55 s at y = 10^4
-(medians of 5 in-process runs, 2-core Xeon, numpy 2.4).  Psi(x, y) is
-the histogram mod 1.  Members are int64, so x is held below 2^63.
+_odd_counts).  The plan ends a segment at every cutoff c = floor(x / 2^a),
+so the driver lifts the counts by one Horner pass: it adds each segment
+into P and, where a segment ends on a cutoff c, steps T <- P(c) +
+sigma_2 T, in segment order, so 1 and 2 threads agree bit for bit.  At
+x = 10^8, q = 10^6 + 3, one thread, the odd sweep took the histogram from
+0.53-0.71 to 0.31-0.43 s at y = 10^3 and from 0.91-0.99 to 0.49-0.55 s at
+y = 10^4 (medians of 5 in-process runs, 2-core Xeon, numpy 2.4).  The
+cutoffs below one segment add about 20 segments, which sweep [1, 2^22] in
+17 ms against 9 ms for one segment at y = 10^3, and in 37 against 12 ms
+at y = 10^4 (best of 9): each segment walks every prime power above 2^10
+once.  Psi(x, y) is the histogram mod 1.  Members are int64, so x is held
+below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
@@ -544,8 +549,8 @@ def smooth_plan(
     is refused with ResourceLimitError before anything is sieved or listed,
     and before the prime table where x and y alone rule the generator out.
     A `lifted` plan, for smooth_histogram, also ends a sieved segment at
-    each cutoff floor(x / 2^a) above `segment` (see _cutoffs), so every
-    bound after [1, segment] lies between two cutoffs.
+    every cutoff floor(x / 2^a) (see _cutoffs), so no cutoff lies strictly
+    inside a bound: [1, 1], [2, 2], [3, 4] or [3, 5], ... below `segment`.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
@@ -566,8 +571,7 @@ def smooth_plan(
     if primes is not None and _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
     _check_budget(min(segment, x_floor), "a sieve segment")
-    cuts = [c for c in _cutoffs(x_floor, y_floor) if lifted and c > segment]
-    edges = sorted({min(segment, x_floor), x_floor, *cuts})
+    edges = sorted({min(segment, x_floor), *(_cutoffs(x_floor, y_floor) if lifted else [x_floor])})
     _check_budget(sum(-(-(e - s) // segment) for s, e in zip([0, *edges], edges)),
                   "a sieved plan's segment list", MAX_LIST)
     return ([(lo, min(lo + segment - 1, e)) for s, e in zip([0, *edges], edges)
@@ -593,34 +597,31 @@ def smooth_in_range(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Smooth members of one planned segment [lo, hi] (see smooth_plan),
     optionally with multiplicative weights; or, with q and no prime_value,
-    (counts, lift): the residue counts mod q of the segment's odd members,
-    and for lo = 1 the partial lift of the plan of x_floor (hi when
-    omitted), else None.
+    (counts, None): the residue counts mod q of the segment's odd members,
+    x_floor (hi when omitted) the end of its plan.
 
     `primes` must hold every prime <= min(y_floor, isqrt(global x)).  A
     segment [1, hi] for which smooth_plan's cost rule picks the generator
     is generated; with q only as the whole plan (hi = x_floor), whose
-    residue counts (one int64 bincount, or the member count for q = 1) are
-    then both its counts and its lift.  Otherwise it is sieved: the
-    cofactor cof = n / sp(n) is then 1, a single prime (sieving bound
-    isqrt) or a product of primes above y (sieving bound y), so `cof <= y`
-    is exactly the smoothness test.  As sp | n, cof <= n <= hi, so with
-    y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff), made one
-    kernel block at a time into the segment's mask.  The ceilings share
-    sp's dtype; their largest numerator is hi + y_eff - 1.  Weights take
-    their own walk over every prime power, by ascending p (see _walk),
-    then a member whose cofactor is a prime takes its value: prime_value
-    is called once per sieving prime and once per distinct cofactor.
+    counts (one int64 bincount, or the member count for q = 1) then hold
+    every member, odd or even: the histogram itself.  Otherwise it is
+    sieved: the cofactor cof = n / sp(n) is then 1, a single prime
+    (sieving bound isqrt) or a product of primes above y (sieving bound
+    y), so `cof <= y` is exactly the smoothness test.  As sp | n,
+    cof <= n <= hi, so with y_eff = min(y_floor, hi) that test is
+    sp >= ceil(n / y_eff), made one kernel block at a time into the
+    segment's mask.  The ceilings share sp's dtype; their largest
+    numerator is hi + y_eff - 1.  Weights take their own walk over every
+    prime power, by ascending p (see _walk), then a member whose cofactor
+    is a prime takes its value: prime_value is called once per sieving
+    prime and once per distinct cofactor.
 
     With q the kernel sweeps the odd n only, and no member is listed: the
     mask (2 MiB of bools for 2^21 odd n) is kept, the smooth parts freed,
     and only then are counts allocated and the mask folded over q (see
-    _odd_counts).  Counts and lifts are int32 while x_floor < 2^31 (int64
-    past it), in a window of min(q, hi + 1) classes, as no n above hi is
-    counted.  The lift of [1, hi] is T = P(c) + sigma_2 T taken over the
-    cutoffs c <= hi (see _cutoffs), P(c) the odd members' counts up to c
-    and sigma_2 the class map r -> 2r mod q (see _spread): the histogram
-    of S(c, y) for the last of them, which smooth_histogram carries on.
+    _odd_counts).  Counts are int32 while x_floor < 2^31 (int64 past it),
+    in a window of min(q, hi + 1) classes, as no n above hi is counted;
+    smooth_histogram lifts them.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -628,7 +629,7 @@ def smooth_in_range(
     if lo == 1 and (q is None or hi == x_floor) and _generates(hi, y_floor, primes):
         members, weights = _generate(hi, primes, prime_value)
         h = q and (np.bincount(members % q, minlength=q) if q > 1 else np.full(1, members.size))
-        return (members, weights) if q is None else (h, h)
+        return (members, weights) if q is None else (h, None)
     y_eff, odd = min(y_floor, hi), q is not None
     # the first n swept: the first odd one with q; past hi (none) for y < 1
     first = lo | odd if y_eff >= 1 else hi + 1
@@ -646,13 +647,8 @@ def smooth_in_range(
             parts[-1] += lo + b0
     if odd:
         del sp  # the smooth parts go before any count is allocated
-        nil = np.zeros(0, dtype=np.int32 if x_floor < 1 << 31 else np.int64)  # P and T start empty
-        # pieces of the mask, each up to a cutoff c <= hi (only for lo = 1) or to hi
-        cuts = [c for c in _cutoffs(x_floor, y_floor) if c <= hi] if lo == 1 else []
-        ends = [0, *((c + 1) // 2 for c in cuts), mask.size]
-        parts = ((_odd_counts(mask[a:b], first + 2 * a, q, min(q, c + 1), nil.dtype), k < len(cuts))
-                 for k, (a, b, c) in enumerate(zip(ends, ends[1:], cuts + [hi])))
-        return _horner(nil, nil if lo == 1 else None, parts, q)
+        dtype = np.int32 if x_floor < 1 << 31 else np.int64  # as smooth_histogram's P and T
+        return _odd_counts(mask, first, q, min(q, hi + 1), dtype), None
     members = np.concatenate(parts)
     if prime_value is None:
         return members, None
@@ -703,19 +699,6 @@ def _spread(t: np.ndarray, q: int, size: int) -> np.ndarray:
     return out
 
 
-def _horner(counts: np.ndarray, lift: Optional[np.ndarray], parts: Iterable, q: int) -> tuple:
-    """(counts, lift) carried over `parts`, (odd counts, ends at a cutoff)
-    in ascending n: each is added into the counts P, and at a cutoff c the
-    lift steps to T <- P(c) + sigma_2 T."""
-    for part, cut in parts:  # a part's window holds its forerunners'
-        part[: counts.size] += counts
-        counts = part
-        if cut:
-            lift = _spread(lift, q, counts.size)
-            lift += counts
-    return counts, lift
-
-
 def _fold(mask: np.ndarray, r0: int, counts: np.ndarray) -> None:
     """Add the 0/1 uint8 mask[j] into counts[(r0 + j) % q], q = counts.size.
 
@@ -761,17 +744,25 @@ def smooth_histogram(
     For y >= 2, S(x, y) is the disjoint union of 2^a * S_odd(x / 2^a), so
     H = sum over a of sigma_2^a P(floor(x / 2^a)), P(c) the counts of the
     odd members up to c.  The segments of a lifted plan (see smooth_plan)
-    sweep the odd n only (see smooth_in_range) and their counts are taken
-    in segment order: added into P, and at each cutoff c the lift
-    T <- P(c) + sigma_2 T, one Horner step (see _horner), from the first
-    segment's partial lift on.  The state is P and T, with one segment's
-    counts on top: about three q-vectors.
+    sweep the odd n only (see smooth_in_range), and each cutoff c ends one.
+    Their counts are taken in segment order: each is added into P, and
+    where a segment ends on a cutoff c the lift takes one Horner step
+    T <- P(c) + sigma_2 T, sigma_2 the class map r -> 2r mod q (see
+    _spread).  A generated plan is one segment [1, floor(x)], whose counts
+    are the histogram.  The state is P and T, with one segment's counts on
+    top: about three q-vectors.
     """
-    cuts = set(_cutoffs(floor_int(x), floor_int(y)))
-    runs = _scan(x, y, segment, threads, lambda span, y_floor, primes: (
-        span[1], smooth_in_range(*span, y_floor, primes, None, q, floor_int(x))), True)
-    _, first = next(runs, (0, (np.zeros(0, dtype=np.int32),) * 2))  # none for an empty plan
-    lift = _horner(*first, ((part, hi in cuts) for hi, (part, _) in runs), q)[1]
+    x_floor = floor_int(x)
+    cuts = set(_cutoffs(x_floor, floor_int(y)))
+    # P and T start empty, int32 while x_floor < 2^31 (as smooth_in_range's counts)
+    counts = lift = np.zeros(0, dtype=np.int32 if x_floor < 1 << 31 else np.int64)
+    for hi, (part, _) in _scan(x, y, segment, threads, lambda span, y_floor, primes: (
+            span[1], smooth_in_range(*span, y_floor, primes, None, q, x_floor)), True):
+        part[: counts.size] += counts  # a part's window holds its forerunners'
+        counts = part
+        if hi in cuts:
+            lift = _spread(lift, q, counts.size)
+            lift += counts
     return lift if lift.size == q else np.concatenate((lift, np.zeros(q - lift.size, lift.dtype)))
 
 

@@ -522,28 +522,29 @@ def odd_bincount(members, q, size):
     [(1e8, 30, DEFAULT_SEGMENT, True), (5e6, 1000, 1 << 20, False)],
 )
 def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q):
-    # perfbench/spans.py reads these: the bounds tile [1, floor(x)], the
-    # first is (1, segment), and the driver calls smooth_in_range exactly
-    # once per planned bound, with the segment's members, or with q (a
-    # lifted plan) the residue counts of its odd members, and the first
-    # bound's partial lift
+    # perfbench/spans.py reads these: the bounds tile [1, floor(x)], and
+    # the driver calls smooth_in_range exactly once per planned bound, with
+    # the segment's members, or with q (a lifted plan, in which every cutoff
+    # floor(x / 2^a) ends a bound) the residue counts of its odd members,
+    # and None
     x_floor = math.floor(x)
     bounds, y_floor, primes = smooth_plan(x, y, segment, lifted=q is not None)
     assert (len(bounds) == 1) == generated
-    assert bounds[0] == ((1, x_floor) if generated else (1, segment)) and bounds[-1][1] == x_floor
+    assert bounds[0][0] == 1 and bounds[-1][1] == x_floor
     assert all(b[1] + 1 == c[0] for b, c in zip(bounds, bounds[1:]))
     assert y_floor == math.floor(y)
     assert primes.tolist() == primes_upto(min(y_floor, math.isqrt(x_floor))).tolist()
-    if q is not None and not generated:  # every later bound lies between two cutoffs
-        cuts = sieve._cutoffs(x_floor, y_floor)
+    if q is None or generated:
+        assert bounds[0] == ((1, x_floor) if generated else (1, segment))
+    else:  # no bound is longer than segment, and every cutoff ends one
+        assert all(hi - lo < segment for lo, hi in bounds)
+        assert set(sieve._cutoffs(x_floor, y_floor)) <= {hi for _, hi in bounds}
         assert len(bounds) > -(-x_floor // segment)
-        for lo, hi in bounds[1:]:
-            assert sum(lo <= c < hi for c in cuts) == 0
     results = []
 
     def counted(*args):
-        out = smooth_in_range(*args)  # copied: the driver adds into the first bound's counts
-        results.append((args[:2], out[0].copy(), out[1] is out[0], out[1]))
+        out = smooth_in_range(*args)  # copied: the driver adds into each bound's counts
+        results.append((args[:2], out[0].copy(), out[1]))
         return out
 
     with mock.patch.object(sieve, "smooth_in_range", counted):
@@ -553,25 +554,20 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
             total = int(smooth_histogram(x, y, q, segment, 1).sum())
     assert [r[0] for r in results] == bounds
     if q is None:
-        assert all(r[3] is None for r in results)
+        assert all(r[2] is None for r in results)
         assert total == sum(r[1].size for r in results)
         return
     members = smooth_members(x, y).members
     assert total == members.size == psi(x, y, segment)
-    for (lo, hi), counts, same, lift in results:
-        assert (lift is None) == (lo > 1)
+    for (lo, hi), counts, rest in results:
+        assert rest is None
         if generated:
-            assert same
             assert np.array_equal(counts, np.bincount(members % q, minlength=q) if q > 1
                                   else [members.size])
             continue
         inside = members[(members >= lo) & (members <= hi)]
         assert counts.size == min(q, hi + 1)
         assert np.array_equal(counts, odd_bincount(inside, q, counts.size)), (lo, hi)
-        if lo == 1:  # the partial lift: the histogram of S(c, y), c the last cutoff <= hi
-            c = max(c for c in sieve._cutoffs(x_floor, y_floor) if c <= hi)
-            assert lift.size == min(q, c + 1)
-            assert np.array_equal(lift, np.bincount(members[members <= c] % q, minlength=q)[:lift.size])
 
 
 @pytest.mark.parametrize(
@@ -778,36 +774,49 @@ def test_folded_counts_of_a_generated_segment_are_its_bincount():
     assert sieve._generates(x, y, primes)
     members, _ = smooth_in_range(1, x, y, primes)
     for q in FOLD_Q:
-        counts, lift = smooth_in_range(1, x, y, primes, None, q)
-        assert lift is counts and counts.dtype == np.int64
+        counts, _ = smooth_in_range(1, x, y, primes, None, q)
+        assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(members % q, minlength=q)), q
     for lo, hi in ((1, x), (10**6, 10**6 + 100)):  # generated, then sieved
         with pytest.raises(ValueError, match="not both"):
             smooth_in_range(lo, hi, y, primes, imaginary_prime, 101)
 
 
-def test_a_first_segment_short_of_its_plan_is_sieved_and_lifted():
+def test_a_first_segment_short_of_its_plan_is_sieved():
     # [1, hi] that the generator would take, but as the first segment of a
-    # longer plan: sieved, so its counts are its odd members' and its lift
-    # runs over the cutoffs floor(x / 2^a) <= hi only
+    # longer plan: sieved, so its counts are its odd members'
     x, hi, y, q = 3 * 10**8, 10**8, 30, 4097
     primes = primes_upto(y)
+    assert sieve._generates(hi, y, primes)
     members, _ = smooth_in_range(1, hi, y, primes)
-    counts, lift = smooth_in_range(1, hi, y, primes, None, q, x)
+    counts, _ = smooth_in_range(1, hi, y, primes, None, q, x)
     assert np.array_equal(counts, odd_bincount(members, q, q))
-    c = max(c for c in sieve._cutoffs(x, y) if c <= hi)  # 3e8 / 4
-    a0 = (x // c).bit_length() - 1
-    want = sum(np.bincount((members[(members % 2 == 1) & (members << a <= x)] << a - a0) % q,
-                           minlength=q) for a in range(a0, x.bit_length()))
-    assert x >> a0 == c and np.array_equal(lift, want)
 
 
-def test_the_lift_is_int64_from_x_at_two_to_the_31():
+def test_segment_counts_are_int64_from_x_at_two_to_the_31():
     primes = primes_upto(31)
     for x_floor, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
         for lo in (1, 4001):
-            counts, lift = smooth_in_range(lo, 5000, 1000, primes, None, 10007, x_floor)
-            assert counts.dtype == dtype and (lift is None or lift.dtype == dtype)
+            counts, rest = smooth_in_range(lo, 5000, 1000, primes, None, 10007, x_floor)
+            assert counts.dtype == dtype and rest is None
+
+
+def test_a_histogram_from_x_at_two_to_the_31_adds_in_int64():
+    # P and T are int64 from x = 2^31 on, as the segments' counts are; with
+    # each segment counting 2^30 per class (mocked: sieving 2^30 odd n takes
+    # minutes) the Horner sums pass 2^31 and would wrap in int32
+    x, y, q, segment = 2**31, 2**16 + 1, 5, 1 << 26
+
+    def counts(lo, hi, y_floor, primes, prime_value, q, x_floor):
+        return np.full(min(q, hi + 1), 2**30, dtype=np.int64 if x_floor >= 2**31 else np.int32), None
+
+    with mock.patch.object(sieve, "smooth_in_range", counts):
+        h = smooth_histogram(x, y, q, segment)
+    cuts, p, t = set(sieve._cutoffs(x, y)), 0, 0
+    for _, hi in smooth_plan(x, y, segment, lifted=True)[0]:
+        p += 2**30 * min(q, hi + 1)
+        t += p if hi in cuts else 0
+    assert h.dtype == np.int64 and int(h.sum()) == t > 2**40
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 8, 45, 1000, 1001])
@@ -844,17 +853,19 @@ def lifted_grid(k):
         yield from ((x, y) for y in (1, 2, 3, 12, 13, 17, r, r + 1, x + 1))
 
 
-@pytest.mark.parametrize("x, y", list(lifted_grid(16)))
-def test_lifted_histogram_equals_the_listing_bincount(x, y):
-    # segments of 2^12: the cutoffs 2^16 >> a (and one below them) land on
-    # segment bounds, and 16 of them lie inside the first segment
-    members = smooth_members(x, y, 1 << 12).members
+@pytest.mark.parametrize("x, y, segment", [(x, y, 1 << 12) for x, y in lifted_grid(16)]
+                         + [(x, y, s) for x, y in lifted_grid(6) for s in (1, 3)])
+def test_lifted_histogram_equals_the_listing_bincount(x, y, segment):
+    # segments of 2^12 around 2^16, whose first 2^12 n the cutoffs x >> a
+    # cut into a dozen bounds; and of 1 and 3 around 2^6, where every bound
+    # is one to three n
+    members = smooth_members(x, y, segment).members
     with mock.patch.object(sieve, "usable_cpus", lambda: 2):
         for q in LIFT_Q:
             want = np.bincount(members % q, minlength=q)
             for threads in (1, 2):
-                assert np.array_equal(smooth_histogram(x, y, q, 1 << 12, threads), want), q
-    assert psi(x, y, 1 << 12) == members.size
+                assert np.array_equal(smooth_histogram(x, y, q, segment, threads), want), q
+    assert psi(x, y, segment) == members.size
 
 
 @pytest.mark.parametrize("x, y", list(lifted_grid(24)))
