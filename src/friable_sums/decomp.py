@@ -128,23 +128,21 @@ def _split_counts(n_max: int, w: float, sieve: FactorSieve, y: float = math.inf)
     Each admissible k (w <= k < w*P(k), compared in float64 as above) takes
     m = 1 and every m in [P(k), n_max // k] with p(m) >= P(k); the (k, m)
     runs are laid out flat by `_runs`, and each chunk's products k*m are
-    added into the counts in place.  Below y = n_max the runs hold only the
-    y-smooth m, cut from their sorted list by `searchsorted`: at n_max =
-    10^6, y = 100 that took the counts from 75-78 to 35 ms at w = 10 and
-    from 67-70 to 20-28 ms at w = 3 (2-core Xeon, numpy 2.4).  Otherwise
-    m is laid out arithmetically, with no gather.
+    added into the counts in place.  The runs hold only the y-smooth m,
+    cut from their sorted list by `searchsorted`: at n_max = 10^6, y = 100
+    that took the counts from 75-78 to 35 ms at w = 10 and from 67-70 to
+    20-28 ms at w = 3 (2-core Xeon, numpy 2.4).
     """
     lpf = sieve.lpf[:n_max]
     ks = np.arange(1, n_max + 1, dtype=np.int64)
     ks = ks[(w <= ks) & (ks < w * lpf) & (lpf <= y)]
-    pk, top = lpf[ks - 1], floor_quotient(n_max, ks) + 1  # m runs over [P(k), top)
+    pk = lpf[ks - 1]
     counts = np.zeros(n_max + 1, dtype=np.int64)
     counts[ks] = 1  # m = 1
-    # for y < n_max, m = ms[j] for j in [start, stop), ms the y-smooth m ascending
-    ms = np.flatnonzero(lpf <= y) + 1 if y < n_max else None
-    start, stop = (pk, top) if ms is None else np.searchsorted(ms, (pk, top))
+    ms = np.flatnonzero(lpf <= y) + 1  # the y-smooth m, ascending
+    start, stop = np.searchsorted(ms, (pk, floor_quotient(n_max, ks) + 1))  # m in [P(k), N // k]
     for t, i in _runs(np.maximum(stop - start, 0)):
-        m = start[t] + i - 1 if ms is None else ms[start[t] + i - 1]
+        m = ms[start[t] + i - 1]
         np.add.at(counts, (ks[t] * m)[sieve.spf[m - 1] >= pk[t]], 1)
     return counts
 

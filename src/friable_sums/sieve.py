@@ -22,11 +22,12 @@ sigma_2 T, in segment order, so 1 and 2 threads agree bit for bit.  At
 x = 10^8, q = 10^6 + 3, one thread, the odd sweep took the histogram from
 0.53-0.71 to 0.31-0.43 s at y = 10^3 and from 0.91-0.99 to 0.49-0.55 s at
 y = 10^4 (medians of 5 in-process runs, 2-core Xeon, numpy 2.4).  The
-cutoffs below one segment add about 20 segments, which sweep [1, 2^22] in
-17 ms against 9 ms for one segment at y = 10^3, and in 37 against 12 ms
-at y = 10^4 (best of 9): each segment walks every prime power above 2^10
-once.  Psi(x, y) is the histogram mod 1.  Members are int64, so x is held
-below 2^63.
+cutoffs below one segment add about 20 segments.  Each sieves only the
+primes up to the root of its end, so they sweep [1, 2^22] in 24-26 ms
+against 8-9 ms for one segment at y = 10^3, and in 11-12 against 9-13 ms
+at y = 10^4 (29-31 and 35-38 ms with every prime up to min(y, isqrt(x));
+x = 10^8, q = 10^6 + 3, best of 9).  Psi(x, y) is the histogram mod 1.
+Members are int64, so x is held below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
@@ -571,7 +572,7 @@ def smooth_plan(
     if primes is not None and _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
     _check_budget(min(segment, x_floor), "a sieve segment")
-    edges = sorted({min(segment, x_floor), *(_cutoffs(x_floor, y_floor) if lifted else [x_floor])})
+    edges = _cutoffs(x_floor, y_floor) if lifted else [x_floor]
     _check_budget(sum(-(-(e - s) // segment) for s, e in zip([0, *edges], edges)),
                   "a sieved plan's segment list", MAX_LIST)
     return ([(lo, min(lo + segment - 1, e)) for s, e in zip([0, *edges], edges)
@@ -616,12 +617,14 @@ def smooth_in_range(
     is a prime takes its value: prime_value is called once per sieving
     prime and once per distinct cofactor.
 
-    With q the kernel sweeps the odd n only, and no member is listed: the
-    mask (2 MiB of bools for 2^21 odd n) is kept, the smooth parts freed,
-    and only then are counts allocated and the mask folded over q (see
-    _odd_counts).  Counts are int32 while x_floor < 2^31 (int64 past it),
-    in a window of min(q, hi + 1) classes, as no n above hi is counted;
-    smooth_histogram lifts them.
+    With q the kernel sweeps the odd n only, over the primes up to
+    isqrt(hi) (the sieving bound of the segment: the test stays exact, as
+    n <= hi has at most one prime factor above it), and no member is
+    listed: the mask (2 MiB of bools for 2^21 odd n) is kept, the smooth
+    parts freed, and only then are counts allocated and the mask folded
+    over q (see _odd_counts).  Counts are int32 while x_floor < 2^31 (int64
+    past it), in a window of min(q, hi + 1) classes, as no n above hi is
+    counted; smooth_histogram lifts them in their dtype.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -633,7 +636,9 @@ def smooth_in_range(
     y_eff, odd = min(y_floor, hi), q is not None
     # the first n swept: the first odd one with q; past hi (none) for y < 1
     first = lo | odd if y_eff >= 1 else hi + 1
-    sp = _smooth_part(first, hi, primes, hi + y_eff, odd)
+    # counts need no prime above isqrt(hi): n <= hi has at most one such factor
+    kept = primes[: np.searchsorted(primes, math.isqrt(hi), "right") if odd else primes.size]
+    sp = _smooth_part(first, hi, kept, hi + y_eff, odd)
     mask = np.empty(sp.size, dtype=bool) if odd else None
     parts = [np.empty(0, dtype=np.int64)]
     for b0 in range(0, sp.size, _BLOCK):
@@ -647,8 +652,7 @@ def smooth_in_range(
             parts[-1] += lo + b0
     if odd:
         del sp  # the smooth parts go before any count is allocated
-        dtype = np.int32 if x_floor < 1 << 31 else np.int64  # as smooth_histogram's P and T
-        return _odd_counts(mask, first, q, min(q, hi + 1), dtype), None
+        return _odd_counts(mask, first, q, min(q, hi + 1), np.int32 if x_floor < 1 << 31 else np.int64), None
     members = np.concatenate(parts)
     if prime_value is None:
         return members, None
@@ -684,17 +688,17 @@ def _odd_counts(mask: np.ndarray, n0: int, q: int, size: int, dtype: type) -> np
     j0 = n0 * ((q + 1) // 2) % q if q & 1 else n0 // 2 % at.size
     for b0 in range(0, mask.size, _BLOCK):
         _fold(mask[b0 : b0 + _BLOCK].view(np.uint8), (j0 + b0) % at.size, at)
-    return _spread(at, q, q) if q & 1 else np.column_stack((np.zeros_like(at), at)).ravel()
+    return _spread(at, q, np.zeros(q, at.dtype)) if q & 1 else np.column_stack((np.zeros_like(at), at)).ravel()
 
 
-def _spread(t: np.ndarray, q: int, size: int) -> np.ndarray:
-    """sigma_2 t, the counts t moved from class r to 2r mod q, as a new
-    array of `size` classes: class r < h = ceil(q / 2) goes to 2r, and
+def _spread(t: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
+    """out + sigma_2 t, added into out in place: sigma_2 moves the counts t
+    from class r to 2r mod q, so class r < h = ceil(q / 2) goes to 2r, and
     r >= h to 2(r - h) + q mod 2.  Two slices; while 2 * t.size <= q the
     occupied window only spreads, and costs O(t.size), not O(q).
     """
-    out, h = np.zeros(size, dtype=t.dtype), (q + 1) // 2
-    out[: 2 * min(t.size, h) : 2] = t[:h]
+    h = (q + 1) // 2
+    out[: 2 * min(t.size, h) : 2] += t[:h]
     out[q & 1 :: 2][: max(t.size - h, 0)] += t[h:]
     return out
 
@@ -748,21 +752,20 @@ def smooth_histogram(
     Their counts are taken in segment order: each is added into P, and
     where a segment ends on a cutoff c the lift takes one Horner step
     T <- P(c) + sigma_2 T, sigma_2 the class map r -> 2r mod q (see
-    _spread).  A generated plan is one segment [1, floor(x)], whose counts
+    _spread), in the dtype of the counts; at the first cutoff T is P(c)
+    itself.  A generated plan is one segment [1, floor(x)], whose counts
     are the histogram.  The state is P and T, with one segment's counts on
     top: about three q-vectors.
     """
     x_floor = floor_int(x)
     cuts = set(_cutoffs(x_floor, floor_int(y)))
-    # P and T start empty, int32 while x_floor < 2^31 (as smooth_in_range's counts)
-    counts = lift = np.zeros(0, dtype=np.int32 if x_floor < 1 << 31 else np.int64)
+    counts = lift = np.zeros(0, dtype=np.int32)  # P and T, empty until the first segment
     for hi, (part, _) in _scan(x, y, segment, threads, lambda span, y_floor, primes: (
             span[1], smooth_in_range(*span, y_floor, primes, None, q, x_floor)), True):
         part[: counts.size] += counts  # a part's window holds its forerunners'
         counts = part
-        if hi in cuts:
-            lift = _spread(lift, q, counts.size)
-            lift += counts
+        if hi in cuts:  # T <- P(c) + sigma_2 T, in the counts' dtype; P(c) at the first
+            lift = _spread(lift, q, counts.copy()) if lift.size else counts
     return lift if lift.size == q else np.concatenate((lift, np.zeros(q - lift.size, lift.dtype)))
 
 

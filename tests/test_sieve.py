@@ -570,6 +570,30 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
         assert np.array_equal(counts, odd_bincount(inside, q, counts.size)), (lo, hi)
 
 
+def test_a_counted_segment_sieves_no_prime_above_its_root():
+    # n <= hi has at most one prime factor above isqrt(hi), so the odd sweep
+    # of [lo, hi] sieves none and its test stays exact; a listing sweep
+    # keeps every prime of the plan, whose weights take each of them
+    x, y, segment = 1e5, 1000, 1 << 12
+    real, seen = sieve._smooth_part, []
+
+    def kernel(lo, hi, primes, top, odd=False):
+        if top > hi:  # a scan's segment, not a prime table's
+            seen.append((hi, primes.tolist(), odd))
+        return real(lo, hi, primes, top, odd)
+
+    members = smooth_members(x, y).members
+    with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
+        assert np.array_equal(smooth_histogram(x, y, 101, segment),
+                              np.bincount(members % 101, minlength=101))
+        assert sum(smooth_segments(x, y, lambda r, w: r.size, segment)) == members.size
+    plan = primes_upto(math.isqrt(int(x))).tolist()
+    counted = [(hi, ps) for hi, ps, odd in seen if odd]
+    assert len(counted) > len(seen) - len(counted) > 0
+    assert all(ps == primes_upto(math.isqrt(hi)).tolist() for hi, ps in counted)
+    assert all(ps == plan for hi, ps, odd in seen if not odd)
+
+
 @pytest.mark.parametrize(
     "x, y, generated",
     [
@@ -802,9 +826,9 @@ def test_segment_counts_are_int64_from_x_at_two_to_the_31():
 
 
 def test_a_histogram_from_x_at_two_to_the_31_adds_in_int64():
-    # P and T are int64 from x = 2^31 on, as the segments' counts are; with
-    # each segment counting 2^30 per class (mocked: sieving 2^30 odd n takes
-    # minutes) the Horner sums pass 2^31 and would wrap in int32
+    # P and T take the dtype of the segments' counts, int64 from x = 2^31 on;
+    # with each segment counting 2^30 per class (mocked: sieving 2^30 odd n
+    # takes minutes) the Horner sums pass 2^31 and would wrap in int32
     x, y, q, segment = 2**31, 2**16 + 1, 5, 1 << 26
 
     def counts(lo, hi, y_floor, primes, prime_value, q, x_floor):
@@ -825,9 +849,11 @@ def test_spread_moves_each_class_to_its_double(q):
     for size in sorted(s for s in {1, 2, q // 2, (q + 1) // 2, q} if 1 <= s <= q):
         t = rng.integers(0, 1000, size)
         out_size = q if 2 * size - 1 > q else 2 * size - 1
-        want = np.bincount(2 * np.arange(size) % q, weights=t, minlength=q)[:out_size]
-        got = sieve._spread(t, q, out_size)
-        assert got.size == out_size and np.array_equal(got, want)
+        base = rng.integers(0, 1000, out_size)
+        want = np.bincount(2 * np.arange(size) % q, weights=t, minlength=q)[:out_size] + base
+        out = base.copy()
+        got = sieve._spread(t, q, out)
+        assert got is out and np.array_equal(got, want)
 
 
 def test_lifted_histogram_is_the_same_on_one_and_two_threads():
