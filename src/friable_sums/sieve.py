@@ -18,24 +18,26 @@ half the integers, and folds its smoothness mask over q (see
 _odd_counts).  The plan ends a segment at every cutoff c = floor(x / 2^a),
 so the driver lifts the counts by one Horner pass: it adds each segment
 into P and, where a segment ends on a cutoff c, steps T <- P(c) +
-sigma_2 T, in segment order, so 1 and 2 threads agree bit for bit.  At
-x = 10^8, q = 10^6 + 3, one thread, the odd sweep took the histogram from
-0.53-0.71 to 0.31-0.43 s at y = 10^3 and from 0.91-0.99 to 0.49-0.55 s at
-y = 10^4 (medians of 5 in-process runs, 2-core Xeon, numpy 2.4).  The
-cutoffs below one segment add about 20 segments.  Each sieves only the
-primes up to the root of its end, so they sweep [1, 2^22] in 24-26 ms
-against 8-9 ms for one segment at y = 10^3, and in 11-12 against 9-13 ms
-at y = 10^4 (29-31 and 35-38 ms with every prime up to min(y, isqrt(x));
-x = 10^8, q = 10^6 + 3, best of 9).  Psi(x, y) is the histogram mod 1.
+sigma_2 T, in segment order, so 1 and 2 threads agree bit for bit.  The
+cutoffs below one segment add about 20 segments.  Where y^2 <= x, a
+segment counts its odd n from uint8 sums of rounded logs (the log mode,
+below); otherwise it builds smooth parts over the primes up to the root of
+its end.  At x = 10^8, q = 10^6 + 3, one thread, the log mode took the
+histogram from 0.25-0.32 to 0.17-0.22 s at y = 10^3 and from 0.30-0.47 to
+0.25-0.27 s at y = 10^4 (medians of 5 in-process runs, 6 processes a
+tree, 2-core Xeon, numpy 2.4).  It sweeps the segments below 2^22 in 20
+against 24 ms at y = 10^3, but in 36 against 24 ms at y = 10^4, as it
+walks every prime up to y where smooth parts walk those up to the root of
+each segment's end (best of 9).  Psi(x, y) is the histogram mod 1.
 Members are int64, so x is held below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
 
 * the segment sieve, which costs about 8 ns per integer up to x at
-  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 3-4 and 5 ns
-  on the odd sweep of a histogram (x = 10^8; 2-core Xeon, numpy 2.4),
-  however few of them are smooth;
+  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 1.7-2.2 and
+  2.5-2.7 ns on the odd sweep of a histogram, in log sums (x = 10^8;
+  2-core Xeon, numpy 2.4), however few of them are smooth;
 * a generator that multiplies each prime p <= y, with its powers, into
   the products built so far, which costs about 2.6 ns per member per
   prime, so O(Psi(x, y) * pi(y)) whatever x is.
@@ -67,9 +69,24 @@ out, an odd prime power t hits every t-th entry, and the wheel is one
 pattern of period 45045 = 3^2 5 7 11 13 in index space, laid down in one
 pass.  The cofactor n / sp is <= y exactly when sp >= ceil(n / y), one
 contiguous division by a scalar per block, the ceilings stepping by 2 on
-the odd sweep.  The kernel builds smooth parts only: the weights of a
-twisted scan take one more strided walk, `_walk` over every prime power,
-outside it.
+the odd sweep.  The kernel builds no weights: those of a twisted scan
+take one more strided walk, `_walk` over every prime power, outside it.
+
+A count needs only a yes or no per n, which rounded logarithms give, as in
+the sieve of the quadratic sieve (Pomerance, "The quadratic sieve
+factoring algorithm", 1984); a proven bound keeps the answer exact.  In
+the kernel's log mode each hit of a power of p adds round(s log2 p) into a
+uint8 entry (blocks of 2^20 entries, 1 MiB, from a wheel of log sums).
+An odd n <= x has at most log3 x prime factors, each rounded by under 1/2,
+so the entry is within E = log3(x) / 2 of s log2 sp(n), and
+s = min(16, floor((255 - E) / log2 x)) keeps it within 255.  Where
+y^2 <= x every prime <= y is sieved, so a non-smooth n keeps a cofactor
+>= y + 1; on a segment [first, hi] with hi < 2 first, which every segment
+of a lifted plan is, `sum >= floor(s log2(first) - E)` is then exactly the
+smoothness test once s (log2(y + 1) - 1) > 2E + 1 (see _log_scale): at
+x = 10^8, s = 9, from y = 7 on.  The mask is one compare in place over
+the sums, with no ceiling and no division.  Below that y, for y > sqrt(x)
+and on any other segment, a count keeps the smooth parts.
 
 Prime tables come from the same kernel, with no second sieve:
 `primes_between(lo, hi)` takes the primes up to isqrt(hi) from itself and
@@ -89,6 +106,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -118,9 +136,11 @@ _UPDATES_PER_TERM = 16
 SCAN_TERMS = 1e10
 # The listing price: S(x, y) is generated, not sieved, when Rankin's bound
 # B <= MAX_SEGMENT has B * pi(y) <= _GENERATE_RATIO * floor(x).  A generated
-# member costs about 2.6 ns per prime and a listed integer 8-11 ns (3-5 ns on
-# a histogram's odd sweep), but B overstates Psi by 5-22x, so the ratio is 5:
-# priced lower, (1e8, 100) would go to the sieve, which is over 10x slower there.
+# member costs about 2.6 ns per prime and a listed integer 8-11 ns (1.7-2.7 ns
+# on a histogram's odd sweep in log sums, x = 10^8, y = 10^3 and 10^4), but B
+# overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100) would
+# go to the sieve, which is over 10x slower there when it lists members and
+# 2-4x on a histogram (0.045-0.098 against 0.020-0.023 s at q = 1 and 10^6 + 3).
 _GENERATE_RATIO = 5
 # Each unit a budget counts: its plural and what it guards, as refusals say.
 _UNITS = {"entry": ("entries", "a memory budget"), "point": ("points", "a memory budget"),
@@ -177,10 +197,8 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
     MAX_SEGMENT budget (see _check_budget), whatever lo is.
     """
     top = floor_int(hi)
-    if top < 2:
-        return np.empty(0, dtype=np.int64)
     _check_budget(top, "a prime table")
-    if not lo < top:  # a NaN lo too
+    if top < 2 or not lo < top:  # a NaN lo too
         return np.empty(0, dtype=np.int64)
     first, root = 2 if lo < 2 else floor_int(lo) + 1, math.isqrt(top)
     small = primes_upto(root)
@@ -367,39 +385,40 @@ class SmoothSet:
 
 
 @functools.cache
-def _wheel_factors(powers: tuple, dtype: type, odd: bool = False) -> tuple[np.ndarray, ...]:
+def _wheel_factors(powers: tuple, dtype: type, odd: bool = False, scale: int = 0) -> tuple[np.ndarray, ...]:
     """The wheel seed of `powers`, leading (p, e) of _WHEEL_POWERS, as two
     patterns, over 5 to 13 and over 2 and 3, whose periods divide 5005 and
     144: pattern[n % pattern.size] = prod of p^min(v_p(n), e) over its
     primes.  With `odd` (powers from (3, 2) on), as one pattern over the
-    index j of n = 2j + 1, period dividing 45045 = 3^2 5 7 11 13.  Each is
-    tiled to at least 4096 entries, so that a block takes it in few long
-    rows.  Cached, as every segment and prime table takes one, and
+    index j of n = 2j + 1, period dividing 45045 = 3^2 5 7 11 13.  With a
+    `scale` (odd only), the log sums of those parts instead: the sum of
+    min(v_p(n), e) * _hit(p, scale), at most about scale * log2(45045) + 3.
+    Each is tiled to at least 4096 entries, so that a block takes it in few
+    long rows.  Cached, as every segment and prime table takes one, and
     read-only.
     """
     factors = []
     for group in (powers,) if odd else (powers[2:], powers[:2]):
-        pattern = np.ones(math.prod(p**e for p, e in group), dtype=dtype)
-        for p, e in group:
-            for j in range(1, e + 1):  # 2j + 1 is a multiple of p^j from j = p^j >> 1 on
-                pattern[(p**j >> 1) * odd :: p**j] *= p
+        pattern = np.full(math.prod(p**e for p, e in group), 0 if scale else 1, dtype=dtype)
+        for p, e in group:  # 2j + 1 is a multiple of p^j from j = p^j >> 1 on
+            _walk(pattern, 0, [(p**j, _hit(p, scale)) for j in range(1, e + 1)], odd, scale > 0)
         factors.append(np.tile(pattern, -(-4096 // pattern.size)))
         factors[-1].flags.writeable = False  # shared by the cache
     return tuple(factors)
 
 
-def _periodic(
-    blk: np.ndarray, pattern: np.ndarray, first: int
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(view of blk, values) pairs that together put
-    pattern[(first + j) % pattern.size] at each blk[j]."""
-    size = pattern.size
-    rolled = np.concatenate((pattern[first % size :], pattern[: first % size]))
-    whole = blk.size - blk.size % size
-    return (blk[:whole].reshape(-1, size), rolled), (blk[whole:], rolled[: blk.size - whole])
+def _periodic(blk: np.ndarray, pattern: np.ndarray, first: int, op: Callable = np.copyto) -> None:
+    """op(view of blk, values) over views that together take
+    pattern[(first + j) % pattern.size] at each blk[j]: copied there, or
+    with op = operator.imul multiplied in."""
+    rolled = np.roll(pattern, -first)
+    whole = blk.size - blk.size % pattern.size
+    op(blk[:whole].reshape(-1, pattern.size), rolled)
+    op(blk[whole:], rolled[: blk.size - whole])
 
 
-def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = False) -> np.ndarray:
+def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = False,
+                 scale: int = 0) -> np.ndarray:
     """sp[n - lo] = prod of p^v_p(n) over `primes`, for n in [lo, hi]: the
     one sieve kernel.  With `odd` (lo odd), entry i is n = lo + 2i instead,
     for the odd n in [lo, hi] only, and the prime 2 is left out.
@@ -407,8 +426,13 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     p goes into every multiple of each power p^k <= hi, so n gets it v_p(n)
     times and sp stays a divisor of n.  sp is uint32 when `top` (>= hi, the
     largest value the caller holds beside sp) is below 2^32, else uint64.
+    With a `scale` s > 0 (the log mode, for the odd sweep), each hit adds
+    round(s log2 p) into a uint8 entry instead (see _hit), so entry i holds
+    the sum of v_p(n) round(s log2 p), a rounded s log2 sp(n); the caller
+    picks s so that no sum passes 255 (see _log_scale).
 
-    Each block of _BLOCK entries starts from the wheel seed of the wheel
+    Each block of _BLOCK entries (1 MiB of uint32; of uint8 log sums,
+    4 * _BLOCK entries, 1 MiB too) starts from the wheel seed of the wheel
     primes that lead `primes` (period 720720 = 5005 * 144, laid down as
     the product of its two factors; odd, one pattern of period 45045 in
     index space, laid down once), and those primes walk on from their
@@ -417,7 +441,7 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     a call per block, so they walk the whole segment once.
     """
     count = (hi - lo) // (1 + odd) + 1
-    dtype = np.uint32 if top < 1 << 32 else np.uint64
+    dtype = np.uint8 if scale else np.uint32 if top < 1 << 32 else np.uint64
     sp = np.empty(max(count, 0), dtype=dtype)
     ps = primes.tolist()[1:] if odd and primes.size and primes[0] == 2 else primes.tolist()
     wheel = _WHEEL_POWERS[odd:]  # the odd sweep's wheel leaves 2 out
@@ -425,19 +449,25 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     while k < min(len(ps), len(wheel)) and ps[k] == wheel[k][0]:
         k += 1
     seeded = {p: p**e for p, e in wheel[:k]}  # the power the seed holds
-    strides = [(t, p) for t, p in _powers(ps, hi) if t > seeded.get(p, 1)]
-    seed, *factors = _wheel_factors(wheel[:k], dtype, odd)
+    strides = [(t, _hit(p, scale)) for t, p in _powers(ps, hi) if t > seeded.get(p, 1)]
+    seed, *factors = _wheel_factors(wheel[:k], dtype, odd, scale)
     first = lo >> odd  # entry 0's index: n = first, or n = 2 * first + 1
     blocked = [s for s in strides if s[0] <= _BLOCKED_STRIDE]
-    for b0 in range(0, sp.size, _BLOCK):
-        blk = sp[b0 : b0 + _BLOCK]
-        for view, values in _periodic(blk, seed, first + b0):
-            view[...] = values
-        for view, values in _periodic(blk, factors[0], lo + b0) if factors else ():
-            view *= values
-        _walk(blk, first + b0, blocked, odd)
-    _walk(sp, first, [s for s in strides if s[0] > _BLOCKED_STRIDE], odd)
+    step = _BLOCK << 2 if scale else _BLOCK  # 1 MiB either way
+    for b0 in range(0, sp.size, step):
+        blk = sp[b0 : b0 + step]
+        _periodic(blk, seed, first + b0)
+        if factors:
+            _periodic(blk, factors[0], lo + b0, operator.imul)
+        _walk(blk, first + b0, blocked, odd, scale > 0)
+    _walk(sp, first, [s for s in strides if s[0] > _BLOCKED_STRIDE], odd, scale > 0)
     return sp
+
+
+def _hit(p: int, scale: int) -> int:
+    """What each hit of a power of the prime p puts into its entry: p, by
+    multiplication, or with a `scale` round(scale * log2 p), by addition."""
+    return round(scale * math.log2(p)) if scale else p
 
 
 def _powers(ps: Iterable[int], hi: int) -> Iterator[tuple[int, int]]:
@@ -449,12 +479,15 @@ def _powers(ps: Iterable[int], hi: int) -> Iterator[tuple[int, int]]:
             t *= p
 
 
-def _walk(a: np.ndarray, first: int, strides: list[tuple[int, complex]], odd: bool = False) -> None:
-    """For each (t, v) of `strides`, multiply v into a[j] at every multiple
-    first + j of t, 0 <= j < a.size; with `odd` (t odd), at every multiple
-    2 * (first + j) + 1 of t, which starts at first + j = t >> 1 mod t."""
+def _walk(a: np.ndarray, first: int, strides: list[tuple[int, complex]], odd: bool = False,
+          add: bool = False) -> None:
+    """For each (t, v) of `strides`, multiply v into a[j] (add it, with
+    `add`) at every multiple first + j of t, 0 <= j < a.size; with `odd`
+    (t odd), at every multiple 2 * (first + j) + 1 of t, which starts at
+    first + j = t >> 1 mod t.  In place on each strided view."""
+    op = operator.iadd if add else operator.imul
     for t, v in strides:
-        a[((t >> 1) * odd - first) % t :: t] *= v
+        op(a[((t >> 1) * odd - first) % t :: t], v)
 
 
 def _rankin_bound(x_floor: int, primes: np.ndarray) -> float:
@@ -617,14 +650,20 @@ def smooth_in_range(
     is a prime takes its value: prime_value is called once per sieving
     prime and once per distinct cofactor.
 
-    With q the kernel sweeps the odd n only, over the primes up to
-    isqrt(hi) (the sieving bound of the segment: the test stays exact, as
-    n <= hi has at most one prime factor above it), and no member is
-    listed: the mask (2 MiB of bools for 2^21 odd n) is kept, the smooth
-    parts freed, and only then are counts allocated and the mask folded
-    over q (see _odd_counts).  Counts are int32 while x_floor < 2^31 (int64
-    past it), in a window of min(q, hi + 1) classes, as no n above hi is
-    counted; smooth_histogram lifts them in their dtype.
+    With q the kernel sweeps the odd n only, and no member is listed.
+    Where y_floor^2 <= x_floor and hi < 2 * first (every segment of a
+    lifted plan), so that `primes` are all the primes <= y_floor and are
+    all sieved, and _log_scale's certificate holds (at x = 10^8 from y = 7
+    on), the kernel runs in its log mode: uint8 sums of rounded logs, and
+    the mask is `sums >= bar`, one compare in place over the sums, with no
+    ceiling and no division.  Otherwise the kernel builds smooth parts over
+    the primes up to isqrt(hi) (the sieving bound of the segment: the
+    ceiling test stays exact, as n <= hi has at most one prime factor above
+    it), tested a block at a time into a mask (2 MiB of bools for 2^21 odd
+    n), and the smooth parts are freed.  Only then are counts allocated and
+    the mask folded over q (see _odd_counts).  Counts are int32 while
+    x_floor < 2^31 (int64 past it), in a window of min(q, hi + 1) classes,
+    as no n above hi is counted; smooth_histogram lifts them in their dtype.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -636,12 +675,16 @@ def smooth_in_range(
     y_eff, odd = min(y_floor, hi), q is not None
     # the first n swept: the first odd one with q; past hi (none) for y < 1
     first = lo | odd if y_eff >= 1 else hi + 1
+    # the log mode where it is exact (see _log_scale), else smooth parts
+    scale, bar = (_log_scale(first, x_floor, y_floor)
+                  if odd and 2 <= y_floor <= math.isqrt(x_floor) and hi < 2 * first else (0, 0))
     # counts need no prime above isqrt(hi): n <= hi has at most one such factor
-    kept = primes[: np.searchsorted(primes, math.isqrt(hi), "right") if odd else primes.size]
-    sp = _smooth_part(first, hi, kept, hi + y_eff, odd)
-    mask = np.empty(sp.size, dtype=bool) if odd else None
+    kept = primes[: np.searchsorted(primes, math.isqrt(hi), "right") if odd and not scale else primes.size]
+    sp = _smooth_part(first, hi, kept, hi + y_eff, odd, scale)
+    # the log sums' test, in place; smooth parts are tested one block at a time
+    mask = np.greater_equal(sp, bar, out=sp.view(bool)) if scale else np.empty(sp.size, bool) if odd else None
     parts = [np.empty(0, dtype=np.int64)]
-    for b0 in range(0, sp.size, _BLOCK):
+    for b0 in range(0, 0 if scale else sp.size, _BLOCK):
         b1 = min(b0 + _BLOCK, sp.size)
         ceil = np.arange(first + (b0 << odd) + y_eff - 1, first + (b1 << odd) + y_eff - 1,
                          1 + odd, dtype=sp.dtype)
@@ -667,6 +710,32 @@ def smooth_in_range(
         cof, at = np.unique(rest[large], return_inverse=True)
         w[large] *= np.array([prime_value(c) for c in cof.tolist()])[at]
     return members, w
+
+
+def _log_scale(first: int, x_floor: int, y_floor: int) -> tuple[int, int]:
+    """(s, bar) of the log mode for the odd n of a segment [first, hi] of a
+    plan up to x_floor, or (0, 0) where its certificate fails.  The caller
+    holds y_floor^2 <= x_floor, so that every prime <= y_floor is sieved,
+    and hi < 2 * first, which every segment of a lifted plan meets (its
+    cutoffs c < c' step as c' <= 2c + 1).
+
+    The kernel adds r_p = round(s log2 p) into n's uint8 sum for each
+    power of p dividing n.  An odd n <= x_floor has at most log3(x_floor)
+    prime factors, each rounded by less than 1/2, so the sum is within
+    E = log3(x_floor) / 2 of s log2 sp(n).  s = min(16, floor((255 - E) /
+    log2 x_floor)) keeps every sum within 255, and every wheel entry too
+    (at most 16 log2(45045) + 3).  A smooth n >= first sums to at least
+    s log2(first) - E >= bar = floor(s log2(first) - E).  A non-smooth n
+    has a cofactor >= y + 1, so sp(n) <= hi / (y + 1) < 2 first / (y + 1)
+    and its sum is below s log2(first) - s (log2(y + 1) - 1) + E, which the
+    certificate s (log2(y + 1) - 1) > 2E + 1 puts below bar.  So
+    `sums >= bar` is exactly the smoothness test.  At x = 10^8 (s = 9,
+    E = 8.4) the certificate holds from y = 7 on, at x = 2^22 from y = 5.
+    """
+    slack = math.log(x_floor, 3) / 2
+    scale = min(16, int((255 - slack) / math.log2(x_floor)))
+    bar = max(math.floor(scale * math.log2(first) - slack), 0)
+    return (scale, bar) if scale * (math.log2(y_floor + 1) - 1) > 2 * slack + 1 else (0, 0)
 
 
 def _odd_counts(mask: np.ndarray, n0: int, q: int, size: int, dtype: type) -> np.ndarray:

@@ -103,9 +103,9 @@ def test_sieve_segments_past_the_budget_are_refused_before_sieving():
     # and sieve nothing else
     real = sieve._smooth_part
 
-    def kernel(lo, hi, primes, top):
+    def kernel(lo, hi, primes, top, *mode):
         assert hi <= 10**4, "sieved"
-        return real(lo, hi, primes, top)
+        return real(lo, hi, primes, top, *mode)
 
     with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
         with pytest.raises(ResourceLimitError, match="entry budget"):
@@ -570,28 +570,185 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
         assert np.array_equal(counts, odd_bincount(inside, q, counts.size)), (lo, hi)
 
 
-def test_a_counted_segment_sieves_no_prime_above_its_root():
-    # n <= hi has at most one prime factor above isqrt(hi), so the odd sweep
-    # of [lo, hi] sieves none and its test stays exact; a listing sweep
-    # keeps every prime of the plan, whose weights take each of them
-    x, y, segment = 1e5, 1000, 1 << 12
+@pytest.mark.parametrize("x, y, logged", [(1e5, 1000, False), (1e5, 100, True)])
+def test_a_counted_segment_sieves_to_its_root_or_every_plan_prime(x, y, logged):
+    # the odd sweep of [lo, hi] by smooth parts sieves no prime above
+    # isqrt(hi), as n <= hi has at most one such factor and the ceiling test
+    # stays exact; in the log mode (y^2 <= x) it sieves every plan prime, as
+    # a sum must hold all of sp(n); a listing sweep keeps every prime of the
+    # plan, whose weights take each of them
+    segment = 1 << 12
     real, seen = sieve._smooth_part, []
 
-    def kernel(lo, hi, primes, top, odd=False):
+    def kernel(lo, hi, primes, top, odd=False, scale=0):
         if top > hi:  # a scan's segment, not a prime table's
-            seen.append((hi, primes.tolist(), odd))
-        return real(lo, hi, primes, top, odd)
+            seen.append((hi, primes.tolist(), odd, scale))
+        return real(lo, hi, primes, top, odd, scale)
 
     members = smooth_members(x, y).members
     with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
         assert np.array_equal(smooth_histogram(x, y, 101, segment),
                               np.bincount(members % 101, minlength=101))
         assert sum(smooth_segments(x, y, lambda r, w: r.size, segment)) == members.size
-    plan = primes_upto(math.isqrt(int(x))).tolist()
-    counted = [(hi, ps) for hi, ps, odd in seen if odd]
+    plan = primes_upto(min(y, math.isqrt(int(x)))).tolist()
+    counted = [(hi, ps, scale) for hi, ps, odd, scale in seen if odd]
     assert len(counted) > len(seen) - len(counted) > 0
-    assert all(ps == primes_upto(math.isqrt(hi)).tolist() for hi, ps in counted)
-    assert all(ps == plan for hi, ps, odd in seen if not odd)
+    assert all(scale == 0 for _, _, odd, scale in seen if not odd)
+    assert all(ps == plan for hi, ps, odd, _ in seen if not odd)
+    # every counted segment ends a lifted plan's bound, so hi < 2 * first:
+    # the log mode takes all of them once the certificate holds (y >= 3 here)
+    assert all(bool(scale) == logged for _, _, scale in counted)
+    for hi, ps, scale in counted:
+        assert ps == (plan if scale else primes_upto(math.isqrt(hi)).tolist())
+        assert not scale or [p for p in ps if p <= hi] == primes_upto(min(y, hi)).tolist()
+
+
+def test_a_segment_past_twice_its_first_n_counts_by_smooth_parts():
+    # hi >= 2 * first breaks the log mode's certificate (sp(n) <= hi / (y + 1)
+    # no longer sits a factor y + 1 below first), so such a segment, which no
+    # lifted plan makes, counts by its smooth parts
+    x_floor, y, q = 10**6, 30, 7
+    primes = primes_upto(y)
+    real, scales = sieve._smooth_part, []
+
+    def kernel(lo, hi, primes, top, odd=False, scale=0):
+        scales.append(scale)
+        return real(lo, hi, primes, top, odd, scale)
+
+    for lo, hi, logged in ((1001, 5000, False), (2501, 5000, True), (2500, 4999, True)):
+        members, _ = smooth_in_range(lo, hi, y, primes)
+        scales.clear()
+        with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
+            counts, _ = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
+        assert len(scales) == 1 and bool(scales[0]) == logged, (lo, hi)
+        assert np.array_equal(counts, odd_bincount(members, q, q))
+
+
+LOG_Q = [1, 2, 7, 2**16, 10**6 + 3]
+
+
+def log_grid_ys(x):
+    """The y of the log-mode grid: tiny ones about its certificate's least
+    y, and the two sides of y^2 <= x."""
+    return (2, 3, 4, 5, 7, 8, 17, math.isqrt(x), math.isqrt(x) + 1)
+
+
+@functools.cache
+def trial_lpf_upto(n_max):
+    """P(n) for n <= n_max by trial division, P(0) = 0, read-only."""
+    table = np.array([0] + [trial_largest_prime_factor(n) for n in range(1, n_max + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def assert_log_mode_histograms(x, y, segment, want):
+    """smooth_histogram(x, y, q, segment) in the log mode (it must take it on
+    some segment when y^2 <= x and the certificate holds) and with smooth
+    parts only (no scale) both equal want(q), for every q of LOG_Q."""
+    calls = mock.MagicMock(wraps=sieve._smooth_part)
+    for q in LOG_Q:
+        with mock.patch.object(sieve, "_smooth_part", calls):
+            got = smooth_histogram(x, y, q, segment)
+        with mock.patch.object(sieve, "_log_scale", return_value=(0, 0)):
+            plain = smooth_histogram(x, y, q, segment)
+        assert np.array_equal(got, want(q)), (x, y, segment, q)
+        assert np.array_equal(plain, got), (x, y, segment, q)
+    swept = [c.args[5] for c in calls.call_args_list if len(c.args) > 4 and c.args[4]]
+    generated = smooth_plan(x, y, segment, lifted=True)[0] == [(1, x)]
+    certified = y * y <= x and sieve._log_scale(1, x, y)[0] > 0
+    assert bool(swept) != generated and any(swept) == (certified and not generated), (x, y, segment)
+
+
+@pytest.mark.parametrize(
+    "segment, xs",
+    [
+        (1, (2**5 - 1, 2**5, 2**5 + 1, 50)),
+        (3, (2**7 - 1, 2**7, 2**7 + 1, 200)),
+        (2**12, (2**14 - 1, 2**14, 2**14 + 1, 3 * 10**4)),
+    ],
+)
+def test_log_mode_histograms_match_trial_division(segment, xs):
+    # segments of 1 and 3 at x near 2^22 would list past the plan's 2^20
+    # segments, so the small segments sweep x about 2^5, 2^7 and 2^14, as
+    # the default segment does 2^22; y runs across the certificate's least
+    # y (2 up to x = 200, 3 at 2^14 and 3 * 10^4) and across isqrt(x)
+    lpf = trial_lpf_upto(max(xs))
+    for x in xs:
+        for y in log_grid_ys(x):
+            smooth = np.flatnonzero(lpf[: x + 1] <= y)[1:]  # n >= 1
+            assert_log_mode_histograms(x, y, segment, lambda q: np.bincount(smooth % q, minlength=q))
+
+
+@pytest.mark.parametrize("y", [0, 1, 2, 3, 4, 5, 6, 7, 8])  # indices into log_grid_ys
+@pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1, 3 * 10**6])
+def test_log_mode_histograms_match_the_listing_below_one_segment(x, y):
+    # below one default segment every cutoff ends a small segment of its
+    # own; the certificate's least y is 5 at these x, so y = 2 .. 4 count
+    # by smooth parts and y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1
+    # counts by smooth parts.  2^22 + 1 at small y is generated.
+    y = log_grid_ys(x)[y]
+    members = smooth_members(x, y).members
+    assert_log_mode_histograms(x, y, DEFAULT_SEGMENT, lambda q: np.bincount(members % q, minlength=q))
+
+
+@pytest.mark.parametrize(
+    "x, scale, least",
+    [(64, 16, 2), (10**5, 15, 3), (3 * 10**6, 11, 5), (2**22, 11, 5), (10**8, 9, 7), (2**62, 3, 21211)],
+)
+def test_the_log_scale_keeps_sums_in_a_byte_and_certifies_from_its_least_y(x, scale, least):
+    # s = min(16, floor((255 - E) / log2 x)), E = log3(x) / 2; the mode is
+    # taken from the least y with s (log2(y + 1) - 1) > 2E + 1 on.  The cap
+    # 16 binds at small x (64 here) and keeps each wheel entry in a byte
+    slack = math.log(x, 3) / 2
+    assert [sieve._log_scale(1, x, y)[0] for y in (least - 1, least, 10 * least)] == [0, scale, scale]
+    assert scale * math.log2(x) + slack <= 255
+    for k in range(1, 6):  # every odd wheel of log sums the kernel seeds, whole: none wraps
+        powers = sieve._WHEEL_POWERS[1 : 1 + k]
+        seed = sieve._wheel_factors(powers, np.uint8, True, scale)[0]
+        n = np.arange(1, 2 * seed.size, 2)
+        want = sum(np.minimum(_valuations(n, p), e) * round(scale * math.log2(p)) for p, e in powers)
+        assert np.array_equal(seed, want) and want.max() <= 255
+
+
+def _valuations(n, p):
+    """v_p(n) for each n of an int64 array."""
+    v, n = np.zeros_like(n), n.copy()
+    while np.any(hit := n % p == 0):
+        v += hit
+        n[hit] //= p
+    return v
+
+
+def plain_log_sums(first, hi, primes, scale):
+    """sum over p of v_p(n) * round(scale * log2 p) for each odd n in
+    [first, hi], first odd, by one plain walk per odd prime power."""
+    sums = np.zeros((hi - first) // 2 + 1, dtype=np.int64)
+    for p in primes.tolist():
+        t = p
+        while p > 2 and t <= hi:
+            sums[-first * pow(2, -1, t) % t :: t] += round(scale * math.log2(p))
+            t *= p
+    return sums
+
+
+@pytest.mark.parametrize("base", [2**31, 2**32, 2**40, 2**62])
+def test_log_sums_are_rounded_logs_and_test_like_smooth_parts(base):
+    # short odd windows about 2^31 .. 2^62 (x = hi), at the least y the
+    # certificate admits and at a larger one
+    first, hi = base - 3001, base + 3000
+    least = next(y for y in itertools.count(2) if sieve._log_scale(first, hi, y)[0])
+    for y in (least, 40000):
+        primes = primes_upto(y)
+        scale, bar = sieve._log_scale(first, hi, y)
+        assert scale > 0 and y * y <= hi and hi < 2 * first
+        sums = sieve._smooth_part(first, hi, primes, hi, odd=True, scale=scale)
+        want = plain_log_sums(first, hi, primes, scale)
+        assert sums.dtype == np.uint8 and np.array_equal(sums, want) and want.max() <= 255
+        sp = sieve._smooth_part(first, hi, primes, hi + y, odd=True)
+        n = np.arange(first, hi + 1, 2, dtype=np.uint64)
+        assert np.array_equal(sums >= bar, n // sp <= y), (base, y)
+        counts, _ = smooth_in_range(first, hi, y, primes, None, 101, hi)
+        assert np.array_equal(counts, np.bincount(n[n // sp <= y] % 101, minlength=101))
 
 
 @pytest.mark.parametrize(
