@@ -679,14 +679,14 @@ def test_log_mode_histograms_match_trial_division(segment, xs):
             assert_log_mode_histograms(x, y, segment, lambda q: np.bincount(smooth % q, minlength=q))
 
 
-@pytest.mark.parametrize("y", [0, 1, 2, 3, 4, 5, 6, 7, 8])  # indices into log_grid_ys
+@pytest.mark.parametrize("at", range(9))  # the y at this index of log_grid_ys(x)
 @pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1, 3 * 10**6])
-def test_log_mode_histograms_match_the_listing_below_one_segment(x, y):
+def test_log_mode_histograms_match_the_listing_below_one_segment(x, at):
     # below one default segment every cutoff ends a small segment of its
     # own; the certificate's least y is 5 at these x, so y = 2 .. 4 count
     # by smooth parts and y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1
     # counts by smooth parts.  2^22 + 1 at small y is generated.
-    y = log_grid_ys(x)[y]
+    y = log_grid_ys(x)[at]
     members = smooth_members(x, y).members
     assert_log_mode_histograms(x, y, DEFAULT_SEGMENT, lambda q: np.bincount(members % q, minlength=q))
 
