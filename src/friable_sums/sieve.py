@@ -14,30 +14,29 @@ the 2^a * S_odd(x / 2^a), so its histogram is H = sum over a of
 sigma_2^a P(floor(x / 2^a)), where P(c) counts the odd members up to c by
 class and sigma_2 moves class r to 2r mod q (Bernstein, "Enumerating and
 counting smooth integers", 1998).  Each segment sweeps the odd n only,
-half the integers, and folds its smoothness mask over q (see
-_odd_counts).  The plan ends a segment at every cutoff c = floor(x / 2^a),
-so the driver lifts the counts by one Horner pass: it adds each segment
-into P and, where a segment ends on a cutoff c, steps T <- P(c) +
-sigma_2 T, in segment order, so 1 and 2 threads agree bit for bit.  The
-cutoffs below one segment add about 20 segments.  Where y^2 <= x, a
-segment counts its odd n from uint8 sums of rounded logs (the log mode,
-below); otherwise it builds smooth parts over the primes up to the root of
-its end.  At x = 10^8, q = 10^6 + 3, one thread, the log mode took the
-histogram from 0.25-0.32 to 0.17-0.22 s at y = 10^3 and from 0.30-0.47 to
-0.25-0.27 s at y = 10^4 (medians of 5 in-process runs, 6 processes a
-tree, 2-core Xeon, numpy 2.4).  It sweeps the segments below 2^22 in 20
-against 24 ms at y = 10^3, but in 36 against 24 ms at y = 10^4, as it
-walks every prime up to y where smooth parts walk those up to the root of
-each segment's end (best of 9).  Psi(x, y) is the histogram mod 1.
+half the integers, and hands back their smoothness mask.  The driver
+folds the masks, in segment order in the calling thread, into one
+accumulator of counts by index j of n = 2j + 1, and at each cutoff
+c = floor(x / 2^a), inside a mask or at its end, reads P(c) off it and
+steps T <- P(c) + sigma_2 T (Horner), so 1 and 2 threads agree bit for
+bit and no segment allocates anything of size q.  Where y^2 <= x, every
+segment after the first counts its odd n from uint8 sums of rounded logs
+(the log mode, below); the first, [1, segment], and every segment where
+y > sqrt(x) build smooth parts over the primes up to the root of their
+end.  At x = 10^8, q = 10^6 + 3, one thread, the histogram took
+0.113-0.115 s at y = 10^3 and 0.186-0.189 s at y = 10^4, against
+0.165-0.170 and 0.260-0.262 s with a count vector per segment and a
+segment ending at every cutoff (best of 7 in-process runs, 3 processes a
+tree, 2-core Xeon, numpy 2.4).  Psi(x, y) is the histogram mod 1.
 Members are int64, so x is held below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
 
 * the segment sieve, which costs about 8 ns per integer up to x at
-  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 1.7-2.2 and
-  2.5-2.7 ns on the odd sweep of a histogram, in log sums (x = 10^8;
-  2-core Xeon, numpy 2.4), however few of them are smooth;
+  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 1.1 and
+  1.9 ns in a histogram, on the odd sweep in log sums (x = 10^8; 2-core
+  Xeon, numpy 2.4), however few of them are smooth;
 * a generator that multiplies each prime p <= y, with its powers, into
   the products built so far, which costs about 2.6 ns per member per
   prime, so O(Psi(x, y) * pi(y)) whatever x is.
@@ -82,11 +81,11 @@ so the entry is within E = log3(x) / 2 of s log2 sp(n), and
 s = min(16, floor((255 - E) / log2 x)) keeps it within 255.  Where
 y^2 <= x every prime <= y is sieved, so a non-smooth n keeps a cofactor
 >= y + 1; on a segment [first, hi] with hi < 2 first, which every segment
-of a lifted plan is, `sum >= floor(s log2(first) - E)` is then exactly the
-smoothness test once s (log2(y + 1) - 1) > 2E + 1 (see _log_scale): at
-x = 10^8, s = 9, from y = 7 on.  The mask is one compare in place over
-the sums, with no ceiling and no division.  Below that y, for y > sqrt(x)
-and on any other segment, a count keeps the smooth parts.
+of a plan after its first is, `sum >= floor(s log2(first) - E)` is then
+exactly the smoothness test once s (log2(y + 1) - 1) > 2E + 1 (see
+_log_scale): at x = 10^8, s = 9, from y = 7 on.  The mask is one compare
+in place over the sums, with no ceiling and no division.  Below that y,
+for y > sqrt(x) and on the first segment, a count keeps the smooth parts.
 
 Prime tables come from the same kernel, with no second sieve:
 `primes_between(lo, hi)` takes the primes up to isqrt(hi) from itself and
@@ -136,11 +135,12 @@ _UPDATES_PER_TERM = 16
 SCAN_TERMS = 1e10
 # The listing price: S(x, y) is generated, not sieved, when Rankin's bound
 # B <= MAX_SEGMENT has B * pi(y) <= _GENERATE_RATIO * floor(x).  A generated
-# member costs about 2.6 ns per prime and a listed integer 8-11 ns (1.7-2.7 ns
-# on a histogram's odd sweep in log sums, x = 10^8, y = 10^3 and 10^4), but B
-# overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100) would
-# go to the sieve, which is over 10x slower there when it lists members and
-# 2-4x on a histogram (0.045-0.098 against 0.020-0.023 s at q = 1 and 10^6 + 3).
+# member costs about 2.6 ns per prime and a listed integer 8-11 ns (1.1-1.9 ns
+# in a histogram, on the odd sweep in log sums, x = 10^8, y = 10^3 and 10^4),
+# but B overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100)
+# would go to the sieve, which is over 10x slower there when it lists members
+# and 2-3x on a histogram (0.039-0.071 against 0.017-0.025 s at q = 1 and
+# 10^6 + 3, best of 5).
 _GENERATE_RATIO = 5
 # Each unit a budget counts: its plural and what it guards, as refusals say.
 _UNITS = {"entry": ("entries", "a memory budget"), "point": ("points", "a memory budget"),
@@ -464,9 +464,11 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     return sp
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _hit(p: int, scale: int) -> int:
     """What each hit of a power of the prime p puts into its entry: p, by
-    multiplication, or with a `scale` round(scale * log2 p), by addition."""
+    multiplication, or with a `scale` round(scale * log2 p), by addition.
+    Cached, so each log is rounded once, not once per segment and power."""
     return round(scale * math.log2(p)) if scale else p
 
 
@@ -567,7 +569,7 @@ def _generate(
 
 
 def smooth_plan(
-    x: float, y: float, segment: int = DEFAULT_SEGMENT, lifted: bool = False
+    x: float, y: float, segment: int = DEFAULT_SEGMENT
 ) -> tuple[list[tuple[int, int]], int, np.ndarray]:
     """(segment bounds, floor(y), dividing primes) for a smooth scan of
     S(x, y); segments are independent, so callers may process them in any
@@ -582,9 +584,8 @@ def smooth_plan(
     longer than floor(x)), or that would list more than MAX_LIST segments,
     is refused with ResourceLimitError before anything is sieved or listed,
     and before the prime table where x and y alone rule the generator out.
-    A `lifted` plan, for smooth_histogram, also ends a sieved segment at
-    every cutoff floor(x / 2^a) (see _cutoffs), so no cutoff lies strictly
-    inside a bound: [1, 1], [2, 2], [3, 4] or [3, 5], ... below `segment`.
+    Every sieved segment after the first, [lo, lo + segment - 1] with
+    lo > segment, ends below twice its first n.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
@@ -605,19 +606,17 @@ def smooth_plan(
     if primes is not None and _generates(x_floor, y_floor, primes):
         return [(1, x_floor)], y_floor, primes
     _check_budget(min(segment, x_floor), "a sieve segment")
-    edges = _cutoffs(x_floor, y_floor) if lifted else [x_floor]
-    _check_budget(sum(-(-(e - s) // segment) for s, e in zip([0, *edges], edges)),
-                  "a sieved plan's segment list", MAX_LIST)
-    return ([(lo, min(lo + segment - 1, e)) for s, e in zip([0, *edges], edges)
-             for lo in range(s + 1, e + 1, segment)],
+    _check_budget(-(-x_floor // segment), "a sieved plan's segment list", MAX_LIST)
+    return ([(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)],
             y_floor, primes_upto(top) if primes is None else primes)
 
 
 def _cutoffs(x_floor: int, y_floor: int) -> list[int]:
-    """The cutoffs floor(x / 2^a), a >= 0, ascending from 1: for y >= 2,
-    S(x, y) is the disjoint union of 2^a * (its odd members <= x / 2^a).
-    Only x itself for y < 2, where 2 is not smooth."""
-    return [x_floor >> a for a in range(x_floor.bit_length())][::-1] if y_floor >= 2 else [x_floor]
+    """The cutoffs floor(x / 2^a), a >= 0, descending to 1, so the least
+    comes off the end first: for y >= 2, S(x, y) is the disjoint union of
+    2^a * (its odd members <= x / 2^a).  Only x itself for y < 2, where 2
+    is not smooth."""
+    return [x_floor >> a for a in range(x_floor.bit_length())] if y_floor >= 2 else [x_floor]
 
 
 def smooth_in_range(
@@ -631,14 +630,15 @@ def smooth_in_range(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Smooth members of one planned segment [lo, hi] (see smooth_plan),
     optionally with multiplicative weights; or, with q and no prime_value,
-    (counts, None): the residue counts mod q of the segment's odd members,
-    x_floor (hi when omitted) the end of its plan.
+    (mask, first) for smooth_histogram to fold over q: mask[i] tells
+    whether the odd n = first + 2i is smooth, first the least odd n >= lo,
+    and x_floor (hi when omitted) is the end of the segment's plan.
 
     `primes` must hold every prime <= min(y_floor, isqrt(global x)).  A
     segment [1, hi] for which smooth_plan's cost rule picks the generator
-    is generated; with q only as the whole plan (hi = x_floor), whose
-    counts (one int64 bincount, or the member count for q = 1) then hold
-    every member, odd or even: the histogram itself.  Otherwise it is
+    is generated; with q only as the whole plan (hi = x_floor), which then
+    gives (histogram, None), the histogram one int64 bincount of every
+    member, odd or even (the member count for q = 1).  Otherwise it is
     sieved: the cofactor cof = n / sp(n) is then 1, a single prime
     (sieving bound isqrt) or a product of primes above y (sieving bound
     y), so `cof <= y` is exactly the smoothness test.  As sp | n,
@@ -651,19 +651,18 @@ def smooth_in_range(
     prime and once per distinct cofactor.
 
     With q the kernel sweeps the odd n only, and no member is listed.
-    Where y_floor^2 <= x_floor and hi < 2 * first (every segment of a
-    lifted plan), so that `primes` are all the primes <= y_floor and are
+    Where y_floor^2 <= x_floor and hi < 2 * first (every segment after a
+    plan's first), so that `primes` are all the primes <= y_floor and are
     all sieved, and _log_scale's certificate holds (at x = 10^8 from y = 7
     on), the kernel runs in its log mode: uint8 sums of rounded logs, and
     the mask is `sums >= bar`, one compare in place over the sums, with no
-    ceiling and no division.  Otherwise the kernel builds smooth parts over
-    the primes up to isqrt(hi) (the sieving bound of the segment: the
-    ceiling test stays exact, as n <= hi has at most one prime factor above
-    it), tested a block at a time into a mask (2 MiB of bools for 2^21 odd
-    n), and the smooth parts are freed.  Only then are counts allocated and
-    the mask folded over q (see _odd_counts).  Counts are int32 while
-    x_floor < 2^31 (int64 past it), in a window of min(q, hi + 1) classes,
-    as no n above hi is counted; smooth_histogram lifts them in their dtype.
+    ceiling and no division.  Otherwise (the first segment [1, hi] always)
+    the kernel builds smooth parts over the primes up to isqrt(hi) (the
+    sieving bound of the segment: the ceiling test stays exact, as n <= hi
+    has at most one prime factor above it), tested a block at a time into
+    a mask, and the smooth parts are freed on return.  The mask holds
+    (hi - first) // 2 + 1 bools (2 MiB for 2^21 odd n); nothing of size q
+    is allocated.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
@@ -694,8 +693,7 @@ def smooth_in_range(
             parts.append(np.flatnonzero(hit))
             parts[-1] += lo + b0
     if odd:
-        del sp  # the smooth parts go before any count is allocated
-        return _odd_counts(mask, first, q, min(q, hi + 1), np.int32 if x_floor < 1 << 31 else np.int64), None
+        return mask, first
     members = np.concatenate(parts)
     if prime_value is None:
         return members, None
@@ -716,8 +714,8 @@ def _log_scale(first: int, x_floor: int, y_floor: int) -> tuple[int, int]:
     """(s, bar) of the log mode for the odd n of a segment [first, hi] of a
     plan up to x_floor, or (0, 0) where its certificate fails.  The caller
     holds y_floor^2 <= x_floor, so that every prime <= y_floor is sieved,
-    and hi < 2 * first, which every segment of a lifted plan meets (its
-    cutoffs c < c' step as c' <= 2c + 1).
+    and hi < 2 * first, which every segment of a plan after its first
+    meets (see smooth_plan).
 
     The kernel adds r_p = round(s log2 p) into n's uint8 sum for each
     power of p dividing n.  An odd n <= x_floor has at most log3(x_floor)
@@ -738,28 +736,6 @@ def _log_scale(first: int, x_floor: int, y_floor: int) -> tuple[int, int]:
     return (scale, bar) if scale * (math.log2(y_floor + 1) - 1) > 2 * slack + 1 else (0, 0)
 
 
-def _odd_counts(mask: np.ndarray, n0: int, q: int, size: int, dtype: type) -> np.ndarray:
-    """counts[r] = the number of set mask[i] with n = n0 + 2i = r mod q, n0
-    odd, in `size` >= min(q, n + 1) classes for every such n.
-
-    Below q each n is its own class: one strided add.  Otherwise the mask
-    is folded in index coordinates j, which repeat with period q / gcd(q,
-    2): n = 2j mod q for odd q (j = n * (q + 1) / 2), and n = 2j + 1 mod q
-    for even q (j = (n - 1) / 2), one _fold per kernel block; two slices
-    then map the index counts to residues (for odd q, by _spread).
-    """
-    last = n0 + 2 * mask.size - 2
-    if last < q or not mask.size:
-        counts = np.zeros(size, dtype=dtype)
-        counts[n0 : last + 1 : 2] += mask
-        return counts
-    at = np.zeros(q if q & 1 else q // 2, dtype=dtype)
-    j0 = n0 * ((q + 1) // 2) % q if q & 1 else n0 // 2 % at.size
-    for b0 in range(0, mask.size, _BLOCK):
-        _fold(mask[b0 : b0 + _BLOCK].view(np.uint8), (j0 + b0) % at.size, at)
-    return _spread(at, q, np.zeros(q, at.dtype)) if q & 1 else np.column_stack((np.zeros_like(at), at)).ravel()
-
-
 def _spread(t: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     """out + sigma_2 t, added into out in place: sigma_2 moves the counts t
     from class r to 2r mod q, so class r < h = ceil(q / 2) goes to 2r, and
@@ -772,25 +748,29 @@ def _spread(t: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold(mask: np.ndarray, r0: int, counts: np.ndarray) -> None:
-    """Add the 0/1 uint8 mask[j] into counts[(r0 + j) % q], q = counts.size.
+def _fold(mask: np.ndarray, j0: int, counts: np.ndarray) -> None:
+    """Add the bool mask[i] into counts[(j0 + i) % q], q = counts.size, one
+    kernel block of the mask at a time.
 
-    The leading piece, up to the next multiple of q, goes into counts[r0:]
-    as a slice; the rest starts at residue 0 and is summed as whole rows of
-    w = q * ceil(4096 / q) (each row's sum then folded over q), then whole
-    rows of q, and its tail goes into counts[:tail].  Rows sum in uint8
-    while there are fewer than 256 of them, as a block's rows of w are.
+    A block's leading piece, up to the next multiple of q, goes into
+    counts[r0:] as a slice; the rest starts at residue 0 and is summed as
+    whole rows of w = q * ceil(4096 / q) (each row's sum then folded over
+    q), then whole rows of q, and its tail goes into counts[:tail].  Rows
+    sum in uint8 while there are fewer than 256 of them, as a block's rows
+    of w are.
     """
     q = counts.size
-    lead = min(-r0 % q, mask.size)
-    counts[r0 : r0 + lead] += mask[:lead]
-    rest = mask[lead:]
-    for w in (q * -(-4096 // q), q):
-        if k := rest.size // w:
-            rows = rest[: k * w].reshape(k, w).sum(axis=0, dtype=np.uint8 if k < 256 else np.int32)
-            counts += rows.reshape(-1, q).sum(axis=0, dtype=counts.dtype)
-            rest = rest[k * w :]
-    counts[: rest.size] += rest
+    for b0 in range(0, mask.size, _BLOCK):
+        blk, r0 = mask[b0 : b0 + _BLOCK].view(np.uint8), (j0 + b0) % q
+        lead = min(-r0 % q, blk.size)
+        counts[r0 : r0 + lead] += blk[:lead]
+        rest = blk[lead:]
+        for w in (q * -(-4096 // q), q):
+            if k := rest.size // w:
+                rows = rest[: k * w].reshape(k, w).sum(axis=0, dtype=np.uint8 if k < 256 else np.int32)
+                counts += rows.reshape(-1, q).sum(axis=0, dtype=counts.dtype)
+                rest = rest[k * w :]
+        counts[: rest.size] += rest
 
 
 def smooth_segments(
@@ -816,37 +796,49 @@ def smooth_histogram(
 
     For y >= 2, S(x, y) is the disjoint union of 2^a * S_odd(x / 2^a), so
     H = sum over a of sigma_2^a P(floor(x / 2^a)), P(c) the counts of the
-    odd members up to c.  The segments of a lifted plan (see smooth_plan)
-    sweep the odd n only (see smooth_in_range), and each cutoff c ends one.
-    Their counts are taken in segment order: each is added into P, and
-    where a segment ends on a cutoff c the lift takes one Horner step
-    T <- P(c) + sigma_2 T, sigma_2 the class map r -> 2r mod q (see
-    _spread), in the dtype of the counts; at the first cutoff T is P(c)
-    itself.  A generated plan is one segment [1, floor(x)], whose counts
-    are the histogram.  The state is P and T, with one segment's counts on
-    top: about three q-vectors.
+    odd members up to c.  Each sieved segment of the plan (see smooth_plan)
+    gives the smoothness mask of its odd n (see smooth_in_range), and the
+    masks are folded, in segment order in the calling thread, into one
+    accumulator `at` of index counts: at[j] counts the odd members
+    n = 2j + 1 folded so far, j mod q for odd q and mod q / 2 for even q
+    (either fixes n mod q).  At each cutoff c = floor(x / 2^a), inside a
+    mask or at its end, the fold stops after the last odd n <= c, reads
+    P(c) off `at` in a window of min(q, c + 1) classes (two slices: the
+    odd r = 2j + 1, and for odd q the even r = 2j + 1 - q from
+    at[(q - 1) / 2:]), takes one Horner step T <- P(c) + sigma_2 T, sigma_2
+    the class map r -> 2r mod q (see _spread), and goes on.  So 1 and 2
+    threads agree bit for bit, and the state is `at` and T: two q-vectors,
+    int32 while floor(x) < 2^31, int64 past it.  A generated plan is one
+    segment [1, floor(x)], whose bincount is the histogram.
     """
     x_floor = floor_int(x)
-    cuts = set(_cutoffs(x_floor, floor_int(y)))
-    counts = lift = np.zeros(0, dtype=np.int32)  # P and T, empty until the first segment
-    for hi, (part, _) in _scan(x, y, segment, threads, lambda span, y_floor, primes: (
-            span[1], smooth_in_range(*span, y_floor, primes, None, q, x_floor)), True):
-        part[: counts.size] += counts  # a part's window holds its forerunners'
-        counts = part
-        if hi in cuts:  # T <- P(c) + sigma_2 T, in the counts' dtype; P(c) at the first
-            lift = _spread(lift, q, counts.copy()) if lift.size else counts
+    cuts = _cutoffs(x_floor, floor_int(y))  # popped from the least
+    at = np.zeros(q if q & 1 else q >> 1, dtype=np.int32 if x_floor < 1 << 31 else np.int64)
+    lift = np.zeros(0, at.dtype)  # T, empty until the first cutoff
+    for part, first in _scan(x, y, segment, threads, lambda span, y_floor, primes: smooth_in_range(
+            *span, y_floor, primes, None, q, x_floor)):
+        if first is None:  # a generated plan's histogram
+            return part
+        i = 0
+        while cuts and (end := (cuts[-1] - first) // 2 + 1) <= part.size:  # the odd n <= c are in
+            _fold(part[i:end], first // 2 + i, at)
+            p, i = np.zeros(min(q, cuts.pop() + 1), at.dtype), end
+            p[1::2] = at[: p.size >> 1]
+            if q & 1:
+                p[::2] = at[q >> 1 :][: (p.size + 1) >> 1]
+            lift = _spread(lift, q, p)
+        _fold(part[i:], first // 2 + i, at)
     return lift if lift.size == q else np.concatenate((lift, np.zeros(q - lift.size, lift.dtype)))
 
 
-def _scan(x: float, y: float, segment: int, threads: int, one: Callable,
-          lifted: bool = False) -> Iterator:
+def _scan(x: float, y: float, segment: int, threads: int, one: Callable) -> Iterator:
     """one(bound, floor(y), primes) for each bound of the plan of S(x, y)
     (see smooth_plan), in order, on a pool of min(threads, usable_cpus())
     threads when that is above 1."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threads = min(threads, usable_cpus())
-    bounds, y_floor, primes = smooth_plan(x, y, segment, lifted)
+    bounds, y_floor, primes = smooth_plan(x, y, segment)
     run = functools.partial(one, y_floor=y_floor, primes=primes)
     if threads == 1:
         yield from map(run, bounds)

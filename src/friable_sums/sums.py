@@ -11,10 +11,10 @@ and its phases are residues modulo 2^k.  One core, `_monomial_sum`, runs
 the sieve's drivers for the plain, the twisted and the real-frequency
 sums.  A plain sum with q <= HIST_LIMIT takes the exact residue histogram
 of S(x, y) from `sieve.smooth_histogram`, so large scans stay exact until
-one final floating-point pass: the sieve sweeps the odd n only, folds
-each segment's counts straight from its mask, listing no member, and
-lifts them to every n = 2^a * m by one Horner pass over the cutoffs
-x / 2^a, in segment order; the histogram is int32 while x < 2^31.  A
+one final floating-point pass: the sieve sweeps the odd n only, listing
+no member, and the driver folds each segment's mask into one
+accumulator, lifted to every n = 2^a * m by one Horner pass over the
+cutoffs x / 2^a, in segment order; the histogram is int32 while x < 2^31.  A
 histogram holds counts only: a twisted sum, like any sum with a larger
 q, sums each segment's weighted phases per term as the segment arrives,
 through `_term_sum`, the one per-term tail, which

@@ -510,10 +510,11 @@ def test_psi_never_exceeds_rankin_bound():
             assert psi(x, y) <= sieve._rankin_bound(x, primes_upto(y))
 
 
-def odd_bincount(members, q, size):
-    """Counts by class mod q of the odd members, in a window of `size` classes."""
-    odd = members[members % 2 == 1]
-    return np.bincount(odd % q, minlength=q)[:size] if odd.size else np.zeros(size, dtype=np.int64)
+def odd_mask(members, first, hi):
+    """mask[i] = whether the odd n = first + 2i <= hi is a member, first odd."""
+    mask = np.zeros(max((hi - first) // 2 + 1, 0), dtype=bool)
+    mask[(members[(members % 2 == 1) & (members >= first) & (members <= hi)] - first) // 2] = True
+    return mask
 
 
 @pytest.mark.parametrize("q", [None, 1, 101])
@@ -522,28 +523,22 @@ def odd_bincount(members, q, size):
     [(1e8, 30, DEFAULT_SEGMENT, True), (5e6, 1000, 1 << 20, False)],
 )
 def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q):
-    # perfbench/spans.py reads these: the bounds tile [1, floor(x)], and
-    # the driver calls smooth_in_range exactly once per planned bound, with
-    # the segment's members, or with q (a lifted plan, in which every cutoff
-    # floor(x / 2^a) ends a bound) the residue counts of its odd members,
-    # and None
+    # perfbench/spans.py reads these: the bounds tile [1, floor(x)] in
+    # segments of `segment` (or are the one generated bound), and the
+    # driver calls smooth_in_range exactly once per planned bound, with the
+    # segment's members and None, or with q the smoothness mask of its odd
+    # n and its first odd n (a generated plan's histogram and None)
     x_floor = math.floor(x)
-    bounds, y_floor, primes = smooth_plan(x, y, segment, lifted=q is not None)
+    bounds, y_floor, primes = smooth_plan(x, y, segment)
     assert (len(bounds) == 1) == generated
-    assert bounds[0][0] == 1 and bounds[-1][1] == x_floor
-    assert all(b[1] + 1 == c[0] for b, c in zip(bounds, bounds[1:]))
+    assert bounds == ([(1, x_floor)] if generated else
+                      [(lo, min(lo + segment - 1, x_floor)) for lo in range(1, x_floor + 1, segment)])
     assert y_floor == math.floor(y)
     assert primes.tolist() == primes_upto(min(y_floor, math.isqrt(x_floor))).tolist()
-    if q is None or generated:
-        assert bounds[0] == ((1, x_floor) if generated else (1, segment))
-    else:  # no bound is longer than segment, and every cutoff ends one
-        assert all(hi - lo < segment for lo, hi in bounds)
-        assert set(sieve._cutoffs(x_floor, y_floor)) <= {hi for _, hi in bounds}
-        assert len(bounds) > -(-x_floor // segment)
     results = []
 
     def counted(*args):
-        out = smooth_in_range(*args)  # copied: the driver adds into each bound's counts
+        out = smooth_in_range(*args)
         results.append((args[:2], out[0].copy(), out[1]))
         return out
 
@@ -559,15 +554,14 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
         return
     members = smooth_members(x, y).members
     assert total == members.size == psi(x, y, segment)
-    for (lo, hi), counts, rest in results:
-        assert rest is None
+    for (lo, hi), part, first in results:
         if generated:
-            assert np.array_equal(counts, np.bincount(members % q, minlength=q) if q > 1
+            assert first is None
+            assert np.array_equal(part, np.bincount(members % q, minlength=q) if q > 1
                                   else [members.size])
             continue
-        inside = members[(members >= lo) & (members <= hi)]
-        assert counts.size == min(q, hi + 1)
-        assert np.array_equal(counts, odd_bincount(inside, q, counts.size)), (lo, hi)
+        assert first == lo | 1 and part.dtype == bool
+        assert np.array_equal(part, odd_mask(members, first, hi)), (lo, hi)
 
 
 @pytest.mark.parametrize("x, y, logged", [(1e5, 1000, False), (1e5, 100, True)])
@@ -592,12 +586,14 @@ def test_a_counted_segment_sieves_to_its_root_or_every_plan_prime(x, y, logged):
         assert sum(smooth_segments(x, y, lambda r, w: r.size, segment)) == members.size
     plan = primes_upto(min(y, math.isqrt(int(x)))).tolist()
     counted = [(hi, ps, scale) for hi, ps, odd, scale in seen if odd]
-    assert len(counted) > len(seen) - len(counted) > 0
+    assert len(counted) == len(seen) - len(counted) == -(-int(x) // segment)
     assert all(scale == 0 for _, _, odd, scale in seen if not odd)
     assert all(ps == plan for hi, ps, odd, _ in seen if not odd)
-    # every counted segment ends a lifted plan's bound, so hi < 2 * first:
-    # the log mode takes all of them once the certificate holds (y >= 3 here)
-    assert all(bool(scale) == logged for _, _, scale in counted)
+    # every counted segment after the first, [1, segment], ends below twice
+    # its first n: the log mode takes each of them once the certificate
+    # holds (y >= 3 here), and never the first
+    assert counted[0][0] == segment and counted[0][2] == 0
+    assert all(bool(scale) == logged for _, _, scale in counted[1:])
     for hi, ps, scale in counted:
         assert ps == (plan if scale else primes_upto(math.isqrt(hi)).tolist())
         assert not scale or [p for p in ps if p <= hi] == primes_upto(min(y, hi)).tolist()
@@ -605,8 +601,8 @@ def test_a_counted_segment_sieves_to_its_root_or_every_plan_prime(x, y, logged):
 
 def test_a_segment_past_twice_its_first_n_counts_by_smooth_parts():
     # hi >= 2 * first breaks the log mode's certificate (sp(n) <= hi / (y + 1)
-    # no longer sits a factor y + 1 below first), so such a segment, which no
-    # lifted plan makes, counts by its smooth parts
+    # no longer sits a factor y + 1 below first), so such a segment, which a
+    # plan makes only as its first, counts by its smooth parts
     x_floor, y, q = 10**6, 30, 7
     primes = primes_upto(y)
     real, scales = sieve._smooth_part, []
@@ -615,13 +611,13 @@ def test_a_segment_past_twice_its_first_n_counts_by_smooth_parts():
         scales.append(scale)
         return real(lo, hi, primes, top, odd, scale)
 
-    for lo, hi, logged in ((1001, 5000, False), (2501, 5000, True), (2500, 4999, True)):
+    for lo, hi, logged in ((1, 5000, False), (1001, 5000, False), (2501, 5000, True), (2500, 4999, True)):
         members, _ = smooth_in_range(lo, hi, y, primes)
         scales.clear()
         with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
-            counts, _ = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
+            mask, first = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
         assert len(scales) == 1 and bool(scales[0]) == logged, (lo, hi)
-        assert np.array_equal(counts, odd_bincount(members, q, q))
+        assert first == lo | 1 and np.array_equal(mask, odd_mask(members, first, hi))
 
 
 LOG_Q = [1, 2, 7, 2**16, 10**6 + 3]
@@ -642,9 +638,12 @@ def trial_lpf_upto(n_max):
 
 
 def assert_log_mode_histograms(x, y, segment, want):
-    """smooth_histogram(x, y, q, segment) in the log mode (it must take it on
-    some segment when y^2 <= x and the certificate holds) and with smooth
-    parts only (no scale) both equal want(q), for every q of LOG_Q."""
+    """smooth_histogram(x, y, q, segment) as it runs and with the log mode
+    forced off (_log_scale mocked to (0, 0), smooth parts only) both equal
+    want(q), for every q of LOG_Q; and the run swept every segment after
+    the first of a sieved plan (of more than one segment) in the log mode
+    exactly where y^2 <= x and the certificate holds, and the first,
+    [1, segment], never (but for segment = 1, where it is [1, 1])."""
     calls = mock.MagicMock(wraps=sieve._smooth_part)
     for q in LOG_Q:
         with mock.patch.object(sieve, "_smooth_part", calls):
@@ -653,10 +652,16 @@ def assert_log_mode_histograms(x, y, segment, want):
             plain = smooth_histogram(x, y, q, segment)
         assert np.array_equal(got, want(q)), (x, y, segment, q)
         assert np.array_equal(plain, got), (x, y, segment, q)
-    swept = [c.args[5] for c in calls.call_args_list if len(c.args) > 4 and c.args[4]]
-    generated = smooth_plan(x, y, segment, lifted=True)[0] == [(1, x)]
+    swept = [c.args[:2] + c.args[5:] for c in calls.call_args_list if len(c.args) > 4 and c.args[4]]
+    bounds = smooth_plan(x, y, segment)[0]
+    generated = len(bounds) == 1 < -(-x // segment)
     certified = y * y <= x and sieve._log_scale(1, x, y)[0] > 0
-    assert bool(swept) != generated and any(swept) == (certified and not generated), (x, y, segment)
+    assert generated or len(bounds) > 1, (x, segment)
+    assert len(swept) == (0 if generated else len(LOG_Q) * len(bounds)), (x, y, segment)
+    # hi < 2 * first on every segment after the first, and on the first,
+    # [1, min(x, segment)], only for segment = 1
+    assert all(bool(scale) == (certified and hi < 2 * first) for first, hi, scale in swept), (x, y, segment)
+    assert segment == 1 or not any(scale for first, _, scale in swept if first == 1)
 
 
 @pytest.mark.parametrize(
@@ -682,13 +687,14 @@ def test_log_mode_histograms_match_trial_division(segment, xs):
 @pytest.mark.parametrize("at", range(9))  # the y at this index of log_grid_ys(x)
 @pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1, 3 * 10**6])
 def test_log_mode_histograms_match_the_listing_below_one_segment(x, at):
-    # below one default segment every cutoff ends a small segment of its
-    # own; the certificate's least y is 5 at these x, so y = 2 .. 4 count
-    # by smooth parts and y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1
+    # x up to one default segment, in segments of 2^20: the first, [1, 2^20],
+    # counts by smooth parts, and every later one by log sums where certified.
+    # The certificate's least y is 5 at these x, so y = 2 .. 4 count by
+    # smooth parts and y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1
     # counts by smooth parts.  2^22 + 1 at small y is generated.
     y = log_grid_ys(x)[at]
     members = smooth_members(x, y).members
-    assert_log_mode_histograms(x, y, DEFAULT_SEGMENT, lambda q: np.bincount(members % q, minlength=q))
+    assert_log_mode_histograms(x, y, 1 << 20, lambda q: np.bincount(members % q, minlength=q))
 
 
 @pytest.mark.parametrize(
@@ -747,8 +753,8 @@ def test_log_sums_are_rounded_logs_and_test_like_smooth_parts(base):
         sp = sieve._smooth_part(first, hi, primes, hi + y, odd=True)
         n = np.arange(first, hi + 1, 2, dtype=np.uint64)
         assert np.array_equal(sums >= bar, n // sp <= y), (base, y)
-        counts, _ = smooth_in_range(first, hi, y, primes, None, 101, hi)
-        assert np.array_equal(counts, np.bincount(n[n // sp <= y] % 101, minlength=101))
+        mask, odd_first = smooth_in_range(first, hi, y, primes, None, 101, hi)
+        assert odd_first == first and np.array_equal(mask, n // sp <= y)
 
 
 @pytest.mark.parametrize(
@@ -935,18 +941,52 @@ FOLD_Q = [1, 2, 3, 4095, 4096, 4097, 2**18 - 1, 2**18, 2**18 + 1, 10**6 + 3, 2**
     ],
 )
 def test_folded_counts_equal_the_listing_bincount(lo, hi, y):
-    # a later segment of a lifted plan: the counts of its odd members, in
-    # a window of min(q, hi + 1) classes, and no lift
+    # a later segment of a plan: its mask of odd n, folded over q as
+    # smooth_histogram folds it, in index coordinates j = (n - 1) / 2 mod q
+    # (q / 2 for even q), whole or cut in two as at a cutoff, onto earlier
+    # counts, adds the index bincount of its odd members
     primes = primes_upto(min(y, math.isqrt(hi)))
     members, _ = smooth_in_range(lo, hi, y, primes)
+    mask, first = smooth_in_range(lo, hi, y, primes, None, 101)
+    assert first == lo | 1 and np.array_equal(mask, odd_mask(members, first, hi))
+    odd = members[members % 2 == 1]
+    rng = np.random.default_rng(lo)
     for q in FOLD_Q:
-        assert q == 1 or (lo | 1) % q  # the first odd n starts inside a row of q
-        counts, lift = smooth_in_range(lo, hi, y, primes, None, q)
-        assert lift is None and counts.size == min(q, hi + 1)
-        assert counts.dtype == (np.int32 if hi < 2**31 else np.int64)  # x defaults to hi
-        assert np.array_equal(counts, odd_bincount(members, q, counts.size)), q
+        size = q if q & 1 else q // 2
+        want = np.bincount(odd // 2 % size, minlength=size)
+        cuts = (0, mask.size // 3)
+        assert size == 1 or any((first // 2 + cut) % size for cut in cuts)  # a fold starts inside a row
+        for cut in cuts:
+            base = rng.integers(0, 1000, size, dtype=np.int32)
+            at = base.copy()
+            sieve._fold(mask[:cut], first // 2, at)
+            sieve._fold(mask[cut:], first // 2 + cut, at)
+            assert np.array_equal(at - base, want), (q, cut)
     if y >= hi:
         assert members.size == hi - lo + 1
+
+
+@pytest.mark.parametrize(
+    "lo, hi, y",
+    [(1, 5000, 100), (4097, 8192, 100), (4097, 8192, 5000), (4098, 8191, 1), (2, 2, 7),
+     (BLOCKS_LO + 2, BLOCKS_HI, 1000), (BLOCKS_LO + 2, BLOCKS_HI, 13)],
+)
+def test_a_sieved_count_segment_gives_its_mask_and_nothing_of_size_q(lo, hi, y):
+    # the count contract: (mask, first), mask the bools of the odd
+    # n = first + 2i <= hi, (hi - first) // 2 + 1 of them (none for [2, 2]),
+    # in the log mode or by smooth parts, with no array of q entries made
+    q, x_floor = 2**23, 10**8
+    primes = primes_upto(min(y, math.isqrt(x_floor)))
+    members, _ = smooth_in_range(lo, hi, y, primes)
+    tracemalloc.start()
+    try:
+        mask, first = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == lo | 1 and mask.dtype == bool and mask.size == max((hi - first) // 2 + 1, 0)
+    assert np.array_equal(mask, odd_mask(members, first, hi))
+    assert peak < q + 6 * mask.size
 
 
 def test_folded_counts_of_a_generated_segment_are_its_bincount():
@@ -965,39 +1005,44 @@ def test_folded_counts_of_a_generated_segment_are_its_bincount():
 
 def test_a_first_segment_short_of_its_plan_is_sieved():
     # [1, hi] that the generator would take, but as the first segment of a
-    # longer plan: sieved, so its counts are its odd members'
+    # longer plan: sieved, so it gives the mask of its odd n
     x, hi, y, q = 3 * 10**8, 10**8, 30, 4097
     primes = primes_upto(y)
     assert sieve._generates(hi, y, primes)
     members, _ = smooth_in_range(1, hi, y, primes)
-    counts, _ = smooth_in_range(1, hi, y, primes, None, q, x)
-    assert np.array_equal(counts, odd_bincount(members, q, q))
+    mask, first = smooth_in_range(1, hi, y, primes, None, q, x)
+    assert first == 1 and mask.size == hi // 2
+    assert np.array_equal(2 * np.flatnonzero(mask) + 1, members[members % 2 == 1])
+
+
+def all_odd_n(lo, hi, y_floor, primes, prime_value, q, x_floor):
+    """smooth_in_range's count for a segment if every odd n were smooth,
+    as a read-only broadcast mask: no memory, and a fold that wraps int32."""
+    first = lo | 1
+    return np.broadcast_to(True, max((hi - first) // 2 + 1, 0)), first
 
 
 def test_segment_counts_are_int64_from_x_at_two_to_the_31():
-    primes = primes_upto(31)
-    for x_floor, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
-        for lo in (1, 4001):
-            counts, rest = smooth_in_range(lo, 5000, 1000, primes, None, 10007, x_floor)
-            assert counts.dtype == dtype and rest is None
+    # the fold's counts, `at` and T, and so the histogram, are int32 below
+    # x = 2^31 and int64 from it on (masks mocked, their fold skipped)
+    for x, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        with mock.patch.object(sieve, "smooth_in_range", all_odd_n), \
+                mock.patch.object(sieve, "_fold", lambda mask, j0, counts: None):
+            h = smooth_histogram(x, 2**16 + 1, 10007, 1 << 26)
+        assert h.dtype == dtype and not h.any()
 
 
 def test_a_histogram_from_x_at_two_to_the_31_adds_in_int64():
-    # P and T take the dtype of the segments' counts, int64 from x = 2^31 on;
-    # with each segment counting 2^30 per class (mocked: sieving 2^30 odd n
-    # takes minutes) the Horner sums pass 2^31 and would wrap in int32
-    x, y, q, segment = 2**31, 2**16 + 1, 5, 1 << 26
-
-    def counts(lo, hi, y_floor, primes, prime_value, q, x_floor):
-        return np.full(min(q, hi + 1), 2**30, dtype=np.int64 if x_floor >= 2**31 else np.int32), None
-
-    with mock.patch.object(sieve, "smooth_in_range", counts):
-        h = smooth_histogram(x, y, q, segment)
-    cuts, p, t = set(sieve._cutoffs(x, y)), 0, 0
-    for _, hi in smooth_plan(x, y, segment, lifted=True)[0]:
-        p += 2**30 * min(q, hi + 1)
-        t += p if hi in cuts else 0
-    assert h.dtype == np.int64 and int(h.sum()) == t > 2**40
+    # with every odd n counted (mocked: sieving 2^30 odd n takes minutes)
+    # the histogram counts every n <= x, so mod 1 it is 2^31, which would
+    # wrap in int32; one below, it is 2^31 - 1 in int32
+    segment = 1 << 26
+    for x, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        with mock.patch.object(sieve, "smooth_in_range", all_odd_n):
+            for q in (1, 5, 2**16):
+                h = smooth_histogram(x, 2**16 + 1, q, segment)
+                want = [(x - r) // q + (r > 0) for r in range(q)]
+                assert h.dtype == dtype and h.tolist() == want, (x, q)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 7, 8, 45, 1000, 1001])
@@ -1039,9 +1084,8 @@ def lifted_grid(k):
 @pytest.mark.parametrize("x, y, segment", [(x, y, 1 << 12) for x, y in lifted_grid(16)]
                          + [(x, y, s) for x, y in lifted_grid(6) for s in (1, 3)])
 def test_lifted_histogram_equals_the_listing_bincount(x, y, segment):
-    # segments of 2^12 around 2^16, whose first 2^12 n the cutoffs x >> a
-    # cut into a dozen bounds; and of 1 and 3 around 2^6, where every bound
-    # is one to three n
+    # segments of 2^12 around 2^16, whose first holds a dozen cutoffs
+    # x >> a; and of 1 and 3 around 2^6, where every bound is one to three n
     members = smooth_members(x, y, segment).members
     with mock.patch.object(sieve, "usable_cpus", lambda: 2):
         for q in LIFT_Q:
@@ -1060,6 +1104,50 @@ def test_lifted_histogram_at_two_to_the_24(x, y):
         for q, threads in zip((1, 2**14, 255255, 10**6 + 3), itertools.cycle((1, 2))):
             want = np.bincount(members % q, minlength=q)
             assert np.array_equal(smooth_histogram(x, y, q, threads=threads), want), q
+
+
+CUT_Q = [1, 2, 3, 4, 7, 101, 2**16, 999983, 10**6 + 3]
+
+
+def assert_histograms_on_one_and_two_threads(x, y, segment, want):
+    """smooth_histogram(x, y, q, segment) equals want(q) on 1 and 2 threads,
+    bit for bit, for every q of CUT_Q and for q = x + 2, past x."""
+    with mock.patch.object(sieve, "usable_cpus", lambda: 2):
+        for q in CUT_Q + [x + 2]:
+            runs = [smooth_histogram(x, y, q, segment, threads) for threads in (1, 2)]
+            assert runs[0].dtype == runs[1].dtype and np.array_equal(runs[0], runs[1]), (x, y, q)
+            assert np.array_equal(runs[0], want(q)), (x, y, q)
+
+
+@pytest.mark.parametrize("y", [1000, 5000])  # log sums past the first segment, and smooth parts
+@pytest.mark.parametrize("x", [2**22 + 1, 3 * 2**22 - 1, 5 * 10**6, 2**24 - 1, 2**24 + 1])
+def test_cutoffs_inside_default_segments_match_the_listing(x, y):
+    # the cutoffs floor(x / 2^a) past the first segment fall inside a
+    # segment of 2^22 (2^22 + 1 >> 1, 3 * 2^22 - 1 and its halves, 2.5e6
+    # ...) or end one (2^23 at x = 2^24 + 1): the fold stops after the last
+    # odd n <= c, steps the lift and goes on
+    members = smooth_members(x, y).members
+    assert len(smooth_plan(x, y)[0]) == -(-x // DEFAULT_SEGMENT) > 1
+    assert_histograms_on_one_and_two_threads(x, y, DEFAULT_SEGMENT,
+                                             lambda q: np.bincount(members % q, minlength=q))
+
+
+@pytest.mark.parametrize(
+    "segment, xs",
+    [(1, (31, 64)), (2, (33, 100)), (3, (64, 127)), (5, (65, 200)),
+     (2**12, (2**13 + 1, 3 * 2**12 - 1, 2**14 - 1, 2**14))],
+)
+def test_cutoffs_inside_small_segments_match_trial_division(segment, xs):
+    # every cutoff ends a segment of 1; segments of 2, 3 and 5 hold cutoffs
+    # at their start, inside and at their end, and segments of 2^12 cut
+    # x <= 2^14 as the default segment cuts x <= 2^24
+    lpf = trial_lpf_upto(max(xs))
+    for x in xs:
+        r = math.isqrt(x)
+        for y in sorted({1, 2, 3, 5, r, r + 1, x}):
+            smooth = np.flatnonzero(lpf[: x + 1] <= y)[1:]  # n >= 1
+            assert_histograms_on_one_and_two_threads(x, y, segment,
+                                                     lambda q: np.bincount(smooth % q, minlength=q))
 
 
 def test_smooth_scans_hold_x_below_two_to_the_63():
