@@ -576,10 +576,12 @@ def _one_malloc_arena() -> None:
 
     By default each --threads pool thread gets an arena of its own, which
     keeps the segment buffers the thread freed; how much it keeps depends on
-    thread timing.  perfbench's `dense` workload (sums at x = 1e8, some with
-    --threads 2) peaked at 96-108 MiB over 6 runs with one arena, and at
-    151 MiB over 3 runs without it (2-core Xeon).  The sieve makes a few large
-    allocations per segment, so the shared arena's lock is not contended.
+    thread timing.  `dense`'s three sums at x = 1e8 (y = 1e3 at 1 and 2
+    threads, y = 1e4 at 1), run 4 times in one process, peaked at 74.7-75.2
+    MiB of RSS with one arena and at 98.0-103.7 MiB without it (3 processes
+    each, 2-core Xeon).  Their times did not move with it, and under it a
+    second thread gains nothing: the y = 1e3 sum took 0.22-0.31 s at
+    --threads 2 against 0.19-0.29 s at 1 (0.25-0.34 and 0.20-0.28 s without).
     """
     if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
         import ctypes

@@ -9,6 +9,7 @@ the bound-relevance chart together with saving-exponent utilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -193,58 +194,47 @@ REGION_VERTICES: dict[str, tuple[Point, ...]] = {
 @dataclass(frozen=True)
 class RegionSet:
     """Simple polygons, keyed by envelope label, partitioning the chart
-    (overlaps only along shared edges).
+    (overlaps only along shared edges).  Every query is exact.
     """
 
     polygons: dict[str, tuple[Point, ...]]
 
-    def names(self) -> list[str]:
-        return list(self.polygons)
+    def _place(self, name: str, alpha: Rational, beta: Rational) -> tuple[bool, bool]:
+        a, b = Fraction(alpha), Fraction(beta)
+        poly = self.polygons[name]
+        d = math.lcm(a.denominator, b.denominator, *(c.denominator for v in poly for c in v))
+        return _classify(poly, d, int(a * d), int(b * d))
 
     def contains(self, name: str, alpha: Rational, beta: Rational) -> bool:
-        """Point in the closed polygon `name` (boundary included); exact."""
-        pt = (Fraction(alpha), Fraction(beta))
-        poly = self.polygons[name]
-        return _on_polygon_boundary(poly, pt) or _strictly_inside(poly, pt)
+        """Point in the closed polygon `name` (boundary included)."""
+        return any(self._place(name, alpha, beta))
 
     def on_boundary(self, name: str, alpha: Rational, beta: Rational) -> bool:
-        return _on_polygon_boundary(self.polygons[name], (Fraction(alpha), Fraction(beta)))
+        return self._place(name, alpha, beta)[0]
 
     def locate(self, alpha: Rational, beta: Rational) -> Optional[str]:
         """Name of the polygon strictly containing the point, else None."""
-        pt = (Fraction(alpha), Fraction(beta))
-        for name, poly in self.polygons.items():
-            if not _on_polygon_boundary(poly, pt) and _strictly_inside(poly, pt):
-                return name
-        return None
+        return next((n for n in self.polygons if self._place(n, alpha, beta)[1]), None)
 
     def regions_containing(self, alpha: Rational, beta: Rational) -> list[str]:
         return [n for n in self.polygons if self.contains(n, alpha, beta)]
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    (ax, ay), (bx, by), (px, py) = a, b, p
-    cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-    if cross != 0:
-        return False
-    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-
-
-def _on_polygon_boundary(poly: tuple[Point, ...], p: Point) -> bool:
-    return any(_on_segment(poly[i], poly[(i + 1) % len(poly)], p) for i in range(len(poly)))
-
-
-def _strictly_inside(poly: tuple[Point, ...], p: Point) -> bool:
-    """Even-odd rule with exact rational arithmetic (p not on the boundary)."""
-    px, py = p
-    inside = False
-    for i in range(len(poly)):
-        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % len(poly)]
-        if (ay > py) != (by > py):
-            x_cross = ax + (py - ay) * (bx - ax) / (by - ay)
-            if px < x_cross:
-                inside = not inside
-    return inside
+def _classify(poly: tuple[Point, ...], d: int, X: int | np.ndarray, Y: int | np.ndarray):
+    """(on an edge, strictly inside) for the points (X/d, Y/d) of the
+    polygon, by the signs of integer cross products: exact wherever they
+    fit their integer type.  X and Y are ints, or int arrays that broadcast
+    together; d is a multiple of every vertex denominator.
+    """
+    on = inside = False
+    corners = [(int(a * d), int(b * d)) for a, b in poly]
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        cross = (bx - ax) * (Y - ay) - (by - ay) * (X - ax)  # > 0: the point is left of a -> b
+        on = on | ((cross == 0) & (min(ax, bx) <= X) & (X <= max(ax, bx))
+                   & (min(ay, by) <= Y) & (Y <= max(ay, by)))
+        # even-odd rule: a ray to the right of the point crosses this edge
+        inside = inside ^ (((ay > Y) != (by > Y)) & ((cross > 0) if by > ay else (cross < 0)))
+    return on, inside > on  # inside and not on an edge
 
 
 def figure1_regions(eps_grid: float = 0.01) -> RegionSet:
@@ -276,37 +266,21 @@ def saving_exponents(
     return {name: _exponent(name, alpha, beta) for name in ("E1", "E2", "E3", "E4")}
 
 
-def _float_poly(poly: tuple[Point, ...]) -> np.ndarray:
-    return np.array([[float(a), float(b)] for a, b in poly])
-
-
-def _even_odd_mask(poly: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    inside = np.zeros(a.shape, dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
-        crosses = (ay > b) != (by > b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = ax + (b - ay) * (bx - ax) / np.where(by != ay, by - ay, 1.0)
-        inside ^= crosses & (a < x_cross)
-    return inside
-
-
-def _near_edges(poly: np.ndarray, a: np.ndarray, b: np.ndarray, margin: float) -> np.ndarray:
-    near = np.zeros(a.shape, dtype=bool)
-    n = len(poly)
-    for i in range(n):
-        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
-        dx, dy = bx - ax, by - ay
-        norm2 = dx * dx + dy * dy
-        t = np.clip(((a - ax) * dx + (b - ay) * dy) / norm2, 0.0, 1.0)
-        dist2 = (a - (ax + t * dx)) ** 2 + (b - (ay + t * dy)) ** 2
-        near |= dist2 <= margin * margin
-    return near
+def _panel_patterns(a: np.ndarray, b: np.ndarray) -> dict[str, np.ndarray]:
+    """Where each panel's saving pattern holds, at the points (a, b); the
+    exponents are freed on return, before the integer lattice is built."""
+    tol = 1e-12
+    e1, e2, e3, e4 = saving_exponents(a, b).values()
+    return {
+        "E1": (e1 < tol) & (e1 <= np.minimum(e2, e3) + tol),
+        "E2": (e2 < tol) & (e2 <= np.minimum(e1, e3) + tol),
+        "E3": (e4 < tol) & (e1 >= -tol) & (e2 >= -tol) & (e3 >= -tol),
+        "E4": (e3 < tol) & (e3 <= np.minimum(e1, e2) + tol),
+    }
 
 
 def region_grid_mismatches(
-    regions: RegionSet, eps_grid: float = 0.01, margin: float = 1e-9
+    regions: RegionSet, eps_grid: float = 0.01
 ) -> list[tuple[float, float, str]]:
     """Scan a lattice over [0,1] x [0,2] and report any interior point whose
     saving-exponent pattern contradicts its panel:
@@ -320,36 +294,35 @@ def region_grid_mismatches(
     - E4 panel: third envelope saves and beats the first and second (the
       triangle reaching up to beta = 2).
 
-    Grid points within `margin` of any polygon edge are skipped; panels
-    claim nothing on their shared boundaries.  A lattice of more than
-    LATTICE_POINTS points is refused with ResourceLimitError before
+    Each lattice point (i/n_a, 2j/n_b) is placed against the polygons
+    exactly, and points on any polygon edge are skipped: panels claim
+    nothing on their shared boundaries.  The exponents are read at the
+    float lattice of np.linspace.  A lattice of more than LATTICE_POINTS
+    points is refused with ResourceLimitError, and a step of 2 or more, or
+    one whose cross products could pass int64, with ValueError, before
     anything is allocated.
     """
     n_a = int(round(1 / eps_grid))
     n_b = int(round(2 / eps_grid))
+    if n_a < 1:  # no lattice step i/n_a: a = 0 alone
+        raise ValueError(f"grid step must be below 2, got {eps_grid}")
     points = (n_a + 1) * (n_b + 1)
     _check_budget(points, f"a lattice of step {eps_grid}", LATTICE_POINTS, "point")
+    polys = regions.polygons
+    coords = [c for poly in polys.values() for v in poly for c in v]
+    d = math.lcm(n_a, n_b, *(c.denominator for c in coords))
+    reach = max([2 * d] + [abs(c) * d for c in coords])
+    if 8 * reach * reach >= 1 << 63:  # |cross| <= 2 * (2 reach)^2
+        raise ValueError(f"a lattice of step {eps_grid} against these polygons passes int64")
     av = np.linspace(0.0, 1.0, n_a + 1)
     bv = np.linspace(0.0, 2.0, n_b + 1)
-    a, b = (g.ravel() for g in np.meshgrid(av, bv))
-    polys = {name: _float_poly(p) for name, p in regions.polygons.items()}
-    near = np.zeros(a.shape, dtype=bool)
-    for poly in polys.values():
-        near |= _near_edges(poly, a, b, margin)
-
-    tol = 1e-12
-    e1, e2, e3, e4 = saving_exponents(a, b).values()
-    ok_by_name = {
-        "E1": (e1 < tol) & (e1 <= np.minimum(e2, e3) + tol),
-        "E2": (e2 < tol) & (e2 <= np.minimum(e1, e3) + tol),
-        "E3": (e4 < tol) & (e1 >= -tol) & (e2 >= -tol) & (e3 >= -tol),
-        "E4": (e3 < tol) & (e3 <= np.minimum(e1, e2) + tol),
-    }
+    ok_by_name = _panel_patterns(*np.meshgrid(av, bv))
+    X = np.arange(n_a + 1, dtype=np.int64) * (d // n_a)
+    Y = np.arange(n_b + 1, dtype=np.int64)[:, None] * (2 * d // n_b)
+    classified = {name: _classify(poly, d, X, Y) for name, poly in polys.items()}
+    on_edge = np.logical_or.reduce([on for on, _ in classified.values()])
     bad: list[tuple[float, float, str]] = []
-    for name, poly in polys.items():
-        inside = _even_odd_mask(poly, a, b) & ~near
-        wrong = inside & ~ok_by_name[name]
-        for i in np.nonzero(wrong)[0]:
-            bad.append((float(a[i]), float(b[i]), f"saving pattern breaks panel {name}"))
+    for name, (_, inside) in classified.items():
+        for j, i in zip(*np.nonzero(inside & ~on_edge & ~ok_by_name[name])):
+            bad.append((float(av[i]), float(bv[j]), f"saving pattern breaks panel {name}"))
     return bad
-

@@ -120,8 +120,9 @@ DEFAULT_SEGMENT = 1 << 22
 # before anything the budget guards is allocated or run.
 # Memory: an array sized from an argument holds at most MAX_SEGMENT entries,
 # a Python list sized from one at most MAX_LIST items, and the optimizer's
-# region lattice at most LATTICE_POINTS points (its 8.0M points at eps_grid
-# 5e-4 take about 770 MiB).
+# region lattice at most LATTICE_POINTS points (figure1_regions at eps_grid
+# 5e-4, 8.0M points, peaks at 733 MiB traced and 764 MiB RSS, and takes
+# 2.4-3.2 s on a 2-core Xeon).
 MAX_SEGMENT = 1 << 26
 MAX_LIST = 1 << 20
 LATTICE_POINTS = 1 << 23

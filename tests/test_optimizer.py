@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +21,9 @@ from friable_sums.optimizer import (
     saving_exponents,
     two_peaks_regime,
 )
+from friable_sums import optimizer
 from friable_sums.sieve import ResourceLimitError
+from oracles import point_in_polygon
 
 
 def eta_grid_min(omega, alpha, beta, step=1e-5):
@@ -267,6 +270,114 @@ def test_region_grid_cross_check_is_clean():
     assert region_grid_mismatches(regions, eps_grid=0.005) == []
 
 
+def assert_queries_match_the_oracle(regions, points):
+    for a, b in points:
+        inside = []
+        for name, poly in regions.polygons.items():
+            on, strictly = point_in_polygon(poly, (a, b))
+            assert regions.on_boundary(name, a, b) is on, (name, a, b)
+            assert regions.contains(name, a, b) is (on or strictly), (name, a, b)
+            inside += [name] if strictly else []
+        assert len(inside) <= 1
+        assert regions.locate(a, b) == (inside[0] if inside else None), (a, b)
+
+
+def test_region_queries_match_the_oracle_at_vertices_and_edge_midpoints():
+    regions = RegionSet(polygons=dict(REGION_VERTICES))
+    points = []
+    for poly in REGION_VERTICES.values():
+        for k, (a, b) in enumerate(poly):
+            c, d = poly[k - 1]
+            points += [(a, b), ((a + c) / 2, (b + d) / 2)]
+    assert_queries_match_the_oracle(regions, points)
+
+
+def test_region_queries_match_the_oracle_past_the_chart_on_a_1_400_grid():
+    rng = random.Random(41)
+    points = [(F(rng.randrange(-40, 441), 400), F(rng.randrange(-40, 881), 400))
+              for _ in range(3000)]
+    assert_queries_match_the_oracle(RegionSet(polygons=dict(REGION_VERTICES)), points)
+
+
+def test_region_queries_are_exact_just_off_an_edge_past_int64_denominators():
+    points = [(F(1, 3) + F(1, 10**30), F(1, 3)), (F(1, 3) - F(1, 10**30), F(1, 3)),
+              (F(1, 3), F(1, 3) + F(1, 10**25))]
+    for poly in REGION_VERTICES.values():
+        for k, (a, b) in enumerate(poly):
+            c, d = poly[k - 1]
+            mid = ((a + c) / 2, (b + d) / 2)
+            for e in (F(1, 10**30), F(-1, 10**25), F(3, 2**70 + 1)):
+                points += [(mid[0] + e, mid[1]), (mid[0], mid[1] + e)]
+    assert max(max(a.denominator, b.denominator) for a, b in points) > 2**63
+    assert_queries_match_the_oracle(RegionSet(polygons=dict(REGION_VERTICES)), points)
+
+
+def interior_points_reported(regions, eps_grid, monkeypatch):
+    """Every lattice point the cross-check holds to a panel, by panel: with
+    no saving pattern holding anywhere, each one is reported."""
+    monkeypatch.setattr(optimizer, "_panel_patterns", lambda a, b: {
+        name: np.zeros(a.shape, dtype=bool) for name in regions.polygons})
+    n_a, n_b = round(1 / eps_grid), round(2 / eps_grid)
+    reported = {name: set() for name in regions.polygons}
+    for a, b, why in region_grid_mismatches(regions, eps_grid=eps_grid):
+        reported[why.split()[-1]].add((F(round(a * n_a), n_a), F(round(b * n_b), n_b)))
+    return reported
+
+
+def oracle_interior_points(regions, eps_grid):
+    n_a, n_b = round(1 / eps_grid), round(2 / eps_grid)
+    lattice = [(F(i, n_a), F(2 * j, n_b)) for j in range(n_b + 1) for i in range(n_a + 1)]
+    places = {p: [point_in_polygon(poly, p) for poly in regions.polygons.values()]
+              for p in lattice}
+    on_edge = {p for p, place in places.items() if any(on for on, _ in place)}
+    return on_edge, {name: {p for p in lattice if places[p][k][1] and p not in on_edge}
+                     for k, name in enumerate(regions.polygons)}
+
+
+# a square and a triangle whose edge b = 2a crosses the square's interior
+OVERLAPPING = {"E1": ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))),
+               "E2": ((F(0), F(0)), (F(1), F(2)), (F(0), F(2)))}
+
+
+@pytest.mark.parametrize("polygons", [REGION_VERTICES, OVERLAPPING])
+def test_region_lattice_sets_match_the_oracle(polygons, monkeypatch):
+    regions = RegionSet(polygons=dict(polygons))
+    on_edge, interiors = oracle_interior_points(regions, 0.01)
+    assert interior_points_reported(regions, 0.01, monkeypatch) == interiors
+    # the lattice point (i/100, 2j/200) is (i s/d, j s/d), with s = d/100
+    d = math.lcm(100, 200, *(c.denominator for poly in polygons.values() for v in poly for c in v))
+    X, Y = np.arange(101) * (d // 100), np.arange(201)[:, None] * (d // 100)
+    edge = np.logical_or.reduce([optimizer._classify(poly, d, X, Y)[0]
+                                 for poly in polygons.values()])
+    assert {(F(int(X[i]), d), F(int(Y[j, 0]), d)) for j, i in zip(*np.nonzero(edge))} == on_edge
+    if polygons is REGION_VERTICES:
+        assert len(on_edge) == 595
+        assert [len(s) for s in interiors.values()] == [1835, 7120, 1906, 3234]
+
+
+@pytest.mark.parametrize("den, refused", [(26843543, False), (26843549, True)])
+def test_a_lattice_whose_cross_products_pass_int64_is_refused_before_allocating(
+        den, refused, monkeypatch):
+    # the lattice (i/10, j/10) and this triangle scale by d = 20 * den, and
+    # every coordinate to at most 2 d, 2^30 - 104 or 2^30 + 136: cross
+    # products bounded by 8 (2 d)^2, just under 2^63 or past it
+    triangle = ((F(0), F(0)), (F(1), F(1, den)), (F(1, den), F(2)))
+    regions = RegionSet(polygons={"E1": triangle})
+    if not refused:
+        _, interiors = oracle_interior_points(regions, 0.1)
+        assert len(interiors["E1"]) == 90
+        assert interior_points_reported(regions, 0.1, monkeypatch) == interiors
+        return
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the lattice was allocated before its products were bounded")
+
+    for name in ("linspace", "arange", "meshgrid"):
+        monkeypatch.setattr(np, name, fail)
+    with pytest.raises(ValueError, match="passes int64"):
+        region_grid_mismatches(regions, eps_grid=0.1)
+
+
 def test_saving_exponent_signs_at_reference_points():
     # quad interior: only the fourth envelope saves
     exps = saving_exponents(0.7, 1.2)
@@ -284,11 +395,18 @@ def test_figure1_regions_validates_grid_argument():
         figure1_regions(eps_grid=0.1)
 
 
+@pytest.mark.parametrize("eps_grid", [2.0, 3.0, -0.5, float("inf")])
+def test_a_region_lattice_without_a_second_column_is_refused(eps_grid):
+    with pytest.raises(ValueError, match="grid step"):
+        region_grid_mismatches(RegionSet(polygons=dict(REGION_VERTICES)), eps_grid=eps_grid)
+
+
 def test_region_lattice_past_its_point_budget_is_refused_before_allocating(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the lattice was allocated before its size was checked")
 
-    monkeypatch.setattr(np, "linspace", fail)
+    for name in ("linspace", "arange", "meshgrid"):
+        monkeypatch.setattr(np, name, fail)
     regions = RegionSet(polygons=dict(REGION_VERTICES))
     # 2,000,001 x 1,000,001 points at 1e-6; the 5e-4 lattice (8.0M) still runs
     for call in (lambda: figure1_regions(eps_grid=1e-6),

@@ -34,7 +34,11 @@ terms);
 `moment_count`, one cell of it with (M + 1)^k > 2^62, past int64; the bound
 envelopes FT, THM1 and E1-E4 (default eps and delta) on an (x, y, q) grid;
 the leading exponents E1-E4 of `optimizer.saving_exponents` on a 201 x
-401 (alpha, beta) grid over [0, 1] x [0, 2]; and the prime tables,
+401 (alpha, beta) grid over [0, 1] x [0, 2]; the relevance chart's exact
+answers, `locate` and `on_boundary` for each panel, on the 41 x 81
+lattice (i/40, j/40), at every vertex and at 200 seeded rationals with
+denominators up to 10^6 around [0, 1] x [0, 2], and the mismatches of
+`region_grid_mismatches` at eps_grid 0.002; and the prime tables,
 `primes_upto` at every n up to 2000, around the sieve's segment edges
 (2^22 - 1, 2^22, 2^22 + 1, 3 * 2^22 + 5) and at the 2^26 budget and one
 past it, and `primes_between` on windows with NaN, infinite, negative,
@@ -49,7 +53,8 @@ at 5.04.  The run passes when
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
 * the prime convolutions, those complete sums, the residue powers and
-  their sums, the moment counts, the regrouping weights, the prime tables (and their refusals), the Rankin
+  their sums, the moment counts, the regrouping weights, the chart's
+  answers, the prime tables (and their refusals), the Rankin
   bounds and the plans are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
 * each envelope is within 1e-15 of the base tree's, relative, and
@@ -64,8 +69,10 @@ import cmath
 import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -212,6 +219,26 @@ def evaluate(src: str) -> dict[str, dict]:
     alpha, beta = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 2.0, 401))
     for name, e in optimizer.saving_exponents(alpha, beta).items():
         out[f"exponents/{name}"] = {"value": e.ravel().tolist(), "terms": 0, "check": "exact"}
+    chart = optimizer.RegionSet(polygons=dict(optimizer.REGION_VERTICES))
+
+    def places(points):  # locate, then on_boundary for each panel, at each point
+        return [[chart.locate(a, b)] + [chart.on_boundary(name, a, b) for name in chart.polygons]
+                for a, b in points]
+
+    rng = random.Random(36)
+    rationals = []
+    for _ in range(200):
+        den = rng.randrange(1, 10**6 + 1)
+        rationals.append((Fraction(rng.randrange(-den // 10, 11 * den // 10 + 1), den),
+                          Fraction(rng.randrange(-den // 10, 21 * den // 10 + 1), den)))
+    for key, points in (("lattice/40", [(Fraction(i, 40), Fraction(j, 40))
+                                        for j in range(81) for i in range(41)]),
+                        ("vertices", [v for poly in chart.polygons.values() for v in poly]),
+                        ("rationals", rationals)):
+        out[f"chart/{key}"] = {"value": places(points), "terms": len(points), "check": "exact"}
+    out["chart/mismatches/eps=0.002"] = {
+        "value": optimizer.region_grid_mismatches(chart, eps_grid=0.002), "terms": 0,
+        "check": "exact"}
 
     def table(call):  # a prime table as its size, dtype and digest, or what it raises
         try:
