@@ -13,6 +13,7 @@ that table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,12 @@ def _exponent(
     name: str, alpha: float | np.ndarray, beta: float | np.ndarray
 ) -> float | np.ndarray:
     """Leading exponent in x of the envelope `name` at y = x^alpha, q =
-    x^beta: the largest over its terms of the least monomial exponent.
+    x^beta: the largest over its terms of the least monomial exponent,
+    folded pairwise, so that no stack of every term's array is built.
     """
-    return np.maximum.reduce([np.minimum.reduce([a + b * alpha + c * beta for a, b, c in term])
-                              for term in _TERMS[name]])
+    return functools.reduce(np.maximum, (
+        functools.reduce(np.minimum, (a + b * alpha + c * beta for a, b, c in term))
+        for term in _TERMS[name]))
 
 
 def envelope_ft(x: float, y: float, q: int) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds, decomp, optimizer, sieve, sums
 from .arith import floor_int
-from .sieve import ResourceLimitError, _check_budget, build_sieve, primes_upto, psi, usable_cpus
+from .sieve import ResourceLimitError, _check_budget, build_sieve, primes_upto, psi
 
 CSV_VERSION_LINE = "# friable-sums v1"
 EXIT_OK = 0
@@ -280,14 +280,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return [_report_row(bounds._with_envelopes(p, v, args.eps, args.delta))
                 for p, v in zip(group, values)]
 
-    workers = min(args.threads, usable_cpus())
-    if args.threads > 1 and len(groups) >= workers:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = [row for part in pool.map(run, groups) for row in part]
-    else:  # fewer passes than workers: each pass runs its segments on the threads
-        rows = [row for group in groups for row in run(group, args.threads)]
+    # a pass per thread; fewer passes than threads each run their segments on them
+    rows = [row for part in sieve._pool_map(run, groups, args.threads, nested=True) for row in part]
 
     if args.format == "json":
         _emit([json.dumps(rows)], args.output)

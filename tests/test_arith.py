@@ -109,6 +109,16 @@ def test_factorize_and_divisors_roundtrip():
             prod *= p**e
         assert prod == n
         assert len(divisors_from(factorize(n))) == divisor_count(n)
+    for n in (0, -12):
+        with pytest.raises(ValueError, match="cannot factor"):
+            factorize(n)
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            divisor_count(n)
+
+
+def test_is_prime_against_trial_division():
+    for n in range(-5, 2000):  # no n < 2 is prime
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
 
 
 def test_e_frac_matches_eq_phase_on_rationals():

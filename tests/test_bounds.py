@@ -156,6 +156,9 @@ def test_l_factor_values():
     x = 1024.0
     assert l_factor(x, 3 / 7 + 1 / x, 3, 7).value == pytest.approx(2.0, rel=1e-9)
     assert l_factor(1e6, 1 / 3 + 1e-3, 1, 3).value == pytest.approx(1001.0, rel=1e-9)
+    for q in (0, -7):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            l_factor(1e6, 0.5, 1, q)
 
 
 def test_cor14_range_branches():

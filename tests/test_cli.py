@@ -29,12 +29,17 @@ def test_splitmix_is_deterministic_and_uniformish():
     draws = [SplitMix64(7).unit_mod(12) for _ in range(1)]
     assert all(math.gcd(d, 12) == 1 for d in draws)
     assert SplitMix64(1).unit_mod(1) == 0
+    assert SplitMix64(3).below(1) == 0
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n >= 1"):
+            SplitMix64(3).below(n)
 
 
 def test_parse_grid_forms():
     assert resolve_grid(parse_grid("1e3,2e3"), 0) == [1000.0, 2000.0]
     geom = resolve_grid(parse_grid("geom:10:1000:3"), 0)
     assert geom == pytest.approx([10.0, 100.0, 1000.0])
+    assert resolve_grid(parse_grid("geom:10:1000:1"), 0) == [10.0]  # its lo alone
     assert resolve_grid(parse_grid("x^0.5"), 100.0) == [10.0]
     with pytest.raises(ValueError):
         parse_grid("geom:10:1:5")
@@ -331,7 +336,7 @@ def test_thread_pools_are_capped_at_the_usable_cpus(tmp_path, monkeypatch, cpus)
     argv = ["scan", "--x-grid", "1e3,2e3", "--y-grid", "10", "--q-grid", "101",
             "--output", str(out), "--threads", "64"]
     assert main(argv) == 0
-    assert sizes == [cpus]
+    assert sizes == ([] if cpus == 1 else [cpus])  # one rule: no pool of one thread
 
 
 def test_stray_overflow_maps_to_usage_exit(capsys, monkeypatch):
@@ -361,6 +366,9 @@ def test_sieve_command(capsys):
     table = {(float(a), float(b)): int(c) for a, b, c in (r.split(",") for r in rows)}
     assert table[(10.0, 2.0)] == 4
     assert table[(30.0, 5.0)] == 18
+    code, out, _ = run(capsys, ["sieve", "--x-grid", "10,30", "--y-grid", "2,5", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == [{"x": x, "y": y, "psi": c} for (x, y), c in table.items()]
 
 
 def test_scan_grid_row_count_and_determinism(tmp_path, capsys):
@@ -440,7 +448,7 @@ def test_single_cell_scan_runs_its_pass_on_the_threads(capsys, monkeypatch):
         return histogram(*args)
 
     monkeypatch.setattr(sums, "smooth_histogram", recording)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(sieve, "usable_cpus", lambda: 2)
     outs = []
     for threads in ("1", "2"):
         code, out, _ = run(capsys, argv + ["--threads", threads])

@@ -64,6 +64,9 @@ def test_w_split_errors():
         w_split(7, 8)
     with pytest.raises(ValueError, match="n=1"):
         w_split(1, 1)
+    for n, w in ((0, 2), (-3, 2), (5, 0.5)):
+        with pytest.raises(ValueError, match="need n >= 1 and w >= 1"):
+            w_split(n, w)
 
 
 def test_w_split_invariants_random():
@@ -195,6 +198,14 @@ def test_split_partition_regrouped_side_matches_the_fiber_oracle(x, w, y_of):
     assert abs(direct - want) <= 1e-12 * max(1, fibers)
     # f = 1 counts the fibers exactly
     assert split_partition_sums(ones_map, x, y, w)[1] == fibers
+
+
+def test_split_partition_refuses_a_sieve_short_of_one_to_x():
+    for fs in (build_sieve(2, 200), build_sieve(1, 99)):  # not from 1; short of x = 100.5
+        with pytest.raises(ValueError, match="covering"):
+            split_partition_sums(ones_map, 100.5, 10, 3, fs)
+    assert split_partition_sums(ones_map, 100.5, 10, 3, build_sieve(1, 100)) == \
+        split_partition_sums(ones_map, 100.5, 10, 3)
 
 
 def test_split_partition_counting_form():
@@ -348,6 +359,9 @@ def test_vaughan_prime_case_reduces_to_log():
 def test_vaughan_various_cutoffs():
     for u, v in [(1, 1), (5, 5), (10, 20), (50, 3)]:
         assert vaughan_lambda_check(800, u, v)
+    for u, v in [(0.5, 5), (5, 0), (-1, -1)]:
+        with pytest.raises(ValueError, match="need u, v >= 1"):
+            first_vaughan_counterexample(800, u, v)
 
 
 def vaughan_oracle(n_max, u, v, tol=1e-9):
@@ -448,6 +462,9 @@ def test_heath_brown_j1_is_mobius_log_inversion():
 def test_heath_brown_range_error():
     with pytest.raises(ValueError, match="identity range"):
         first_heath_brown_counterexample(1000, 2, 10)
+    for J in (0, -1):
+        with pytest.raises(ValueError, match="need J >= 1"):
+            first_heath_brown_counterexample(1000, J, 10)
 
 
 def test_heath_brown_cutoff_is_sharp_for_the_range_check():

@@ -54,6 +54,10 @@ def test_build_sieve_prime_segment():
     fs = build_sieve(97, 97)
     assert fs.lpf_of(97) == 97
     assert fs.spf_of(97) == 97
+    for n in (96, 98):
+        for lookup in (fs.lpf_of, fs.spf_of):
+            with pytest.raises(ValueError, match="outside sieve segment"):
+                lookup(n)
 
 
 def test_build_sieve_segment_matches_anchored():
@@ -129,8 +133,9 @@ def test_smooth_members_against_trial_division_oracle():
         lpf[n] = trial_largest_prime_factor(n)
     for y in (2, 3, 5, 7, 11, 31, 97):
         expected = [n for n in range(1, x + 1) if lpf[n] <= y]
-        got = smooth_members(x, y).members.tolist()
-        assert got == expected
+        got = smooth_members(x, y)
+        assert got.members.tolist() == expected
+        assert got.psi == len(expected) == psi(x, y)
 
 
 def test_psi_hand_values():
@@ -277,6 +282,10 @@ def test_factorize_from_sieve():
     assert fs.factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert fs.factorize(97) == [(97, 1)]
     assert fs.factorize(1) == []
+    with pytest.raises(ValueError, match="outside sieve segment"):
+        fs.factorize(361)
+    with pytest.raises(ValueError, match="anchored at lo=1"):
+        build_sieve(2, 360).factorize(360)
 
 
 # ---------------------------------------------------------------------------

@@ -461,6 +461,9 @@ def test_prime_convolution_matches_naive_loop_at_unit_and_composite_moduli(cell,
 def test_prime_convolution_empty_range():
     v = sum_prime_convolution(1, 100, 100, 7, 1)
     assert v.value == 0 and v.terms == 0
+    for j in (0, -2):
+        with pytest.raises(ValueError, match="need j >= 1"):
+            sum_prime_convolution(j, 100, 10, 7, 1)
 
 
 def test_prime_convolution_hand_example():
@@ -556,6 +559,9 @@ def test_moment_count_diagonal_only():
 
 def test_moment_count_hand_example():
     assert moment_count(1, 2, 5, 2) == 5
+    for k, M in ((0, 2), (1, 0), (-1, -1)):
+        with pytest.raises(ValueError, match="need k, M >= 1"):
+            moment_count(k, 2, 5, M)
 
 
 def test_moment_count_matches_naive_loop():

@@ -48,7 +48,13 @@ bound over four of them; and `smooth_plan`'s plans (segment count, first
 and last bounds, floor(y) and the number of sieving primes) on an (x, y)
 grid across its listing price, with the cells whose B * pi(y) / x lies
 within 0.1 of the ratio 5, as (202715677, 141) at 5.05 and (6956747, 74)
-at 5.04.  The run passes when
+at 5.04.  Then come the command-line cells of `CLI`, each run in a fresh
+`python -m friable_sums.cli` process on each tree: `verify` at its default
+sizes and at eight larger ones, the `phases` workload's two threaded
+`scan`s (nu = -1 and 3), 13 `sum` and `sieve` cells around the
+histogram's segment edges, cutoffs and log-sum certificate, and 12
+bad or oversized requests (11 refused, and `optimize` in its trivial
+regime, which answers); the table gives each one's reason.  The run passes when
 
 * every cell has the same `terms` (and `moment_count` the same count),
 * |value difference| <= 1e-14 * max(1, terms) for the sums,
@@ -57,10 +63,14 @@ at 5.04.  The run passes when
   answers, the prime tables (and their refusals), the Rankin
   bounds and the plans are bit-identical, and the exponents equal as floats
   (a zero exponent may change sign: 0.0 == -0.0),
-* each envelope is within 1e-15 of the base tree's, relative, and
-* in each tree, threads 1 and 2 give bit-identical sums.
+* each envelope is within 1e-15 of the base tree's, relative,
+* in each tree, threads 1 and 2 give bit-identical sums, and
+* each command-line cell gives the base tree's exit code and stdout byte
+  for byte (stderr is not compared), and in each tree the exit code that
+  `CLI` lists for it: 0 for a run, 2 or 3 for a refusal.
 
-Prints one line per failing cell and a summary; exits 1 on any failure.
+Prints one line per failing cell, a summary, and the code lines of both
+trees (see code_lines.py); exits 1 on any failure.
 """
 
 from __future__ import annotations
@@ -69,11 +79,14 @@ import cmath
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+from code_lines import code_lines
 
 HERE = Path(__file__).resolve().parent
 Q_GRID = (1, 3600, 4099, 10007, 1_000_003, (1 << 24) + 43, (1 << 32) + 15, 1 << 40)
@@ -92,6 +105,58 @@ PLAN_GRID += [(202715677, 141), (6956747, 74), (6862522, 75), (12685812, 88), (7
               (253453421, 149), (478432243, 164), (214184230, 142)]
 TOLERANCE = 1e-14
 ENVELOPE_TOLERANCE = 1e-15
+_SCAN = "scan --x-grid geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 2 --threads 2 --seed 1"
+# The command-line cells: (argv, the exit code each tree must give, why the
+# cell is here).  The histogram folds each segment's mask of odd n into one
+# accumulator and lifts it at every cutoff x / 2^a, inside a segment or at
+# its end; the uint8 log sums count every segment after the first where
+# y^2 <= x and their certificate holds (y >= 5 at x = 3e6 and 1e7, y >= 7
+# at 1e8), smooth parts elsewhere.
+CLI = (
+    ("verify", 0, "every suite at its default size"),
+    ("verify --suite regroup --x 1e5", 0, "diagonal_terms, an exact count from the prime-tuple walk"),
+    ("verify --suite buchstab --x 1e5 --y 7 --r 6 --seed 1", 0,
+     "every Buchstab correction up to r = 6, recombined on three seeded (a, q)"),
+    ("verify --suite wsplit --x 1e5", 0, "the split counts' array pass at 5x the benchmark's size"),
+    ("verify --suite weil --x 499", 0, "the identities workload's size"),
+    ("verify --suite weil --x 1500", 0, "complete sums up to q = 1499 per term"),
+    ("verify --suite partition --x 1e6 --y 100", 0, "sums over tens of thousands of split fibers"),
+    ("verify --suite regroup --x 6.7e7 --y 6e7", 0, "weights counted from the primes above y, unsieved"),
+    ("verify --suite regroup --x 1e6 --y 7", 0,
+     "about 1.7 million multiples m * p, just under the list budget"),
+    (f"{_SCAN} --nu -1", 0, "the phases workload's threaded scan at nu = -1"),
+    (f"{_SCAN} --nu 3", 0, "and at nu = 3"),
+    ("sum --x 3e6 --y 300 --q 16777259 --a 5 --nu -1", 0, "the direct path (q > 2^23) at nu = -1"),
+    ("sum --x 1e6 --y 100 --q 4294967311 --a 3 --nu -1", 0, "a q past 2^31, whose inverses are Python ints"),
+    ("sum --x 1e8 --y 1e4 --q 1000003 --a 5", 0, "y^2 = x, the log sums' first cell"),
+    ("sum --x 3e7 --y 1e3 --q 65536 --a 3", 0, "the even q = 2^16"),
+    ("sieve --x-grid 16777215,16777216,16777217,1e7 --y-grid 1,2,13,3162,5000", 0,
+     "x = 2^24 - 1 .. 2^24 + 1, where the cutoffs 2^23 and 2^24 end segments"),
+    ("sieve --x-grid 3e6,4194303,4194304,4194305 --y-grid 2,3,300,1e4", 0,
+     "below and just past one default segment (2^22)"),
+    ("sum --x 3e6 --y 300 --q 1999999 --a 2", 0, "a sum below one default segment"),
+    ("sum --x 3e6 --y 300 --q 1048576 --a 3", 0, "and there at the power of two q = 2^20"),
+    ("sieve --x-grid 3e6,1e7 --y-grid 2,3,4,5,7,8,1732,1733,3162,3163", 0,
+     "y = 2 .. 8 straddle the certificate's least y; 1732 | 1733 and 3162 | 3163 straddle y^2 <= x"),
+    ("sum --x 1e8 --y 10001 --q 1000003 --a 5", 0, "just past y^2 = x, beside the (1e8, 1e4) cell"),
+    ("sieve --x-grid 4194305,8388607,12582913,25165823 --y-grid 2,7,1000,5000", 0,
+     "x = 2^22 + 1, 2^23 - 1, 3 * 2^22 + 1 and 6 * 2^22 - 1, whose cutoffs fall inside segments"),
+    ("sum --x 5e7 --y 1e3 --q 999983 --a 2 --threads 2", 0, "segments on 2 threads"),
+    ("sum --x 3e7 --y 300 --q 131072 --a 3 --threads 2", 0, "and there at the even q = 2^17"),
+    ("sum --x 1e6 --y 10 --q 0", 2, "q < 1"),
+    ("sum --x inf --y 10 --q 7", 2, "an infinite x"),
+    ("sieve --x-grid geom:1:10 --y-grid 10", 2, "a geometric grid without its count"),
+    ("sieve --x-grid 1e17 --y-grid 6e7", 3, "a plan that x and y rule out before primes are listed"),
+    ("scan --x-grid 1e4 --y-grid 10 --q-grid x^nan", 2, "a NaN modulus"),
+    ("scan --x-grid 1e9 --y-grid 100 --q-grid 101 --budget 1e6", 3, "past --budget"),
+    ("scan --x-grid 1e4 --y-grid 10 --q-grid 1e30 --budget 1", 2, "a bad cell, refused before the budget"),
+    ("verify --suite vaughan --x 1e30", 3, "a table past the segment budget"),
+    ("verify --suite weil --x 5000", 3, "past the work budget, priced from the primes up to 2^12"),
+    ("regions --eps-grid 1e-6", 3, "a lattice past LATTICE_POINTS"),
+    ("optimize --alpha nan --beta 0.5", 2, "a NaN alpha"),
+    ("optimize --alpha 0.9 --beta 1.5", 0, "the trivial regime, answered rather than refused"),
+)
+EXITS = {f"cli/{argv}": code for argv, code, _ in CLI}
 
 
 def _pair(z: complex) -> list[float]:
@@ -299,13 +364,26 @@ def compare(base: dict[str, dict], new: dict[str, dict]) -> list[str]:
         for key, cell in cells.items():
             if key.endswith("/t=1") and cells[key[:-1] + "2"] != cell:
                 bad.append(f"{tree} {key}: threads 1 and 2 differ")
+            if key in EXITS and cell["value"][0] != EXITS[key]:
+                bad.append(f"{tree} {key}: exit {cell['value'][0]}, not {EXITS[key]}")
     return bad
 
 
 def run(src: str) -> dict[str, dict]:
+    """Every cell on the tree at `src`: the grid in one process, then each
+    command-line cell in one of its own (its stderr shown for a run, not for
+    a refusal)."""
     proc = subprocess.run([sys.executable, __file__, "--evaluate", src],
                           check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout)
+    cells = json.loads(proc.stdout)
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, code, _ in CLI:
+        proc = subprocess.run([sys.executable, "-m", "friable_sums.cli", *argv.split()], cwd=src,
+                              env=env, stdout=subprocess.PIPE,
+                              stderr=None if code == 0 else subprocess.DEVNULL)
+        cells[f"cli/{argv}"] = {"value": [proc.returncode, proc.stdout], "terms": 0,
+                                "check": "exact"}
+    return cells
 
 
 def main(argv: list[str]) -> int:
@@ -315,8 +393,8 @@ def main(argv: list[str]) -> int:
     if len(argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
         return 2
-    base = run(str(Path(argv[1]).resolve()))
-    new = run(str(Path(argv[2]).resolve()) if len(argv) == 3 else str(HERE.parent / "src"))
+    srcs = [Path(argv[1]).resolve(), Path(argv[2]).resolve() if len(argv) == 3 else HERE.parent / "src"]
+    base, new = (run(str(src)) for src in srcs)
     bad = compare(base, new)
     for line in bad:
         print(line)
@@ -324,6 +402,8 @@ def main(argv: list[str]) -> int:
                 for k in base.keys() & new.keys() if base[k]["check"] == "sum")
     print(f"{len(base)} cells, {len(bad)} failures, "
           f"largest |delta| / max(1, terms) = {worst:.3g}")
+    base_lines, new_lines = (sum(map(code_lines, (src / "friable_sums").glob("*.py"))) for src in srcs)
+    print(f"code lines (tools/code_lines.py): base {base_lines}, new {new_lines}")
     return 1 if bad else 0
 
 
