@@ -323,9 +323,13 @@ def _suite_buchstab(args) -> tuple[bool, str]:
 
 
 def _phase_map(q: int, a: int) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> e_q(a * n), gathered by a * n mod q from the q values made once,
+    the same bits as making them per n (every caller's q is below 10^3)."""
+    ang = (2.0 * math.pi / q) * np.arange(q)
+    table = np.cos(ang) + 1j * np.sin(ang)
+
     def f(n: np.ndarray) -> np.ndarray:
-        ang = (2.0 * math.pi / q) * ((a % q) * (n % q) % q)
-        return np.cos(ang) + 1j * np.sin(ang)
+        return table[(a % q) * (n % q) % q]
 
     return f
 

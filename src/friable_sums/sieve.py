@@ -126,8 +126,11 @@ DEFAULT_SEGMENT = 1 << 22
 MAX_SEGMENT = 1 << 26
 MAX_LIST = 1 << 20
 LATTICE_POINTS = 1 << 23
-# Work, in phase terms (one e_q value summed, 66-106 ns on a 2-core Xeon):
-# the weil suite sums at most MAX_WORK of them.  An update of moment_count's
+# Work, in phase terms (one e_q value summed, 66-106 ns on a 2-core Xeon
+# when its cos and sin are taken): the weil suite sums at most MAX_WORK of
+# them.  Its terms gather e_q from a table of q values, 15-20 ns each
+# (`--x 1500` and 3220), so the budget over-prices the suite about fourfold;
+# it stays, and so do its exit-3 cases.  An update of moment_count's
 # fold takes 6.9 ns, so _UPDATES_PER_TERM of them cost one phase term, and
 # the fold makes at most 2^30.
 MAX_WORK = 1 << 26

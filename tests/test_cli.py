@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from friable_sums import bounds, cli, decomp, sieve, sums
@@ -568,6 +569,18 @@ def test_verify_default_suites_pass(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 8
     assert all(": PASS" in l for l in lines)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 101, 997])
+def test_phase_map_is_bit_identical_to_the_per_n_formula(q):
+    # the map gathers e_q from a table of its q values; the bits must be
+    # those of the formula on each n
+    n = np.concatenate([np.arange(300), np.random.default_rng(q).integers(0, 1 << 50, 5000)])
+    for a in (1, 7, 3 * q + 2):
+        ang = (2.0 * math.pi / q) * ((a % q) * (n % q) % q)
+        want = np.cos(ang) + 1j * np.sin(ang)
+        got = cli._phase_map(q, a)(n)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_verify_regroup_refuses_weights_past_the_list_budget_at_once(capsys):

@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friable_sums import cli, optimizer, sieve, sums
-from friable_sums.arith import eq_phase, fsum_complex
+from friable_sums.arith import TWO_PI, eq_phase, fsum_complex
 from friable_sums.sieve import ResourceLimitError
 from friable_sums.sums import (
     SumParams,
-    _phase_sum,
+    _phase_sums,
     complete_monomial_sum,
     moment_count,
     sum_bilinear,
@@ -659,18 +659,99 @@ def test_threads_do_not_change_results():
 
 @pytest.mark.parametrize("weights", ["none", "real", "complex"])
 @pytest.mark.parametrize("n", [0, 1, 65535, 65536, 65537, 150001])
-def test_phase_sum_matches_per_term_fsum(n, weights):
+def test_phase_sums_match_per_term_fsum(n, weights):
     rng = np.random.default_rng(n)
-    turns = rng.random(n)
+    q = (1 << 31) - 1
+    pw = rng.integers(0, q, n)
     w = {
         "none": None,
         "real": rng.integers(1, 1000, n).astype(np.float64),
         "complex": rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5),
     }[weights]
-    terms = np.exp(2j * np.pi * turns) * (1.0 if w is None else w)
-    want = fsum_complex(terms.tolist())
     scale = max(1.0, float(np.abs(w).sum()) if w is not None else n)
-    assert abs(_phase_sum(turns, w) - want) <= 1e-12 * scale
+    for a, got in zip((1, 5), _phase_sums(pw, q, [1, 5], w)):
+        terms = np.exp(2j * np.pi * (a * pw % q / q)) * (1.0 if w is None else w)
+        want = fsum_complex(terms.tolist())
+        assert abs(got - want) <= 1e-12 * scale
+
+
+def _per_a_phase_sum(pw, q, a, w):
+    """The per-a computation the kernel replaced: cos and sin of
+    2 pi (a * pw mod q) / q, _CHUNK at a time on a 1-D array, each chunk
+    summed by numpy and the chunk sums by fsum."""
+    turns, parts = sums._scaled(a, pw, q) / q, []
+    for i in range(0, turns.size, sums._CHUNK):
+        ang = TWO_PI * turns[i : i + sums._CHUNK]
+        c, s = np.cos(ang), np.sin(ang)
+        if w is not None:
+            wr, wi = w[i : i + sums._CHUNK].real, w[i : i + sums._CHUNK].imag
+            c, s = wr * c - wi * s, wr * s + wi * c
+        parts.append(complex(c.sum(), s.sum()))
+    return fsum_complex(parts)
+
+
+# (number of a's, term counts): two a's cross the column chunks one row at a
+# time; 20 and 70 share blocks of rows, and 70 a's over 1000 terms fill one
+# block of 65 rows and start a second; 3 a's share blocks of rows longer than
+# numpy's 8,192-element reduction buffer (6 rows of 10,000, 2 of 30,000)
+_KERNEL_SHAPES = [(1, (0, 1, 65535, 65537, 150001)), (2, (0, 1, 65535, 65537, 150001)),
+                  (3, (10000, 30000)), (20, (0, 1, 1000)), (70, (0, 1, 1000))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 101, 4099, 65521, 65536, 65537, (1 << 31) + 11])
+@pytest.mark.parametrize("nu", [1, 2, 3, -1, -3])
+def test_phase_kernel_is_bit_identical_to_the_per_a_sums(q, nu):
+    # the table path (q <= 2^16, more phases than q) and the direct one give
+    # the bits of the 1-D computation per a, on either side of a chunk
+    rng = np.random.default_rng(q * 10 + nu)
+    for count, sizes in _KERNEL_SHAPES:
+        avals = [a for a in rng.integers(1, 1 << 40, 8 * count).tolist() if math.gcd(a, q) == 1]
+        avals = avals[:count]
+        for n in sizes:
+            members = rng.integers(1, 1 << 40, n)
+            pw, units = sums._monomial_residues(members % q, q, nu)
+            for w in (None, rng.integers(1, 1000, n).astype(np.float64),
+                      rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5)):
+                got = sums._term_sum(members, q, avals, nu, w)
+                kept = pw if units is None else pw[units]
+                wk = w if units is None or w is None else w[units]
+                assert [(v.value, v.terms) for v in got] == [
+                    (_per_a_phase_sum(kept, q, a, wk), kept.size) for a in avals]
+
+
+def _kernel_run(q, count, n):
+    """The tracemalloc peak of one kernel pass, in bytes, and the sizes of
+    the arrays it took cos of."""
+    pw, sizes, cos = np.random.default_rng(1).integers(0, q, n), [], np.cos
+
+    def sized_cos(ang):
+        sizes.append(ang.size)
+        return cos(ang)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(np, "cos", sized_cos):
+            _phase_sums(pw, q, list(range(1, count + 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, sizes
+
+
+def test_phase_kernel_memory_stays_within_one_block():
+    # a block holds _CHUNK phases, whose int64 and float64 arrays take
+    # 512 KiB each: k, its angles, cos and sin of one block and the products
+    # of the next, about six, are alive at once
+    block = sums._CHUNK * 8
+    # 200 a's over 150,001 terms take one row of one column chunk at a time,
+    # as one a does
+    (one, _), (many, sizes) = _kernel_run(65537, 1, 150001), _kernel_run(65537, 200, 150001)
+    assert many < 7 * block and many - one < block / 4 and max(sizes) == sums._CHUNK
+    # 70 a's over 4000 terms: at q = 65521 cos is taken once, of its q
+    # values; at q = 2^16 + 1 no such table is made, only blocks of phases
+    assert _kernel_run(65521, 70, 4000)[1] == [65521]
+    past, sizes = _kernel_run(65537, 70, 4000)
+    assert past < 7 * block and sizes == [16 * 4000] * 4 + [6 * 4000]
 
 
 def test_direct_path_is_identical_at_one_and_two_threads():

@@ -18,6 +18,9 @@ denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
 `complete_monomial_sum`, bit-identical at q = 65537 and 100003 (one and
 more phase chunks of 2^16 terms), nu in {-3, -1, 2, 5} and a in {1, 3};
+`sums._complete_sum` for the weil suite's a = 1 .. 20 in one pass,
+bit-identical, at q in {2, 3, 499, 3217, 65521, 65537} (all but the last
+gathering from a table of e_q) and nu in {2, ..., 6, -1};
 `sum_prime_convolution`, one cell of it with
 products of four primes past 2^80; `buchstab_expand` (each correction, in
 both orderings, up to r = 6, and at (1e6, 100, r = 3), whose prime-tuple
@@ -50,8 +53,9 @@ grid across its listing price, with the cells whose B * pi(y) / x lies
 within 0.1 of the ratio 5, as (202715677, 141) at 5.05 and (6956747, 74)
 at 5.04.  Then come the command-line cells of `CLI`, each run in a fresh
 `python -m friable_sums.cli` process on each tree: `verify` at its default
-sizes and at eight larger ones, the `phases` workload's two threaded
-`scan`s (nu = -1 and 3), 13 `sum` and `sieve` cells around the
+sizes and at nine larger ones, the `phases` workload's two threaded
+`scan`s (nu = -1 and 3), a `scan` of eight a's per pass at q = 101 and
+4099, 13 `sum` and `sieve` cells around the
 histogram's segment edges, cutoffs and log-sum certificate, and 12
 bad or oversized requests (11 refused, and `optimize` in its trivial
 regime, which answers); the table gives each one's reason.  The run passes when
@@ -120,12 +124,15 @@ CLI = (
     ("verify --suite wsplit --x 1e5", 0, "the split counts' array pass at 5x the benchmark's size"),
     ("verify --suite weil --x 499", 0, "the identities workload's size"),
     ("verify --suite weil --x 1500", 0, "complete sums up to q = 1499 per term"),
+    ("verify --suite weil --x 3220", 0, "the largest size the work budget admits"),
     ("verify --suite partition --x 1e6 --y 100", 0, "sums over tens of thousands of split fibers"),
     ("verify --suite regroup --x 6.7e7 --y 6e7", 0, "weights counted from the primes above y, unsieved"),
     ("verify --suite regroup --x 1e6 --y 7", 0,
      "about 1.7 million multiples m * p, just under the list budget"),
     (f"{_SCAN} --nu -1", 0, "the phases workload's threaded scan at nu = -1"),
     (f"{_SCAN} --nu 3", 0, "and at nu = 3"),
+    ("scan --x-grid 1e5,3e5 --y-grid 300 --q-grid 101,4099 --random-a 8 --seed 1", 0,
+     "eight a's per pass at q <= 2^16, whose phases come from a table of e_q"),
     ("sum --x 3e6 --y 300 --q 16777259 --a 5 --nu -1", 0, "the direct path (q > 2^23) at nu = -1"),
     ("sum --x 1e6 --y 100 --q 4294967311 --a 3 --nu -1", 0, "a q past 2^31, whose inverses are Python ints"),
     ("sum --x 1e8 --y 1e4 --q 1000003 --a 5", 0, "y^2 = x, the log sums' first cell"),
@@ -204,6 +211,11 @@ def evaluate(src: str) -> dict[str, dict]:
             for a in (1, 3):
                 v = sums.complete_monomial_sum(q, a, nu)
                 put(f"complete/q={q}/a={a}/nu={nu}", v.value, v.terms, "exact")
+    for q in (2, 3, 499, 3217, 65521, 65537):  # 20 a's per pass, with and without a table
+        for nu in (2, 3, 4, 5, 6, -1):
+            vs = sums._complete_sum(q, range(1, 21), nu)
+            out[f"complete/q={q}/a=1..20/nu={nu}"] = {
+                "value": [_pair(v.value) for v in vs], "terms": vs[0].terms, "check": "exact"}
     for j, x, y in ((1, 20000, 50), (2, 1e5, 30), (3, 1e5, 10)):
         for q in (1, 3600, 10007):
             for nu in NU_GRID:
