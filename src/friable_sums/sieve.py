@@ -20,23 +20,24 @@ accumulator of counts by index j of n = 2j + 1, and at each cutoff
 c = floor(x / 2^a), inside a mask or at its end, reads P(c) off it and
 steps T <- P(c) + sigma_2 T (Horner), so 1 and 2 threads agree bit for
 bit and no segment allocates anything of size q.  Where y^2 <= x, every
-segment after the first counts its odd n from uint8 sums of rounded logs
-(the log mode, below); the first, [1, segment], and every segment where
-y > sqrt(x) build smooth parts over the primes up to the root of their
-end.  At x = 10^8, q = 10^6 + 3, one thread, the histogram took
-0.113-0.115 s at y = 10^3 and 0.186-0.189 s at y = 10^4, against
-0.165-0.170 and 0.260-0.262 s with a count vector per segment and a
-segment ending at every cutoff (best of 7 in-process runs, 3 processes a
-tree, 2-core Xeon, numpy 2.4).  Psi(x, y) is the histogram mod 1.
+segment of either driver, the first too, decides smoothness from uint8
+sums of rounded logs once their certificate holds (the log sums, below);
+elsewhere it builds smooth parts.  At x = 10^8, q = 10^6 + 3, one
+thread, the histogram took 0.113-0.115 s at y = 10^3 and 0.186-0.189 s
+at y = 10^4, against 0.165-0.170 and 0.260-0.262 s with a count vector
+per segment and a segment ending at every cutoff (best of 7 in-process
+runs, 3 processes a tree, 2-core Xeon, numpy 2.4); with log sums on the
+first segment too, 0.106 and 0.181 s (best of 3).  Psi(x, y) is the
+histogram mod 1.
 Members are int64, so x is held below 2^63.
 
 S(x, y) is listed in one of two ways, chosen once per (x, y) by the
 listing price (`_generates`):
 
-* the segment sieve, which costs about 8 ns per integer up to x at
-  y = 10^3 and 11 ns at y = 10^4 when it lists members, and 1.1 and
-  1.9 ns in a histogram, on the odd sweep in log sums (x = 10^8; 2-core
-  Xeon, numpy 2.4), however few of them are smooth;
+* the segment sieve, which costs about 3.1 ns per integer up to x at
+  y = 10^3 and 4.0 ns at y = 10^4 when it lists members, and 1.1 and
+  1.8 ns in a histogram, on the odd sweep, all in log sums (x = 10^8,
+  best of 3; 2-core Xeon, numpy 2.4), however few of them are smooth;
 * a generator that multiplies each prime p <= y, with its powers, into
   the products built so far, which costs about 2.6 ns per member per
   prime, so O(Psi(x, y) * pi(y)) whatever x is.
@@ -71,30 +72,32 @@ contiguous division by a scalar per block, the ceilings stepping by 2 on
 the odd sweep.  The kernel builds no weights: those of a twisted scan
 take one more strided walk, `_walk` over every prime power, outside it.
 
-A count needs only a yes or no per n, which rounded logarithms give, as in
-the sieve of the quadratic sieve (Pomerance, "The quadratic sieve
+Smoothness needs only a yes or no per n, which rounded logarithms give, as
+in the sieve of the quadratic sieve (Pomerance, "The quadratic sieve
 factoring algorithm", 1984); a proven bound keeps the answer exact.  In
-the kernel's log mode each hit of a power of p adds round(s log2 p) into a
-uint8 entry (blocks of 2^20 entries, 1 MiB, from a wheel of log sums).
-An odd n <= x has at most log3 x prime factors, each rounded by under 1/2,
-so the entry is within E = log3(x) / 2 of s log2 sp(n), and
-s = min(16, floor((255 - E) / log2 x)) keeps it within 255.  Where
-y^2 <= x every prime <= y is sieved, so a non-smooth n keeps a cofactor
->= y + 1; on a segment [first, hi] with hi < 2 first, which every segment
-of a plan after its first is, `sum >= floor(s log2(first) - E)` is then
-exactly the smoothness test once s (log2(y + 1) - 1) > 2E + 1 (see
+the kernel's log sums each hit of a power of p adds round(s log2 p) into a
+uint8 entry (blocks of 2^20 entries, 1 MiB, from a wheel of log sums, on
+either sweep).  round(s log2 2) = s is exact, and an n <= x has at most
+log3 x odd prime factors, each rounded by under 1/2, so the entry is
+within E = log3(x) / 2 of s log2 sp(n), and s = min(12, floor((255 - E) /
+log2 x)) keeps it, and every wheel entry, within 255.  Where y^2 <= x
+every prime <= y is sieved, so a non-smooth n keeps a cofactor >= y + 1;
+each n in [2^k, 2^(k + 1)) is then smooth exactly when its sum reaches
+floor(s k - E), on any segment, once s (log2(y + 1) - 1) > 2E + 1 (see
 _log_scale): at x = 10^8, s = 9, from y = 7 on.  The mask is one compare
-in place over the sums, with no ceiling and no division.  Below that y,
-for y > sqrt(x) and on the first segment, a count keeps the smooth parts.
+in place over the sums for each power of two a segment meets, with no
+ceiling and no division, and counts, listings, twisted listings and prime
+tables all read it.  Only below that y, for y > sqrt(x), and in
+build_sieve, which needs the factors themselves, are smooth parts built.
 
 Prime tables come from the same kernel, with no second sieve:
 `primes_between(lo, hi)` takes the primes up to isqrt(hi) from itself and
 keeps, one DEFAULT_SEGMENT of its window at a time, the n above them whose
-smooth part is 1.  All primes up to 2^26 take about 0.6 s and a tracemalloc
-peak of 60 MiB, against 0.9-1.3 s and 124 MiB for the Eratosthenes mask of
-n + 1 bools it replaced; small tables cost more than the mask did, 0.1
-against 0.01 ms at n = 300 and 1.8 against 0.9 ms at n = 3 * 10^5 (2-core
-Xeon, numpy 2.4).
+log sum at s = 1 is 0.  All primes up to 2^26 take about 0.28 s (0.47 s
+from smooth parts, 0.9-1.3 s and a tracemalloc peak of 124 MiB for the
+Eratosthenes mask of n + 1 bools it replaced); small tables cost more than
+the mask did, 0.14 against 0.01 ms at n = 300 and 1.2 against 0.9 ms at
+n = 3 * 10^5 (2-core Xeon, numpy 2.4).
 
 Conventions: P(1) = p(1) = 1, and real cutoffs use floor semantics
 (n <= x means n <= floor(x)).
@@ -139,12 +142,12 @@ _UPDATES_PER_TERM = 16
 SCAN_TERMS = 1e10
 # The listing price: S(x, y) is generated, not sieved, when Rankin's bound
 # B <= MAX_SEGMENT has B * pi(y) <= _GENERATE_RATIO * floor(x).  A generated
-# member costs about 2.6 ns per prime and a listed integer 8-11 ns (1.1-1.9 ns
-# in a histogram, on the odd sweep in log sums, x = 10^8, y = 10^3 and 10^4),
-# but B overstates Psi by 5-22x, so the ratio is 5: priced lower, (1e8, 100)
-# would go to the sieve, which is over 10x slower there when it lists members
-# and 2-3x on a histogram (0.039-0.071 against 0.017-0.025 s at q = 1 and
-# 10^6 + 3, best of 5).
+# member costs about 2.6 ns per prime and a listed integer 3.1-4.0 ns (1.1-1.8
+# ns in a histogram, on the odd sweep, all in log sums, x = 10^8, y = 10^3 and
+# 10^4), but B overstates Psi by 5-22x, so the ratio is 5: priced lower,
+# (1e8, 100) would go to the sieve, which is about 6x slower there when it
+# lists members (0.12 against 0.021 s) and 2-3x on a histogram (0.043-0.071
+# against 0.021-0.028 s at q = 1 and 10^6 + 3, best of 5).
 _GENERATE_RATIO = 5
 # Each unit a budget counts: its plural and what it guards, as refusals say.
 _UNITS = {"entry": ("entries", "a memory budget"), "point": ("points", "a memory budget"),
@@ -197,7 +200,8 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
 
     The primes <= isqrt(hi) come from a recursive call; above them the
     window is sieved one DEFAULT_SEGMENT at a time, and n is prime exactly
-    when its smooth part over those primes is 1.  floor(hi) is held to the
+    when none of those primes divides it: when its log sum at s = 1 (see
+    _smooth_part; below 40 while hi <= 2^26) is 0.  floor(hi) is held to the
     MAX_SEGMENT budget (see _check_budget), whatever lo is.
     """
     top = floor_int(hi)
@@ -209,7 +213,7 @@ def primes_between(lo: float, hi: float) -> np.ndarray:
     parts = [small[small >= first]]
     for a in range(max(first, root + 1), top + 1, DEFAULT_SEGMENT):
         b = min(a + DEFAULT_SEGMENT - 1, top)
-        parts.append(np.flatnonzero(_smooth_part(a, b, small, b) == 1) + a)
+        parts.append(np.flatnonzero(_smooth_part(a, b, small, b, scale=1) == 0) + a)
     return np.concatenate(parts)
 
 
@@ -395,11 +399,11 @@ def _wheel_factors(powers: tuple, dtype: type, odd: bool = False, scale: int = 0
     144: pattern[n % pattern.size] = prod of p^min(v_p(n), e) over its
     primes.  With `odd` (powers from (3, 2) on), as one pattern over the
     index j of n = 2j + 1, period dividing 45045 = 3^2 5 7 11 13.  With a
-    `scale` (odd only), the log sums of those parts instead: the sum of
-    min(v_p(n), e) * _hit(p, scale), at most about scale * log2(45045) + 3.
-    Each is tiled to at least 4096 entries, so that a block takes it in few
-    long rows.  Cached, as every segment and prime table takes one, and
-    read-only.
+    `scale`, the log sums of those parts instead: the sum of
+    min(v_p(n), e) * _hit(p, scale), at most 234 on the whole wheel (186
+    on the odd one) at scale 12, _log_scale's cap.  Each is tiled to at
+    least 4096 entries, so that a block takes it in few long rows.  Cached,
+    as every segment and prime table takes one, and read-only.
     """
     factors = []
     for group in (powers,) if odd else (powers[2:], powers[:2]):
@@ -414,7 +418,7 @@ def _wheel_factors(powers: tuple, dtype: type, odd: bool = False, scale: int = 0
 def _periodic(blk: np.ndarray, pattern: np.ndarray, first: int, op: Callable = np.copyto) -> None:
     """op(view of blk, values) over views that together take
     pattern[(first + j) % pattern.size] at each blk[j]: copied there, or
-    with op = operator.imul multiplied in."""
+    with op = operator.imul multiplied in (operator.iadd: added in)."""
     rolled = np.roll(pattern, -first)
     whole = blk.size - blk.size % pattern.size
     op(blk[:whole].reshape(-1, pattern.size), rolled)
@@ -430,7 +434,7 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     p goes into every multiple of each power p^k <= hi, so n gets it v_p(n)
     times and sp stays a divisor of n.  sp is uint32 when `top` (>= hi, the
     largest value the caller holds beside sp) is below 2^32, else uint64.
-    With a `scale` s > 0 (the log mode, for the odd sweep), each hit adds
+    With a `scale` s > 0 (the log sums, on either sweep), each hit adds
     round(s log2 p) into a uint8 entry instead (see _hit), so entry i holds
     the sum of v_p(n) round(s log2 p), a rounded s log2 sp(n); the caller
     picks s so that no sum passes 255 (see _log_scale).
@@ -438,11 +442,12 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
     Each block of _BLOCK entries (1 MiB of uint32; of uint8 log sums,
     4 * _BLOCK entries, 1 MiB too) starts from the wheel seed of the wheel
     primes that lead `primes` (period 720720 = 5005 * 144, laid down as
-    the product of its two factors; odd, one pattern of period 45045 in
-    index space, laid down once), and those primes walk on from their
-    next power.  The powers up to _BLOCKED_STRIDE then walk the block
-    while it is in cache; larger powers hit a block too rarely to pay for
-    a call per block, so they walk the whole segment once.
+    the product, or with a scale the sum, of its two factors; odd, one
+    pattern of period 45045 in index space, laid down once), and those
+    primes walk on from their next power.  The powers up to
+    _BLOCKED_STRIDE then walk the block while it is in cache; larger powers
+    hit a block too rarely to pay for a call per block, so they walk the
+    whole segment once.
     """
     count = (hi - lo) // (1 + odd) + 1
     dtype = np.uint8 if scale else np.uint32 if top < 1 << 32 else np.uint64
@@ -462,7 +467,7 @@ def _smooth_part(lo: int, hi: int, primes: np.ndarray, top: int, odd: bool = Fal
         blk = sp[b0 : b0 + step]
         _periodic(blk, seed, first + b0)
         if factors:
-            _periodic(blk, factors[0], lo + b0, operator.imul)
+            _periodic(blk, factors[0], lo + b0, operator.iadd if scale else operator.imul)
         _walk(blk, first + b0, blocked, odd, scale > 0)
     _walk(sp, first, [s for s in strides if s[0] > _BLOCKED_STRIDE], odd, scale > 0)
     return sp
@@ -588,8 +593,6 @@ def smooth_plan(
     longer than floor(x)), or that would list more than MAX_LIST segments,
     is refused with ResourceLimitError before anything is sieved or listed,
     and before the prime table where x and y alone rule the generator out.
-    Every sieved segment after the first, [lo, lo + segment - 1] with
-    lo > segment, ends below twice its first n.
     """
     x_floor = floor_int(x)
     y_floor = floor_int(y)
@@ -632,112 +635,116 @@ def smooth_in_range(
     q: Optional[int] = None,
     x_floor: Optional[int] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Smooth members of one planned segment [lo, hi] (see smooth_plan),
-    optionally with multiplicative weights; or, with q and no prime_value,
-    (mask, first) for smooth_histogram to fold over q: mask[i] tells
-    whether the odd n = first + 2i is smooth, first the least odd n >= lo,
-    and x_floor (hi when omitted) is the end of the segment's plan.
+    """Smooth members of one segment [lo, hi] of a plan up to x_floor (hi
+    when omitted; see smooth_plan), optionally with multiplicative weights;
+    or, with q and no prime_value, (mask, first) for smooth_histogram to
+    fold over q: mask[i] tells whether the odd n = first + 2i is smooth,
+    first the least odd n >= lo.
 
-    `primes` must hold every prime <= min(y_floor, isqrt(global x)).  A
-    segment [1, hi] for which smooth_plan's cost rule picks the generator
-    is generated; with q only as the whole plan (hi = x_floor), which then
-    gives (histogram, None), the histogram one int64 bincount of every
-    member, odd or even (the member count for q = 1).  Otherwise it is
-    sieved: the cofactor cof = n / sp(n) is then 1, a single prime
-    (sieving bound isqrt) or a product of primes above y (sieving bound
-    y), so `cof <= y` is exactly the smoothness test.  As sp | n,
-    cof <= n <= hi, so with y_eff = min(y_floor, hi) that test is
-    sp >= ceil(n / y_eff), made one kernel block at a time into the
-    segment's mask.  The ceilings share sp's dtype; their largest
-    numerator is hi + y_eff - 1.  Weights take their own walk over every
-    prime power, by ascending p (see _walk), then a member whose cofactor
-    is a prime takes its value: prime_value is called once per sieving
-    prime and once per distinct cofactor.
+    `primes` must hold every prime <= min(y_floor, isqrt(x_floor)).  The
+    whole plan [1, x_floor], where smooth_plan's cost rule picks the
+    generator, is generated; with q it then gives (histogram, None), the
+    histogram one int64 bincount of every member, odd or even (the member
+    count for q = 1).  Otherwise it is sieved, the odd n only with q, into
+    one mask of the n swept, which a listing reads its members off and a
+    count hands back (2 MiB for 2^21 odd n; nothing of size q is made).
+    The smoothness test is chosen from x_floor and y_floor alone:
 
-    With q the kernel sweeps the odd n only, and no member is listed.
-    Where y_floor^2 <= x_floor and hi < 2 * first (every segment after a
-    plan's first), so that `primes` are all the primes <= y_floor and are
-    all sieved, and _log_scale's certificate holds (at x = 10^8 from y = 7
-    on), the kernel runs in its log mode: uint8 sums of rounded logs, and
-    the mask is `sums >= bar`, one compare in place over the sums, with no
-    ceiling and no division.  Otherwise (the first segment [1, hi] always)
-    the kernel builds smooth parts over the primes up to isqrt(hi) (the
-    sieving bound of the segment: the ceiling test stays exact, as n <= hi
-    has at most one prime factor above it), tested a block at a time into
-    a mask, and the smooth parts are freed on return.  The mask holds
-    (hi - first) // 2 + 1 bools (2 MiB for 2^21 odd n); nothing of size q
-    is allocated.
+    * where 2 <= y_floor <= isqrt(x_floor), so that `primes` are all the
+      primes <= y_floor, and _log_scale's certificate holds (at x = 10^8
+      from y = 7 on), the kernel adds uint8 sums of rounded logs over
+      every plan prime, and n in [2^k, 2^(k + 1)) is smooth exactly when
+      its sum reaches floor(s k - E): one compare in place over the sums
+      for each power of two the segment meets, with no ceiling and no
+      division.  A member then factors over `primes`, so its weight needs
+      no cofactor;
+    * otherwise the kernel builds smooth parts sp(n): the cofactor
+      cof = n / sp(n) is 1, a single prime (sieving bound isqrt) or a
+      product of primes above y (sieving bound y), so `cof <= y` is exactly
+      the smoothness test.  As sp | n, cof <= n <= hi, so with
+      y_eff = min(y_floor, hi) that test is sp >= ceil(n / y_eff), made one
+      kernel block at a time.  The ceilings share sp's dtype; their
+      largest numerator is hi + y_eff - 1.  A count sieves only the primes
+      up to isqrt(hi) (n <= hi has at most one prime factor above it, so
+      the test stays exact) and frees the smooth parts on return; a
+      member of a listing whose cofactor is a prime takes its value.
+
+    Weights take their own walk over every prime power, by ascending p
+    (see _walk): prime_value is called once per sieving prime and once per
+    distinct cofactor.
     """
     if q is not None and prime_value is not None:
         raise ValueError("residue counts carry no weights: pass q or prime_value, not both")
     x_floor = hi if x_floor is None else x_floor
-    if lo == 1 and (q is None or hi == x_floor) and _generates(hi, y_floor, primes):
+    if lo == 1 and hi == x_floor and _generates(hi, y_floor, primes):
         members, weights = _generate(hi, primes, prime_value)
         h = q and (np.bincount(members % q, minlength=q) if q > 1 else np.full(1, members.size))
         return (members, weights) if q is None else (h, None)
     y_eff, odd = min(y_floor, hi), q is not None
     # the first n swept: the first odd one with q; past hi (none) for y < 1
     first = lo | odd if y_eff >= 1 else hi + 1
-    # the log mode where it is exact (see _log_scale), else smooth parts
-    scale, bar = (_log_scale(first, x_floor, y_floor)
-                  if odd and 2 <= y_floor <= math.isqrt(x_floor) and hi < 2 * first else (0, 0))
-    # counts need no prime above isqrt(hi): n <= hi has at most one such factor
+    scale = _log_scale(x_floor, y_floor) if 2 <= y_floor <= math.isqrt(x_floor) else 0
+    # smooth parts of a count need no prime above isqrt(hi): n <= hi has at most one such factor
     kept = primes[: np.searchsorted(primes, math.isqrt(hi), "right") if odd and not scale else primes.size]
     sp = _smooth_part(first, hi, kept, hi + y_eff, odd, scale)
-    # the log sums' test, in place; smooth parts are tested one block at a time
-    mask = np.greater_equal(sp, bar, out=sp.view(bool)) if scale else np.empty(sp.size, bool) if odd else None
-    parts = [np.empty(0, dtype=np.int64)]
+    mask = sp.view(bool) if scale else np.empty(sp.size, bool)
+    # log sums: each power of two's range of n against its bar, in place
+    for k in range(int(first).bit_length() - 1, int(hi).bit_length()) if scale else ():
+        i0, i1 = (-(max(n - first, 0) // -(1 + odd)) for n in (1 << k, 2 << k))
+        bar = max(math.floor(scale * k - _log_slack(x_floor)), 0)
+        np.greater_equal(sp[i0:i1], bar, out=mask[i0:i1])
+    # smooth parts: the ceilings, one block at a time
     for b0 in range(0, 0 if scale else sp.size, _BLOCK):
         b1 = min(b0 + _BLOCK, sp.size)
         ceil = np.arange(first + (b0 << odd) + y_eff - 1, first + (b1 << odd) + y_eff - 1,
                          1 + odd, dtype=sp.dtype)
         ceil //= y_eff
-        hit = np.greater_equal(sp[b0:b1], ceil, out=mask[b0:b1] if odd else None)
-        if not odd:
-            parts.append(np.flatnonzero(hit))
-            parts[-1] += lo + b0
+        np.greater_equal(sp[b0:b1], ceil, out=mask[b0:b1])
     if odd:
         return mask, first
-    members = np.concatenate(parts)
+    members = np.flatnonzero(mask) + lo
     if prime_value is None:
         return members, None
     fp = {p: prime_value(p) for p in primes.tolist()}
     weights = np.ones(sp.size, dtype=np.complex128)
     _walk(weights, lo, [(t, fp[p]) for t, p in _powers(fp, hi)])
-    keep = members - lo
-    w = weights[keep]
-    rest = members // sp[keep].astype(np.int64)
-    large = rest > 1
-    if np.any(large):  # each cofactor above 1 is a prime above the sieving bound
-        cof, at = np.unique(rest[large], return_inverse=True)
-        w[large] *= np.array([prime_value(c) for c in cof.tolist()])[at]
+    w = weights[mask]
+    if not scale:  # each cofactor above 1 is a prime above the sieving bound
+        rest = members // sp[mask].astype(np.int64)
+        if np.any(large := rest > 1):
+            cof, at = np.unique(rest[large], return_inverse=True)
+            w[large] *= np.array([prime_value(c) for c in cof.tolist()])[at]
     return members, w
 
 
-def _log_scale(first: int, x_floor: int, y_floor: int) -> tuple[int, int]:
-    """(s, bar) of the log mode for the odd n of a segment [first, hi] of a
-    plan up to x_floor, or (0, 0) where its certificate fails.  The caller
-    holds y_floor^2 <= x_floor, so that every prime <= y_floor is sieved,
-    and hi < 2 * first, which every segment of a plan after its first
-    meets (see smooth_plan).
+def _log_slack(x_floor: int) -> float:
+    """E = log3(x_floor) / 2, the most a log sum of n <= x_floor strays from
+    s log2 sp(n) (see _log_scale)."""
+    return math.log(x_floor, 3) / 2
+
+
+def _log_scale(x_floor: int, y_floor: int) -> int:
+    """The scale s of the log sums for a plan up to x_floor at y_floor, or 0
+    where their certificate fails.  The caller holds 2 <= y_floor and
+    y_floor^2 <= x_floor, so that every prime <= y_floor is sieved.
 
     The kernel adds r_p = round(s log2 p) into n's uint8 sum for each
-    power of p dividing n.  An odd n <= x_floor has at most log3(x_floor)
-    prime factors, each rounded by less than 1/2, so the sum is within
-    E = log3(x_floor) / 2 of s log2 sp(n).  s = min(16, floor((255 - E) /
-    log2 x_floor)) keeps every sum within 255, and every wheel entry too
-    (at most 16 log2(45045) + 3).  A smooth n >= first sums to at least
-    s log2(first) - E >= bar = floor(s log2(first) - E).  A non-smooth n
-    has a cofactor >= y + 1, so sp(n) <= hi / (y + 1) < 2 first / (y + 1)
-    and its sum is below s log2(first) - s (log2(y + 1) - 1) + E, which the
-    certificate s (log2(y + 1) - 1) > 2E + 1 puts below bar.  So
-    `sums >= bar` is exactly the smoothness test.  At x = 10^8 (s = 9,
+    power of p dividing n, on either sweep.  r_2 = s exactly, and an n <= x
+    has at most log3(x) odd prime factors, each rounded by less than 1/2,
+    so the sum is within E = log3(x) / 2 of s log2 sp(n) (see _log_slack).
+    s = min(12, floor((255 - E) / log2 x)) keeps every sum within 255, and
+    every wheel entry too (at most 234, on the whole wheel at s = 12).  A
+    smooth n in [2^k, 2^(k + 1)) has sp(n) = n, so it sums to at least
+    s k - E >= floor(s k - E), its bar.  A non-smooth n there has a
+    cofactor >= y + 1, so sp(n) < 2^(k + 1) / (y + 1) and its sum is below
+    s k - s (log2(y + 1) - 1) + E, which the certificate
+    s (log2(y + 1) - 1) > 2E + 1 puts below the bar.  So `sum >= bar` is
+    exactly the smoothness test, on any segment.  At x = 10^8 (s = 9,
     E = 8.4) the certificate holds from y = 7 on, at x = 2^22 from y = 5.
     """
-    slack = math.log(x_floor, 3) / 2
-    scale = min(16, int((255 - slack) / math.log2(x_floor)))
-    bar = max(math.floor(scale * math.log2(first) - slack), 0)
-    return (scale, bar) if scale * (math.log2(y_floor + 1) - 1) > 2 * slack + 1 else (0, 0)
+    slack = _log_slack(x_floor)
+    scale = min(12, int((255 - slack) / math.log2(x_floor)))
+    return scale if scale * (math.log2(y_floor + 1) - 1) > 2 * slack + 1 else 0
 
 
 def _spread(t: np.ndarray, q: int, out: np.ndarray) -> np.ndarray:
@@ -789,7 +796,7 @@ def smooth_segments(
     segment order: the one driver of every listing scan (see _scan).
     """
     return _scan(x, y, segment, threads, lambda span, y_floor, primes: part(
-        *smooth_in_range(*span, y_floor, primes, prime_value)))
+        *smooth_in_range(*span, y_floor, primes, prime_value, None, floor_int(x))))
 
 
 def smooth_histogram(

@@ -1,7 +1,29 @@
 """Plain oracles shared by several test modules."""
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+def trial_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 with multiplicity, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def trial_largest_prime_factor(n: int) -> int:
+    """P(n) by trial division, P(1) = 1."""
+    return max(trial_factors(n), default=1)
+
+
+def naive_smooth(x: float, y: float) -> list[int]:
+    """The n <= x with P(n) <= y, each by trial division."""
+    return [n for n in range(1, math.floor(x) + 1) if trial_largest_prime_factor(n) <= y]
 
 
 def divisors_from(fac: Iterable[tuple[int, int]]) -> list[int]:

@@ -31,6 +31,7 @@ from friable_sums.sums import (
     sum_prime_convolution,
     weil_envelope_violation,
 )
+from oracles import naive_smooth
 
 
 def announce(num: int, ok: bool, detail: str) -> None:
@@ -147,20 +148,6 @@ def test_07_region_chart_reproduction():
              "including (1/5, 4/5), (1/3, 4/3), and the beta = 4/3 ceiling edge")
 
 
-def _naive_smooth(x, y):
-    out = []
-    for n in range(1, int(x) + 1):
-        m, largest, d = n, 1, 2
-        while d * d <= m:
-            while m % d == 0:
-                largest, m = d, m // d
-            d += 1
-        largest = max(largest, m) if m > 1 else largest
-        if largest <= y:
-            out.append(n)
-    return out
-
-
 def test_08_sum_oracles_randomized():
     rng = random.Random(108)
     checked = {"linear": 0, "power": 0, "bilinear": 0, "convolution": 0, "moment": 0}
@@ -173,7 +160,7 @@ def test_08_sum_oracles_randomized():
         x, y = rng.randrange(20, 10**4), rng.randrange(2, 80)
         q = rng.randrange(2, 10**3)
         a = unit(q)
-        members = _naive_smooth(x, y)
+        members = naive_smooth(x, y)
         got = sum_linear(SumParams(x=x, y=y, q=q, a=a))
         want = fsum_complex(eq_phase(a * n, q) for n in members)
         worst = max(worst, abs(got.value - want) / max(1.0, abs(want)))

@@ -26,7 +26,7 @@ from friable_sums.decomp import (
 )
 from friable_sums.sieve import ResourceLimitError, build_sieve, next_primes_above, primes_between, psi
 from friable_sums.sums import SumParams, sum_linear, sum_power, sum_prime_convolution
-from oracles import divisors_from
+from oracles import divisors_from, trial_factors
 
 
 def phase_map(q, a):
@@ -90,24 +90,13 @@ def test_w_split_unique_exhaustive_small():
             assert count_admissible_splits(n, w, fs) == 1
 
 
-def trial_prime_factors(n):
-    """Oracle: ascending prime factors of n with multiplicity, by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    return out + ([n] if n > 1 else [])
-
-
 def brute_admissible_splits(n, w):
     """Oracle: test every k <= n that divides n, with P and p by trial division."""
     count = 0
     for k in range(1, n + 1):
         if n % k == 0:
-            pk = max(trial_prime_factors(k), default=1)
-            pm = min(trial_prime_factors(n // k), default=math.inf)
+            pk = max(trial_factors(k), default=1)
+            pm = min(trial_factors(n // k), default=math.inf)
             count += w <= k < w * pk and pk <= pm
     return count
 

@@ -28,20 +28,7 @@ from friable_sums.sieve import (
     smooth_plan,
     smooth_segments,
 )
-
-
-def trial_largest_prime_factor(n: int) -> int:
-    """Independent oracle: factor n by plain trial division."""
-    if n == 1:
-        return 1
-    largest = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            largest = d
-            n //= d
-        d += 1
-    return max(largest, n) if n > 1 else largest
+from oracles import trial_factors, trial_largest_prime_factor
 
 
 def test_build_sieve_first_ten():
@@ -107,9 +94,9 @@ def test_sieve_segments_past_the_budget_are_refused_before_sieving():
     # and sieve nothing else
     real = sieve._smooth_part
 
-    def kernel(lo, hi, primes, top, *mode):
+    def kernel(lo, hi, primes, top, *mode, **scale):
         assert hi <= 10**4, "sieved"
-        return real(lo, hi, primes, top, *mode)
+        return real(lo, hi, primes, top, *mode, **scale)
 
     with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
         with pytest.raises(ResourceLimitError, match="entry budget"):
@@ -290,18 +277,6 @@ def test_factorize_from_sieve():
 
 # ---------------------------------------------------------------------------
 # edge grids for the smooth-part kernel, against trial division
-
-def trial_factors(n: int) -> list[int]:
-    """Prime factors of n with multiplicity, ascending, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    return out + ([n] if n > 1 else [])
-
 
 def unit_prime(p: int) -> complex:
     return cmath.exp(1j * p)
@@ -577,9 +552,9 @@ def test_plan_and_segments_keep_the_tracing_contract(x, y, segment, generated, q
 def test_a_counted_segment_sieves_to_its_root_or_every_plan_prime(x, y, logged):
     # the odd sweep of [lo, hi] by smooth parts sieves no prime above
     # isqrt(hi), as n <= hi has at most one such factor and the ceiling test
-    # stays exact; in the log mode (y^2 <= x) it sieves every plan prime, as
-    # a sum must hold all of sp(n); a listing sweep keeps every prime of the
-    # plan, whose weights take each of them
+    # stays exact; in log sums (y^2 <= x, certified) every sweep sieves every
+    # plan prime, as a sum must hold all of sp(n); a listing sweep keeps
+    # every prime of the plan, whose weights take each of them
     segment = 1 << 12
     real, seen = sieve._smooth_part, []
 
@@ -595,45 +570,47 @@ def test_a_counted_segment_sieves_to_its_root_or_every_plan_prime(x, y, logged):
         assert sum(smooth_segments(x, y, lambda r, w: r.size, segment)) == members.size
     plan = primes_upto(min(y, math.isqrt(int(x)))).tolist()
     counted = [(hi, ps, scale) for hi, ps, odd, scale in seen if odd]
-    assert len(counted) == len(seen) - len(counted) == -(-int(x) // segment)
-    assert all(scale == 0 for _, _, odd, scale in seen if not odd)
-    assert all(ps == plan for hi, ps, odd, _ in seen if not odd)
-    # every counted segment after the first, [1, segment], ends below twice
-    # its first n: the log mode takes each of them once the certificate
-    # holds (y >= 3 here), and never the first
-    assert counted[0][0] == segment and counted[0][2] == 0
-    assert all(bool(scale) == logged for _, _, scale in counted[1:])
+    listed = [(hi, ps, scale) for hi, ps, odd, scale in seen if not odd]
+    assert len(counted) == len(listed) == -(-int(x) // segment)
+    assert all(ps == plan for _, ps, _ in listed)
+    # the test is chosen from (x, y) alone: log sums on every segment of
+    # both drivers, the first, [1, segment], too, once the certificate holds
+    # (y >= 3 here)
+    assert all(bool(scale) == logged for _, _, scale in counted + listed)
     for hi, ps, scale in counted:
         assert ps == (plan if scale else primes_upto(math.isqrt(hi)).tolist())
         assert not scale or [p for p in ps if p <= hi] == primes_upto(min(y, hi)).tolist()
 
 
-def test_a_segment_past_twice_its_first_n_counts_by_smooth_parts():
-    # hi >= 2 * first breaks the log mode's certificate (sp(n) <= hi / (y + 1)
-    # no longer sits a factor y + 1 below first), so such a segment, which a
-    # plan makes only as its first, counts by its smooth parts
-    x_floor, y, q = 10**6, 30, 7
-    primes = primes_upto(y)
+def test_a_segment_anywhere_in_its_plan_counts_and_lists_by_log_sums():
+    # the bar of each power of two holds on any segment: [1, hi], and
+    # segments with hi >= 2 * first, where sp(n) <= hi / (y + 1) no longer
+    # sits a factor y + 1 below first, count and list by log sums too once
+    # (x, y) is certified; past y^2 <= x every segment takes smooth parts
+    x_floor, q = 10**6, 7
     real, scales = sieve._smooth_part, []
 
     def kernel(lo, hi, primes, top, odd=False, scale=0):
         scales.append(scale)
         return real(lo, hi, primes, top, odd, scale)
 
-    for lo, hi, logged in ((1, 5000, False), (1001, 5000, False), (2501, 5000, True), (2500, 4999, True)):
-        members, _ = smooth_in_range(lo, hi, y, primes)
-        scales.clear()
-        with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
-            mask, first = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
-        assert len(scales) == 1 and bool(scales[0]) == logged, (lo, hi)
-        assert first == lo | 1 and np.array_equal(mask, odd_mask(members, first, hi))
+    for y, logged in ((30, True), (1001, False)):
+        primes = primes_upto(min(y, math.isqrt(x_floor)))
+        for lo, hi in ((1, 5000), (1001, 5000), (2501, 5000), (2500, 4999)):
+            scales.clear()
+            with mock.patch.object(sieve, "_smooth_part", side_effect=kernel):
+                members, _ = smooth_in_range(lo, hi, y, primes, None, None, x_floor)
+                mask, first = smooth_in_range(lo, hi, y, primes, None, q, x_floor)
+            assert len(scales) == 2 and all(bool(s) == logged for s in scales), (lo, hi, y)
+            assert np.array_equal(members, plain_smooth_in_range(lo, hi, y, primes)[0])
+            assert first == lo | 1 and np.array_equal(mask, odd_mask(members, first, hi))
 
 
 LOG_Q = [1, 2, 7, 2**16, 10**6 + 3]
 
 
 def log_grid_ys(x):
-    """The y of the log-mode grid: tiny ones about its certificate's least
+    """The y of the log-sum grid: tiny ones about its certificate's least
     y, and the two sides of y^2 <= x."""
     return (2, 3, 4, 5, 7, 8, 17, math.isqrt(x), math.isqrt(x) + 1)
 
@@ -647,30 +624,26 @@ def trial_lpf_upto(n_max):
 
 
 def assert_log_mode_histograms(x, y, segment, want):
-    """smooth_histogram(x, y, q, segment) as it runs and with the log mode
-    forced off (_log_scale mocked to (0, 0), smooth parts only) both equal
-    want(q), for every q of LOG_Q; and the run swept every segment after
-    the first of a sieved plan (of more than one segment) in the log mode
-    exactly where y^2 <= x and the certificate holds, and the first,
-    [1, segment], never (but for segment = 1, where it is [1, 1])."""
+    """smooth_histogram(x, y, q, segment) as it runs and with the log sums
+    forced off (_log_scale mocked to 0, smooth parts only) both equal
+    want(q), for every q of LOG_Q; and the run swept every segment of a
+    sieved plan (of more than one segment), the first, [1, segment], too,
+    by log sums exactly where y^2 <= x and the certificate holds."""
     calls = mock.MagicMock(wraps=sieve._smooth_part)
     for q in LOG_Q:
         with mock.patch.object(sieve, "_smooth_part", calls):
             got = smooth_histogram(x, y, q, segment)
-        with mock.patch.object(sieve, "_log_scale", return_value=(0, 0)):
+        with mock.patch.object(sieve, "_log_scale", return_value=0):
             plain = smooth_histogram(x, y, q, segment)
         assert np.array_equal(got, want(q)), (x, y, segment, q)
         assert np.array_equal(plain, got), (x, y, segment, q)
-    swept = [c.args[:2] + c.args[5:] for c in calls.call_args_list if len(c.args) > 4 and c.args[4]]
+    swept = [c.args[5] for c in calls.call_args_list if len(c.args) > 4 and c.args[4]]
     bounds = smooth_plan(x, y, segment)[0]
     generated = len(bounds) == 1 < -(-x // segment)
-    certified = y * y <= x and sieve._log_scale(1, x, y)[0] > 0
+    certified = 2 <= y and y * y <= x and sieve._log_scale(x, y) > 0
     assert generated or len(bounds) > 1, (x, segment)
     assert len(swept) == (0 if generated else len(LOG_Q) * len(bounds)), (x, y, segment)
-    # hi < 2 * first on every segment after the first, and on the first,
-    # [1, min(x, segment)], only for segment = 1
-    assert all(bool(scale) == (certified and hi < 2 * first) for first, hi, scale in swept), (x, y, segment)
-    assert segment == 1 or not any(scale for first, _, scale in swept if first == 1)
+    assert all(bool(scale) == certified for scale in swept), (x, y, segment)
 
 
 @pytest.mark.parametrize(
@@ -696,11 +669,11 @@ def test_log_mode_histograms_match_trial_division(segment, xs):
 @pytest.mark.parametrize("at", range(9))  # the y at this index of log_grid_ys(x)
 @pytest.mark.parametrize("x", [2**22 - 1, 2**22, 2**22 + 1, 3 * 10**6])
 def test_log_mode_histograms_match_the_listing_below_one_segment(x, at):
-    # x up to one default segment, in segments of 2^20: the first, [1, 2^20],
-    # counts by smooth parts, and every later one by log sums where certified.
-    # The certificate's least y is 5 at these x, so y = 2 .. 4 count by
-    # smooth parts and y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1
-    # counts by smooth parts.  2^22 + 1 at small y is generated.
+    # x up to one default segment, in segments of 2^20, each counted by log
+    # sums where certified, the first, [1, 2^20], too.  The certificate's
+    # least y is 5 at these x, so y = 2 .. 4 count by smooth parts and
+    # y = 5 on by log sums, up to isqrt(x); isqrt(x) + 1 counts by smooth
+    # parts.  2^22 + 1 at small y is generated.
     y = log_grid_ys(x)[at]
     members = smooth_members(x, y).members
     assert_log_mode_histograms(x, y, 1 << 20, lambda q: np.bincount(members % q, minlength=q))
@@ -708,21 +681,56 @@ def test_log_mode_histograms_match_the_listing_below_one_segment(x, at):
 
 @pytest.mark.parametrize(
     "x, scale, least",
-    [(64, 16, 2), (10**5, 15, 3), (3 * 10**6, 11, 5), (2**22, 11, 5), (10**8, 9, 7), (2**62, 3, 21211)],
+    [(64, 12, 2), (10**5, 12, 3), (3 * 10**6, 11, 5), (2**22, 11, 5), (10**8, 9, 7), (2**62, 3, 21211)],
 )
 def test_the_log_scale_keeps_sums_in_a_byte_and_certifies_from_its_least_y(x, scale, least):
-    # s = min(16, floor((255 - E) / log2 x)), E = log3(x) / 2; the mode is
-    # taken from the least y with s (log2(y + 1) - 1) > 2E + 1 on.  The cap
-    # 16 binds at small x (64 here) and keeps each wheel entry in a byte
+    # s = min(12, floor((255 - E) / log2 x)), E = log3(x) / 2; the log sums
+    # are taken from the least y with s (log2(y + 1) - 1) > 2E + 1 on.  The
+    # cap 12 binds at small x (64 and 10^5 here) and keeps each wheel entry
+    # in a byte (see the wheel test below)
     slack = math.log(x, 3) / 2
-    assert [sieve._log_scale(1, x, y)[0] for y in (least - 1, least, 10 * least)] == [0, scale, scale]
+    assert [sieve._log_scale(x, y) for y in (least - 1, least, 10 * least)] == [0, scale, scale]
     assert scale * math.log2(x) + slack <= 255
-    for k in range(1, 6):  # every odd wheel of log sums the kernel seeds, whole: none wraps
-        powers = sieve._WHEEL_POWERS[1 : 1 + k]
-        seed = sieve._wheel_factors(powers, np.uint8, True, scale)[0]
-        n = np.arange(1, 2 * seed.size, 2)
-        want = sum(np.minimum(_valuations(n, p), e) * round(scale * math.log2(p)) for p, e in powers)
-        assert np.array_equal(seed, want) and want.max() <= 255
+
+
+def test_every_log_wheel_holds_its_sums_within_a_byte():
+    # at every scale up to the cap 12, every wheel the kernel can seed, on
+    # either sweep, holds the log sums of its prime powers, none wrapped; the
+    # whole wheel is its two factors, of periods 5005 and 144, added
+    n = np.arange(1, 720721)
+    v = {p: np.minimum(_valuations(n, p), e) for p, e in sieve._WHEEL_POWERS}
+    for scale in range(1, 13):
+        for odd in (True, False):
+            for k in range(1, 7 - odd):
+                powers = sieve._WHEEL_POWERS[odd : odd + k]
+                parts = sieve._wheel_factors(powers, np.uint8, odd, scale)
+                if odd:  # one pattern over the index j of n = 2j + 1
+                    at, got = np.arange(0, 2 * parts[0].size, 2), parts[0]
+                else:
+                    at, got = n - 1, sum(part[n % part.size].astype(np.int64) for part in parts)
+                want = sum(v[p][at] * round(scale * math.log2(p)) for p, _ in powers)
+                assert np.array_equal(got, want) and want.max() <= 255, (scale, odd, k)
+    assert want.max() == 234  # the whole wheel at s = 12, 720720 = 2^4 3^2 5 7 11 13
+
+
+def test_no_log_sum_passes_a_byte_at_the_largest_x():
+    # x = 2^62 - 1, the largest a plan admits (below 2^63, as a power of two
+    # window fits): s = 3, and the n with the largest sum per bit are the
+    # powers of 3 (round(3 log2 3) = 5), so windows about 3^39, 2^61 and x
+    # hold the largest sums on both sweeps
+    x = 2**62 - 1
+    y = next(y for y in itertools.count(20000) if sieve._log_scale(x, y))
+    scale, primes = sieve._log_scale(x, y), primes_upto(y)
+    assert scale == 3 and scale * math.log2(x) + math.log(x, 3) / 2 <= 255
+    peak = 0
+    for centre in (3**39, 2**61, x - 3000):
+        first, hi = centre - 3001 | 1, min(centre + 3000, x)
+        for odd in (True, False):
+            sums = sieve._smooth_part(first, hi, primes, hi, odd, scale)
+            want = plain_log_sums(first, hi, primes, scale, odd)
+            assert sums.dtype == np.uint8 and np.array_equal(sums, want) and want.max() <= 255
+            peak = max(peak, want.max())
+    assert peak == 5 * 39  # 3^39
 
 
 def _valuations(n, p):
@@ -734,36 +742,74 @@ def _valuations(n, p):
     return v
 
 
-def plain_log_sums(first, hi, primes, scale):
-    """sum over p of v_p(n) * round(scale * log2 p) for each odd n in
-    [first, hi], first odd, by one plain walk per odd prime power."""
-    sums = np.zeros((hi - first) // 2 + 1, dtype=np.int64)
+def plain_log_sums(first, hi, primes, scale, odd=True):
+    """sum over p of v_p(n) * round(scale * log2 p) for each n in
+    [first, hi] (the odd n only with `odd`, first odd), by one plain walk
+    per prime power (odd prime powers with `odd`)."""
+    sums = np.zeros((hi - first) // (1 + odd) + 1, dtype=np.int64)
     for p in primes.tolist():
         t = p
-        while p > 2 and t <= hi:
-            sums[-first * pow(2, -1, t) % t :: t] += round(scale * math.log2(p))
+        while not (odd and p == 2) and t <= hi:
+            sums[-first * pow(2, -odd, t) % t :: t] += round(scale * math.log2(p))
             t *= p
     return sums
 
 
 @pytest.mark.parametrize("base", [2**31, 2**32, 2**40, 2**62])
 def test_log_sums_are_rounded_logs_and_test_like_smooth_parts(base):
-    # short odd windows about 2^31 .. 2^62 (x = hi), at the least y the
-    # certificate admits and at a larger one
+    # short windows across 2^31 .. 2^62 (x = hi), each across two bars, on
+    # both sweeps, at the least y the certificate admits and at a larger one
     first, hi = base - 3001, base + 3000
-    least = next(y for y in itertools.count(2) if sieve._log_scale(first, hi, y)[0])
+    least = next(y for y in itertools.count(2) if sieve._log_scale(hi, y))
     for y in (least, 40000):
         primes = primes_upto(y)
-        scale, bar = sieve._log_scale(first, hi, y)
-        assert scale > 0 and y * y <= hi and hi < 2 * first
-        sums = sieve._smooth_part(first, hi, primes, hi, odd=True, scale=scale)
-        want = plain_log_sums(first, hi, primes, scale)
-        assert sums.dtype == np.uint8 and np.array_equal(sums, want) and want.max() <= 255
-        sp = sieve._smooth_part(first, hi, primes, hi + y, odd=True)
-        n = np.arange(first, hi + 1, 2, dtype=np.uint64)
-        assert np.array_equal(sums >= bar, n // sp <= y), (base, y)
+        scale = sieve._log_scale(hi, y)
+        assert scale > 0 and y * y <= hi
+        for odd in (True, False):
+            sums = sieve._smooth_part(first, hi, primes, hi, odd, scale)
+            want = plain_log_sums(first, hi, primes, scale, odd)
+            assert sums.dtype == np.uint8 and np.array_equal(sums, want) and want.max() <= 255
+        sp = sieve._smooth_part(first, hi, primes, hi + y)
+        smooth = np.arange(first, hi + 1, dtype=np.uint64) // sp <= y
         mask, odd_first = smooth_in_range(first, hi, y, primes, None, 101, hi)
-        assert odd_first == first and np.array_equal(mask, n // sp <= y)
+        assert odd_first == first and np.array_equal(mask, smooth[::2]), (base, y)
+        members, _ = smooth_in_range(first, hi, y, primes)
+        assert np.array_equal(members, first + np.flatnonzero(smooth)), (base, y)
+
+
+# a plan up to 3 * 2^21: segments from 1 and about 2^21, up to one default
+# segment long, cross several powers of two (or end at the plan's x)
+CROSS_X = 3 << 21
+
+
+@pytest.mark.parametrize("segment", [1, 3, 1000, 1 << 22])
+@pytest.mark.parametrize("lo", [1, (1 << 21) - 1, 1 << 21, (1 << 21) + 1])
+def test_listings_across_powers_of_two_match_the_plain_walk(lo, segment):
+    # y at the certificate's least y (log sums), one below it and at
+    # isqrt(x) (log sums), and one past it (smooth parts), all from (x, y)
+    hi, root = min(lo + segment - 1, CROSS_X), math.isqrt(CROSS_X)
+    least = next(y for y in itertools.count(2) if sieve._log_scale(CROSS_X, y))
+    for y, logged in ((least - 1, False), (least, True), (root, True), (root + 1, False)):
+        assert bool(2 <= y <= root and sieve._log_scale(CROSS_X, y)) == logged
+        primes = primes_upto(min(y, root))
+        for pv in (None, imaginary_prime) if segment <= 1000 else (None,):
+            members, weights = smooth_in_range(lo, hi, y, primes, pv, None, CROSS_X)
+            want, want_w = plain_smooth_in_range(lo, hi, y, primes, pv)
+            assert members.dtype == np.int64 and np.array_equal(members, want), (y, pv)
+            assert pv is None and weights is None or np.array_equal(weights, want_w)
+
+
+@pytest.mark.parametrize("x, y", [(10**6, 30), (3 * 10**6, 300), (CROSS_X, 2508)])
+def test_twisted_weights_are_the_same_with_the_log_sums_forced_off(x, y):
+    # with y <= isqrt(x) a member factors over the plan's primes, so the
+    # log sums skip the cofactor step and change no weight, bit for bit
+    assert sieve._log_scale(x, y) and y * y <= x
+    got = list(iter_smooth(x, y, 1 << 20, prime_value=unit_prime))
+    with mock.patch.object(sieve, "_log_scale", return_value=0):
+        want = list(iter_smooth(x, y, 1 << 20, prime_value=unit_prime))
+    assert len(got) == len(want) == -(-x // (1 << 20))
+    for (m, w), (m0, w0) in zip(got, want):
+        assert np.array_equal(m, m0) and np.array_equal(w, w0)
 
 
 @pytest.mark.parametrize(
@@ -893,8 +939,14 @@ def test_odd_kernel_matches_plain_walk_over_odd_n(lo, hi, y):
     "lo, hi", [(BLOCKS_LO, BLOCKS_HI), (2**32 - sieve._BLOCK - 5000, 2**32 + 3000)]
 )
 def test_build_sieve_matches_plain_walk_across_blocks(lo, hi):
-    fs = build_sieve(lo, hi)
-    with mock.patch.object(sieve, "_smooth_part", lambda *args: plain_smooth_part(*args)[0]):
+    # the sieve's smooth parts by the plain walk; its prime table, from log
+    # sums at scale 1, by the kernel
+    fs, real = build_sieve(lo, hi), sieve._smooth_part
+
+    def plain(lo, hi, primes, top, odd=False, scale=0):
+        return real(lo, hi, primes, top, odd, scale) if scale else plain_smooth_part(lo, hi, primes, top)[0]
+
+    with mock.patch.object(sieve, "_smooth_part", plain):
         want = build_sieve(lo, hi)
     assert np.array_equal(fs.lpf, want.lpf)
     assert np.array_equal(fs.spf, want.spf)
@@ -983,7 +1035,7 @@ def test_folded_counts_equal_the_listing_bincount(lo, hi, y):
 def test_a_sieved_count_segment_gives_its_mask_and_nothing_of_size_q(lo, hi, y):
     # the count contract: (mask, first), mask the bools of the odd
     # n = first + 2i <= hi, (hi - first) // 2 + 1 of them (none for [2, 2]),
-    # in the log mode or by smooth parts, with no array of q entries made
+    # in log sums or by smooth parts, with no array of q entries made
     q, x_floor = 2**23, 10**8
     primes = primes_upto(min(y, math.isqrt(x_floor)))
     members, _ = smooth_in_range(lo, hi, y, primes)

@@ -28,21 +28,7 @@ from friable_sums.sums import (
     sum_twisted,
     weil_envelope_violation,
 )
-
-
-def naive_smooth(x, y):
-    """Oracle: smooth members by per-integer trial division."""
-    out = []
-    for n in range(1, int(math.floor(x)) + 1):
-        m, largest, d = n, 1, 2
-        while d * d <= m:
-            while m % d == 0:
-                largest, m = d, m // d
-            d += 1
-        largest = max(largest, m) if m > 1 else largest
-        if largest <= y:
-            out.append(n)
-    return out
+from oracles import naive_smooth
 
 
 def geometric_sum(x, q, a):

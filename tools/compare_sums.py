@@ -13,7 +13,9 @@ the sieve folds from its mask in rows and in two pieces per block, at
 nu in {-2, -1, 1, 3} and threads 1 and 2, and
 at nu = -1 for q = 510510 = 2*3*5*7*11*13*17 and 2^20, where the sum keeps
 only the n prime to q;
-`sum_twisted` on both paths; `sum_theta` at theta of either sign, with
+`sum_twisted` on both paths, and bit-identical at (1.2e7, 300), whose three
+segments list on the full sweep's log sums, the first across 22 powers
+of two; `sum_theta` at theta of either sign, with
 denominators 2^k from k = 0 to past 62, all at |theta| < 2 (a large theta
 is held against an exact oracle in tests/test_sums.py instead);
 `complete_monomial_sum`, bit-identical at q = 65537 and 100003 (one and
@@ -56,7 +58,11 @@ at 5.04.  Then come the command-line cells of `CLI`, each run in a fresh
 sizes and at nine larger ones, the `phases` workload's two threaded
 `scan`s (nu = -1 and 3), a `scan` of eight a's per pass at q = 101 and
 4099, 13 `sum` and `sieve` cells around the
-histogram's segment edges, cutoffs and log-sum certificate, and 12
+histogram's segment edges, cutoffs and log-sum certificate, 7 listing
+`sum` cells at q = 16777259 > 2^23 on either side of the log sums: at
+(3e7, 1e3) over 8 segments, at x = 1.2e7 with y = 9 and 10 (generated
+plans) and 3464 | 3465 (across y^2 <= x), and at x = 3e6 with y = 4 | 5
+(across the certificate's least y), and 12
 bad or oversized requests (11 refused, and `optimize` in its trivial
 regime, which answers); the table gives each one's reason.  The run passes when
 
@@ -113,9 +119,9 @@ _SCAN = "scan --x-grid geom:1e5:1e7:5 --y-grid 30,300 --q-grid x^0.9 --random-a 
 # The command-line cells: (argv, the exit code each tree must give, why the
 # cell is here).  The histogram folds each segment's mask of odd n into one
 # accumulator and lifts it at every cutoff x / 2^a, inside a segment or at
-# its end; the uint8 log sums count every segment after the first where
-# y^2 <= x and their certificate holds (y >= 5 at x = 3e6 and 1e7, y >= 7
-# at 1e8), smooth parts elsewhere.
+# its end; the uint8 log sums decide every segment, counted or listed, where
+# y^2 <= x and their certificate holds (y >= 5 at x = 3e6, 1e7 and 1.2e7,
+# y >= 7 at 3e7 and 1e8), smooth parts elsewhere.
 CLI = (
     ("verify", 0, "every suite at its default size"),
     ("verify --suite regroup --x 1e5", 0, "diagonal_terms, an exact count from the prime-tuple walk"),
@@ -137,6 +143,12 @@ CLI = (
     ("sum --x 1e6 --y 100 --q 4294967311 --a 3 --nu -1", 0, "a q past 2^31, whose inverses are Python ints"),
     ("sum --x 1e8 --y 1e4 --q 1000003 --a 5", 0, "y^2 = x, the log sums' first cell"),
     ("sum --x 3e7 --y 1e3 --q 65536 --a 3", 0, "the even q = 2^16"),
+    ("sum --x 3e7 --y 1e3 --q 16777259 --a 5", 0, "a listing over 8 segments in log sums"),
+    *((f"sum --x 1.2e7 --y {y} --q 16777259 --a 5 --nu -1", 0, why) for y, why in (
+        (9, "a generated listing"), (10, "and one more"), (3464, "a listing in log sums, y^2 <= x"),
+        (3465, "and by smooth parts, just past it"))),
+    *((f"sum --x 3e6 --y {y} --q 16777259 --a 5 --nu -1", 0, why) for y, why in (
+        (4, "a listing by smooth parts, just below the certificate"), (5, "and in log sums, at it"))),
     ("sieve --x-grid 16777215,16777216,16777217,1e7 --y-grid 1,2,13,3162,5000", 0,
      "x = 2^24 - 1 .. 2^24 + 1, where the cutoffs 2^23 and 2^24 end segments"),
     ("sieve --x-grid 3e6,4194303,4194304,4194305 --y-grid 2,3,300,1e4", 0,
@@ -196,6 +208,8 @@ def evaluate(src: str) -> dict[str, dict]:
                 v = sums.sum_twisted(p, lambda pr: cmath.exp(1j * pr), segment=segment)
                 put(f"twisted/{path}/x={x}/y={y}/q={q}/nu={nu}", v.value, v.terms)
     sums.HIST_LIMIT = hist_limit
+    v = sums.sum_twisted(sums.SumParams(x=1.2e7, y=300, q=1009, a=5), lambda pr: cmath.exp(1j * pr))
+    put("twisted/x=1.2e7/y=300/q=1009", v.value, v.terms, "exact")
 
     for x, y in ((1e6, 1e3), (3e5, 50)):
         for theta in (0.0, 0.5, 1 / 3, 12345 / 1000003, 2**0.5, 1e-5, -3e-13, 3 * 2**-70,
